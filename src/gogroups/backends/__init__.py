@@ -1,11 +1,11 @@
-from .base import Mono, SubgroupBackend, evaluate_word, power, signed_to_pairs
+from .base import Mono, SubgroupBackend, evaluate_word, power
 from .finite import FiniteGroup, FiniteSubgroup
 from .abelian import AbelianGroup, AbelianSubgroup
 from .free import FreeGroup, FreeSubgroup, StallingsAutomaton
 from .rational import CosetNFA, PowerPattern, coset_nfa
 
 __all__ = [
-    "Mono", "SubgroupBackend", "evaluate_word", "power", "signed_to_pairs",
+    "Mono", "SubgroupBackend", "evaluate_word", "power",
     "FiniteGroup", "FiniteSubgroup",
     "AbelianGroup", "AbelianSubgroup",
     "FreeGroup", "FreeSubgroup", "StallingsAutomaton",

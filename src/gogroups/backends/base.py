@@ -28,9 +28,6 @@ equals, decompose (word over .gens).
 from __future__ import annotations
 
 
-INF = None  # infinite index/order is represented by None throughout
-
-
 def power(backend, x, n):
     """x^n by repeated squaring over the backend's multiplication."""
     if n == 0:
@@ -54,11 +51,6 @@ def evaluate_word(backend, items, word):
     for i, e in word:
         acc = backend.mul(acc, power(backend, items[i], e))
     return acc
-
-
-def signed_to_pairs(flat):
-    """Signed 1-based index list -> (index, exponent) pairs."""
-    return [(abs(s) - 1, 1 if s > 0 else -1) for s in flat]
 
 
 class Mono:

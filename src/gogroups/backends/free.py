@@ -21,7 +21,6 @@ class _Folder:
         self.parent = []
         self.adj = []          # vertex -> list of edge ids
         self.edges = []        # [src, dst, letter>0, ann, alive]
-        self.free_basis = True
         self.base = self.new_vertex()
 
     def new_vertex(self):
@@ -85,8 +84,6 @@ class _Folder:
                 (e1, q1, a1), (e2, q2, a2) = entries[0], entries[1]
                 if q1 == q2:
                     self.edges[e2][4] = False
-                    if wmul(winv(a1), a2):
-                        self.free_basis = False
                     stack.append(v)
                     break
                 # survivor: base wins, then the smaller id
@@ -139,16 +136,15 @@ class _Folder:
                 delta[order[v]][letter] = order[t]
                 if annotate:
                     ann_map[(order[v], letter)] = ann
-        return StallingsAutomaton(delta, ann=ann_map, free_basis=self.free_basis)
+        return StallingsAutomaton(delta, ann=ann_map)
 
 
 class StallingsAutomaton:
     """Folded pointed labeled graph; base state 0."""
 
-    def __init__(self, delta, ann=None, free_basis=True):
+    def __init__(self, delta, ann=None):
         self.delta = delta
         self.ann = ann
-        self.free_basis = free_basis
 
     @classmethod
     def from_words(cls, gen_words, annotate=False):
@@ -219,7 +215,7 @@ class StallingsAutomaton:
             for letter, t in row.items():
                 if t in order:
                     delta[order[v]][letter] = order[t]
-        return StallingsAutomaton(delta, free_basis=self.free_basis)
+        return StallingsAutomaton(delta)
 
     def spanning(self):
         """BFS spanning tree: (tree_word per state, nontree positive triples)."""
@@ -282,13 +278,12 @@ class StallingsAutomaton:
 
 
 class FreeSubgroup:
-    __slots__ = ("group", "aut", "gens", "user_gens")
+    __slots__ = ("group", "aut", "gens")
 
-    def __init__(self, group, aut, user_gens=()):
+    def __init__(self, group, aut):
         self.group = group
         self.aut = aut.cored()
         self.gens = tuple(self.aut.basis())
-        self.user_gens = tuple(user_gens)
 
     def __repr__(self):
         return f"FreeSubgroup(rank={len(self.gens)}, gens={[format_word(g) for g in self.gens]})"
@@ -355,9 +350,9 @@ class FreeSubgroup:
         if rT == 1:
             if rS == 0:
                 return None
-            t = sup.gens[0]
-            w = self.gens[0]
-            m, rem = divmod(len(w), len(t))
+            # self = <t^m>: the cyclic core of t^m is that of t repeated m times
+            m, rem = divmod(len(cyc_reduce(self.gens[0])[1]),
+                            len(cyc_reduce(sup.gens[0])[1]))
             if rem:
                 raise ValueError("not a subgroup")
             return m
@@ -472,7 +467,7 @@ class FreeGroup:
 
     def subgroup(self, gens):
         gens = [self.parse(g) if not self.is_element(g) else g for g in gens]
-        return FreeSubgroup(self, StallingsAutomaton.from_words(gens), user_gens=gens)
+        return FreeSubgroup(self, StallingsAutomaton.from_words(gens))
 
     def trivial_subgroup(self):
         return self.subgroup([])

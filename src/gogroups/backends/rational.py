@@ -129,20 +129,6 @@ class CosetNFA:
         """Membership of a freely reduced word in the recognized subset."""
         return bool(self.read({self.start}, wreduce(word)) & self.accepts)
 
-    def is_empty(self):
-        # reachability over transitions and eps
-        seen = set(self.eps_of[self.start])
-        queue = list(seen)
-        while queue:
-            s = queue.pop()
-            for x, ts in self.trans[s].items():
-                for t in ts:
-                    for t2 in self.eps_of[t]:
-                        if t2 not in seen:
-                            seen.add(t2)
-                            queue.append(t2)
-        return not (seen & self.accepts)
-
     def shortest_reduced(self):
         """Shortest, then lexicographically least, accepted reduced word."""
         if self.eps_of[self.start] & self.accepts:

@@ -14,7 +14,6 @@ from . import gogio
 from .fcip import fcip_abelian, fcip_bruteforce_sample, fcip_zero_check
 from .fgip import decide_components, fgip_certify, w_construction
 from .gog import gog_core, gog_core_at, reduce_gog, validate_gog
-from .gogio import ParseError
 from .morphism import (ImmersionFailure, is_covering, is_immersion,
                        realize_subgroup, validate_morphism)
 from .pullback import build_product
@@ -24,43 +23,43 @@ class CliError(Exception):
     pass
 
 
+def _read(path, what, parse):
+    """parse(data) for the JSON document at path; every fault of the input
+    (unreadable file, bad JSON, missing field, rejected value) is a CliError."""
+    try:
+        return parse(gogio.load(path))
+    except KeyError as exc:
+        raise CliError(f"cannot read {what} from {path}: missing field {exc}")
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read {what} from {path}: {exc}")
+
+
 def _load_gog(path):
-    try:
-        data = gogio.load(path)
-        return gogio.parse_gog(data)
-    except (OSError, json.JSONDecodeError, ParseError, ValueError) as exc:
-        raise CliError(f"cannot read graph of groups from {path}: {exc}")
+    return _read(path, "graph of groups", gogio.parse_gog)
 
 
-def _load_decorated_or_gog(path):
-    try:
-        data = gogio.load(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+def _parse_decorated_or_gog(data):
     if isinstance(data, dict) and data.get("decorated"):
-        try:
-            return "decorated", gogio.parse_decorated(data), None
-        except (ParseError, KeyError, ValueError) as exc:
-            raise CliError(f"bad decorated file {path}: {exc}")
+        return "decorated", gogio.parse_decorated(data), None
     A, base = gogio.parse_gog(data)
     return "gog", A, base
 
 
+def _load_decorated_or_gog(path):
+    return _read(path, "graph of groups", _parse_decorated_or_gog)
+
+
+def _parse_immersion(data, A):
+    if isinstance(data, dict) and "generators" in data:
+        base = 0
+        paths = [gogio.parse_apath(p, A, base) for p in data["generators"]]
+        return realize_subgroup(A, base, paths)
+    m, b = gogio.parse_morphism(data, A)
+    return m, (b or 0)
+
+
 def _load_immersion(path, A):
-    try:
-        data = gogio.load(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}")
-    try:
-        if isinstance(data, dict) and "generators" in data:
-            base = 0
-            paths = [gogio.parse_apath(p, A, base) for p in data["generators"]]
-            m, b = realize_subgroup(A, base, paths)
-            return m, b
-        m, b = gogio.parse_morphism(data, A)
-        return m, (b or 0)
-    except (ParseError, KeyError, ValueError) as exc:
-        raise CliError(f"bad immersion file {path}: {exc}")
+    return _read(path, "immersion", lambda data: _parse_immersion(data, A))
 
 
 def _emit(lines, out=None):
@@ -179,10 +178,7 @@ def cmd_intersect(args):
 
 
 def cmd_fcip(args):
-    try:
-        data = gogio.load(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read {args.input}: {exc}")
+    data = _read(args.input, "fcip request", lambda data: data)
     kind = data.get("kind")
     if kind == "abelian":
         G = gogio.parse_group_spec(data["group"])

@@ -24,9 +24,6 @@ from .graphs import Graph, einv
 from .words import cyclic_conjugate, format_word, primitive_root, wconj, winv
 
 
-INF = None
-
-
 @dataclass
 class DecoratedGraph:
     """Underlying graph plus per-half indices of the edge group images."""

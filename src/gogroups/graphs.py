@@ -37,8 +37,12 @@ class Graph:
     def t(self, e):
         return self.tgt[e >> 1] if e & 1 == 0 else self.org[e >> 1]
 
-    def star(self, v):
-        return [e for e in self.edges() if self.o(e) == v]
+    def out_edges(self):
+        """Per vertex, the directed edges with that origin in ascending order."""
+        out = [[] for _ in range(self.nv)]
+        for e in self.edges():
+            out[self.o(e)].append(e)
+        return out
 
     def edge_name(self, e):
         base = self.enames[e >> 1]
@@ -116,12 +120,10 @@ def _turn_reach(g, allow_backtrack, sources):
     """
     seen = set(sources)
     stack = list(seen)
-    out_at = {}
-    for e in g.edges():
-        out_at.setdefault(g.o(e), []).append(e)
+    out_at = g.out_edges()
     while stack:
         e = stack.pop()
-        for e2 in out_at.get(g.t(e), ()):
+        for e2 in out_at[g.t(e)]:
             if e2 == einv(e) and not allow_backtrack(e):
                 continue
             if e2 not in seen:
@@ -164,10 +166,8 @@ def _successors_closure(g, allow_backtrack, e0):
     unless revisited)."""
     seen = set()
     stack = []
-    out_at = {}
-    for e in g.edges():
-        out_at.setdefault(g.o(e), []).append(e)
-    for e2 in out_at.get(g.t(e0), ()):
+    out_at = g.out_edges()
+    for e2 in out_at[g.t(e0)]:
         if e2 == einv(e0) and not allow_backtrack(e0):
             continue
         if e2 not in seen:
@@ -175,7 +175,7 @@ def _successors_closure(g, allow_backtrack, e0):
             stack.append(e2)
     while stack:
         e = stack.pop()
-        for e2 in out_at.get(g.t(e), ()):
+        for e2 in out_at[g.t(e)]:
             if e2 == einv(e) and not allow_backtrack(e):
                 continue
             if e2 not in seen:

@@ -308,18 +308,37 @@ class BudgetExceeded(Exception):
 
 
 class _Builder:
+    """Folding state of realize_subgroup, kept as a worklist.
+
+    `inc[v]` is the set of (edge index, forward?) views with origin v, and
+    `dirty` holds the live vertices whose fold keys
+    (e, dc_canon(H_v, ta, alpha_e(E))) may have changed since they were last
+    checked.  A key changes only when H_v grows or an edge is added at v or
+    re-homed onto it, so a vertex is dirtied when it is created, when its
+    subgroup grows (add_generator, merge, saturate_edge), when an edge is
+    added at it, and when a merge folds another vertex into it.  Removing an
+    edge never creates a collision.  Hence every vertex outside `dirty` is
+    collision-free, the lowest-id vertex with a collision is dirty, and
+    checking the dirty vertices in ascending id finds the same fold as a scan
+    of every vertex in id order."""
+
     def __init__(self, A, u0):
         self.A = A
         self.u0 = u0
         self.verts = []           # {img, sub, alive}
         self.edges = []           # {img (directed), src, dst, ta, tw, esub, alive}
+        self.inc = []             # vertex -> {(edge index, forward?)}
+        self.dirty = set()
         self.base = self.new_vertex(u0)
 
     def new_vertex(self, img):
         self.verts.append({"img": img,
                            "sub": self.A.vgroups[img].trivial_subgroup(),
                            "alive": True})
-        return len(self.verts) - 1
+        self.inc.append(set())
+        v = len(self.verts) - 1
+        self.dirty.add(v)
+        return v
 
     def add_generator(self, p):
         if p.base != self.u0 or not p.is_closed():
@@ -329,6 +348,7 @@ class _Builder:
             G = A.vgroups[self.u0]
             self.verts[self.base]["sub"] = self.verts[self.base]["sub"].join(
                 G.subgroup([p.elems[0]]))
+            self.dirty.add(self.base)
             return
         k = len(p.edges)
         prev = self.base
@@ -336,6 +356,7 @@ class _Builder:
             last = i == k - 1
             nxt = self.base if last else self.new_vertex(A.graph.t(e))
             Gt = A.vgroups[A.graph.t(e)]
+            j = len(self.edges)
             self.edges.append({
                 "img": e, "src": prev, "dst": nxt,
                 "ta": p.elems[i],
@@ -343,19 +364,20 @@ class _Builder:
                 "esub": A.egroup(e).trivial_subgroup(),
                 "alive": True,
             })
+            self.inc[prev].add((j, True))
+            self.inc[nxt].add((j, False))
+            self.dirty.update((prev, nxt))
             prev = nxt
 
     def star(self, v):
-        """(edge index, forward?) views with origin v."""
-        out = []
-        for i, d in enumerate(self.edges):
-            if not d["alive"]:
-                continue
-            if d["src"] == v:
-                out.append((i, True))
-            if d["dst"] == v:
-                out.append((i, False))
-        return out
+        """(edge index, forward?) views with origin v, in edge order."""
+        return sorted(self.inc[v], key=lambda view: (view[0], not view[1]))
+
+    def kill_edge(self, i):
+        d = self.edges[i]
+        d["alive"] = False
+        self.inc[d["src"]].discard((i, True))
+        self.inc[d["dst"]].discard((i, False))
 
     def view(self, i, forward):
         d = self.edges[i]
@@ -371,20 +393,19 @@ class _Builder:
             d["tw"], d["ta"] = ta, tw
 
     def find_fold(self):
-        for v in range(len(self.verts)):
-            if not self.verts[v]["alive"]:
-                continue
+        """(v, first view, colliding view) at the lowest-id vertex with two
+        star views of equal fold key, or None."""
+        for v in sorted(self.dirty):
+            H = self.verts[v]["sub"]
             seen = {}
             for i, fwd in self.star(v):
-                e = self.view(i, fwd)[0]
+                e, _, _, ta, _ = self.view(i, fwd)
                 A_u = self.A.vgroups[self.A.graph.o(e)]
-                H = self.verts[v]["sub"]
-                K = self.A.alpha(e).image()
-                w = A_u.dc_canon(H, self.view(i, fwd)[3], K)
-                key = (e, w)
+                key = (e, A_u.dc_canon(H, ta, self.A.alpha(e).image()))
                 if key in seen:
                     return v, seen[key], (i, fwd)
                 seen[key] = (i, fwd)
+            self.dirty.discard(v)
         return None
 
     def merge(self, v, primary, secondary):
@@ -412,7 +433,8 @@ class _Builder:
         sec_sub = self.edges[i_s]["esub"]
         moved = Ge.subgroup([Ge.mul(Ge.mul(x, s), Ge.inv(x)) for s in sec_sub.gens])
         self.edges[i_p]["esub"] = self.edges[i_p]["esub"].join(moved)
-        self.edges[i_s]["alive"] = False
+        self.kill_edge(i_s)
+        self.dirty.add(y1)
         if y1 == y2:
             self.verts[y1]["sub"] = self.verts[y1]["sub"].join(Gt.subgroup([delta]))
             return
@@ -422,17 +444,19 @@ class _Builder:
                                  for s in sub2.gens])
         self.verts[y1]["sub"] = self.verts[y1]["sub"].join(moved_sub)
         self.verts[y2]["alive"] = False
-        for j, d in enumerate(self.edges):
-            if not d["alive"]:
-                continue
-            if d["src"] == y2:
+        self.dirty.discard(y2)
+        for j, fwd in self.inc[y2]:
+            d = self.edges[j]
+            if fwd:
                 Go = A.vgroups[A.graph.o(d["img"])]
                 d["ta"] = Go.mul(delta, d["ta"])
                 d["src"] = y1
-            if d["dst"] == y2:
+            else:
                 Gd = A.vgroups[A.graph.t(d["img"])]
                 d["tw"] = Gd.mul(delta, d["tw"])
                 d["dst"] = y1
+        self.inc[y1] |= self.inc[y2]
+        self.inc[y2] = set()
 
     def saturate_edge(self, i):
         """Condition-2 growth at edge i; returns True when anything grew."""
@@ -458,10 +482,12 @@ class _Builder:
         grown_o = self.verts[d["src"]]["sub"].join(push_a)
         if not grown_o.equals(self.verts[d["src"]]["sub"]):
             self.verts[d["src"]]["sub"] = grown_o
+            self.dirty.add(d["src"])
             changed = True
         grown_t = self.verts[d["dst"]]["sub"].join(push_w)
         if not grown_t.equals(self.verts[d["dst"]]["sub"]):
             self.verts[d["dst"]]["sub"] = grown_t
+            self.dirty.add(d["dst"])
             changed = True
         return changed
 
@@ -475,13 +501,13 @@ class _Builder:
             for y in range(len(self.verts)):
                 if not self.verts[y]["alive"] or y == self.base:
                     continue
-                incident = [(i, fwd) for i, fwd in self.star(y)]
+                incident = self.inc[y]
                 if len(incident) == 0:
                     self.verts[y]["alive"] = False
                     changed = True
                     continue
                 if len(incident) == 1:
-                    i, fwd = incident[0]
+                    i, fwd = next(iter(incident))
                     # view into y: reverse of the star view
                     e, _, _, ta, tw = self.view(i, not fwd)
                     omega = A.omega(e)
@@ -489,7 +515,7 @@ class _Builder:
                     img = Gt.subgroup([Gt.mul(Gt.mul(tw, omega.apply(s)), Gt.inv(tw))
                                        for s in self.edges[i]["esub"].gens])
                     if img.equals(self.verts[y]["sub"]):
-                        self.edges[i]["alive"] = False
+                        self.kill_edge(i)
                         self.verts[y]["alive"] = False
                         changed = True
 

@@ -65,6 +65,8 @@ class AProductFragment:
         self.A = m1.target
         self.m1 = m1
         self.m2 = m2
+        self.out1 = m1.source.graph.out_edges()
+        self.out2 = m2.source.graph.out_edges()
         self.vertices = []
         self.index = {}
         self.edges = []
@@ -84,7 +86,6 @@ class AProductFragment:
 
     def vertex_group(self, idx):
         x = self.vertices[idx]
-        u = self.m1.vmap[x.v]
         return self._sub1(x.v).conjugate(x.witness).intersect(self._sub2(x.w))
 
     def edge_group(self, eidx):
@@ -151,12 +152,9 @@ class AProductFragment:
 
     def expand_vertex(self, idx):
         x = self.vertices[idx]
-        S, Sg = self.m1.source.graph, self.m2.source.graph
-        star1 = [f for f in S.edges() if S.o(f) == x.v]
-        star2 = [g for g in Sg.edges() if Sg.o(g) == x.w]
-        for f in star1:
+        for f in self.out1[x.v]:
             e_f = self.m1.edge_image(f)
-            for g in star2:
+            for g in self.out2[x.w]:
                 if self.m2.edge_image(g) != e_f:
                     continue
                 try:
@@ -274,7 +272,7 @@ class AProductFragment:
 
     def _solve_free_cyclic(self, x, Au, Ge, H, K, f_a, g_a, E1, E2, alpha, factors):
         from .backends.rational import CosetNFA, PowerPattern
-        from .words import winv, wreduce
+        from .words import winv
         gens = Ge.generators()
         if len(gens) != 1:
             raise UnsupportedExpansion("free vertex group with non-cyclic edge group")
@@ -284,9 +282,10 @@ class AProductFragment:
             raise UnsupportedExpansion("edge map with trivial image")
 
         def exponent(handle):
+            """k with handle = <z^k>, 0 when handle is trivial."""
             if getattr(Ge, "kind", None) == "abelian":
                 return abs(handle.lat.rows[0][0]) if handle.lat.rows else 0
-            return len(handle.gens[0]) // len(wreduce(z)) if handle.gens else 0
+            return handle.index() or 0
 
         k1 = exponent(E1)
         k2 = exponent(E2)
@@ -381,25 +380,26 @@ class AProductFragment:
         idxs = self.base_component_indices()
         if len(idxs) < 4 or self.base_component_exact():
             return None
-        comp_edges = [h for h in self.edges if h.src in set(idxs)]
-        if any(not h.tree for h in comp_edges):
-            return None
+        comp = set(idxs)
         succ = {}
-        for h in comp_edges:
-            if h.src in succ:
+        for j, h in enumerate(self.edges):
+            if h.src not in comp:
+                continue
+            if not h.tree or h.src in succ:
                 return None
-            succ[h.src] = h
+            succ[h.src] = j
         chain = []
         cur = idxs[0]
         while cur in succ:
             chain.append(succ[cur])
-            cur = succ[cur].dst
+            cur = self.edges[succ[cur]].dst
         if len(chain) + 1 != len(idxs):
             return None
         sigs = []
-        for h in chain:
-            a_idx, w_idx = self._transport_indices(self.edges.index(h))
-            xs, xd = self.vertices[h.src], self.vertices[h.dst]
+        for j in chain:
+            h = self.edges[j]
+            a_idx, w_idx = self._transport_indices(j)
+            xs = self.vertices[h.src]
             sigs.append((xs.v, xs.w, h.f, h.g, a_idx, w_idx))
         for period in range(1, len(sigs) // min_periods + 1):
             window = sigs[-min_periods * period:]

@@ -162,6 +162,21 @@ def test_index_in():
     assert idx == 2
 
 
+def test_index_in_conjugated_cyclic():
+    # a length ratio would read 5 // 3 here and reject the pair
+    assert F2.subgroup(["baaaB"]).index_in(F2.subgroup(["baB"])) == 3
+    rng = Random(154)
+    for _ in range(40):
+        u = wreduce(tuple(rng.choice([1, 2, -1, -2]) for _ in range(rng.randint(0, 4))))
+        c = wreduce(tuple(rng.choice([1, 2, -1, -2]) for _ in range(rng.randint(1, 4))))
+        if not c:
+            continue
+        t = wmul(u, c, winv(u))
+        m = rng.randint(1, 4)
+        sub = F2.subgroup([wpow(t, m if rng.random() < 0.5 else -m)])
+        assert sub.index_in(F2.subgroup([t])) == m
+
+
 def test_cyclic_intersect_examples():
     H = F2.subgroup(["aa", "b"])
     assert H.cyclic_intersect(parse_word("a")) == 2

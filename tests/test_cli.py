@@ -55,6 +55,26 @@ def test_validate_rejects_bad_map(tmp_path, capsys):
     assert "not-injective" in err
 
 
+@pytest.mark.parametrize("cmd", ["validate", "core", "reduce", "decide-fgip",
+                                 "w-construct", "export-dot"])
+def test_edge_without_target_is_an_input_error(tmp_path, capsys, cmd):
+    bad = json.loads(json.dumps(BS_1_2))
+    del bad["edges"][0]["to"]
+    path = write(tmp_path, "noto.json", bad)
+    assert main([cmd, path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'to'" in err
+
+
+def test_decide_fgip_invalid_gog_is_an_input_error(tmp_path, capsys):
+    bad = json.loads(json.dumps(BS_1_2))
+    bad["edges"][0]["omega"] = [0]
+    path = write(tmp_path, "bad.json", bad)
+    assert main(["decide-fgip", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not-injective" in err
+
+
 def test_decide_fgip_bs12(tmp_path, capsys):
     path = write(tmp_path, "bs12.json", BS_1_2)
     assert main(["decide-fgip", path]) == 0

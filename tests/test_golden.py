@@ -1,0 +1,161 @@
+"""Byte-level guard on CLI output.
+
+Every subcommand runs on every sample it applies to, plus a few extra
+immersion inputs under tests/golden/inputs/ whose folding takes many merges.
+Stdout, the exit code and the `pullback --out/--dot` artifacts are compared
+byte for byte with the files stored under tests/golden/.
+
+Regenerate the stored files, only when an output change is intended, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from gogroups.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+SAMPLES = os.path.join(os.path.dirname(HERE), "samples")
+INPUTS = os.path.join(GOLDEN, "inputs")
+
+GOGS = ["bs_1_2", "bs_2_3", "double_f2_cubes", "double_f2_squares",
+        "klein_amalgam", "rose2", "zsquared_hnn"]
+FREE_GOGS = ["double_f2_cubes", "double_f2_squares"]   # w-construct's domain
+
+# (gog, first immersion, second immersion, budget); paths relative to the
+# samples directory, or "inputs/..." for the extra golden inputs
+PAIRS = [
+    ("rose2", "rose2_sub_H", "rose2_sub_K", 500),
+    ("zsquared_hnn", "zsquared_hnn_sub_C", "zsquared_hnn_sub_B", 16),
+    ("rose2", "inputs/rose2_sub_R", "rose2_sub_H", 500),
+    ("inputs/modular", "inputs/modular_sub_P", "inputs/modular_sub_Q", 64),
+    ("bs_1_2", "inputs/bs_1_2_sub_P", "inputs/bs_1_2_sub_Q", 16),
+    ("double_f2_squares", "inputs/double_f2_squares_sub_P",
+     "inputs/double_f2_squares_sub_P", 20),
+]
+
+FCIP_REQUESTS = {
+    "abelian": {"kind": "abelian", "group": {"abelian": {"rank": 2, "torsion": []}},
+                "A": [[2, 0], [0, 1]], "B": [[1, 0]], "C": [[1, 1]]},
+    "zero-check": {"kind": "zero-check", "group": {"Z": True},
+                   "subgroups": [[2], [3], [5]]},
+    "sample": {"kind": "sample", "group": {"free": 2},
+               "A": ["a"], "B": ["b"], "C": ["ab"], "length_bound": 3},
+}
+
+
+def _path(name):
+    if name.startswith("inputs/"):
+        return os.path.join(INPUTS, name[len("inputs/"):] + ".json")
+    return os.path.join(SAMPLES, name + ".json")
+
+
+def _label(name):
+    return name.replace("inputs/", "")
+
+
+def cases():
+    """(case name, argv, artifact suffixes); artifact arguments are '{out}'
+    and '{dot}' placeholders."""
+    out = []
+    for g in GOGS:
+        for cmd in ("validate", "reduce", "core", "decide-fgip", "export-dot"):
+            out.append((f"{cmd}.{g}", [cmd, _path(g)], ()))
+        out.append((f"core-at-u.{g}", ["core", _path(g), "--at", "u"], ()))
+    for g in FREE_GOGS:
+        out.append((f"w-construct.{g}", ["w-construct", _path(g)], ()))
+    out.append(("decide-fgip.decorated_two_loops",
+                ["decide-fgip", _path("decorated_two_loops")], ()))
+    immersions = []
+    for g, first, second, budget in PAIRS:
+        for imm in (first, second):
+            if (g, imm) not in immersions:
+                immersions.append((g, imm))
+        tag = f"{_label(first)}.{_label(second)}"
+        out.append((f"pullback.{tag}",
+                    ["pullback", _path(g), _path(first), _path(second),
+                     "--budget", str(budget), "--out", "{out}", "--dot", "{dot}"],
+                    ("out.json", "dot")))
+        out.append((f"intersect.{tag}",
+                    ["intersect", _path(g), _path(first), _path(second),
+                     "--budget", str(budget)], ()))
+    for g, imm in immersions:
+        out.append((f"immersion-check.{_label(imm)}",
+                    ["immersion-check", _path(g), _path(imm)], ()))
+    for kind in FCIP_REQUESTS:
+        out.append((f"fcip.{kind}", ["fcip", "{fcip:" + kind + "}"], ()))
+    return out
+
+
+def run_case(argv, suffixes, workdir):
+    """(exit code, stdout, {suffix: artifact text})."""
+    paths = {s: os.path.join(workdir, "artifact." + s) for s in suffixes}
+    real = []
+    for a in argv:
+        if a == "{out}":
+            a = paths["out.json"]
+        elif a == "{dot}":
+            a = paths["dot"]
+        elif a.startswith("{fcip:"):
+            kind = a[len("{fcip:"):-1]
+            a = os.path.join(workdir, "request.json")
+            with open(a, "w") as fh:
+                json.dump(FCIP_REQUESTS[kind], fh)
+        real.append(a)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(real)
+    artifacts = {}
+    for s, p in paths.items():
+        with open(p) as fh:
+            artifacts[s] = fh.read()
+    return code, buf.getvalue(), artifacts
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+CASES = cases()
+
+
+@pytest.mark.parametrize("name,argv,suffixes", CASES, ids=[c[0] for c in CASES])
+def test_golden(name, argv, suffixes, tmp_path):
+    code, stdout, artifacts = run_case(argv, suffixes, str(tmp_path))
+    codes = json.loads(_read(os.path.join(GOLDEN, "exit_codes.json")))
+    assert code == codes[name]
+    assert stdout == _read(os.path.join(GOLDEN, name + ".txt"))
+    for s, text in artifacts.items():
+        assert text == _read(os.path.join(GOLDEN, f"{name}.{s}"))
+
+
+def regenerate():
+    codes = {}
+    for name, argv, suffixes in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, artifacts = run_case(argv, suffixes, tmp)
+        codes[name] = code
+        with open(os.path.join(GOLDEN, name + ".txt"), "w") as fh:
+            fh.write(stdout)
+        for s, text in artifacts.items():
+            with open(os.path.join(GOLDEN, f"{name}.{s}"), "w") as fh:
+                fh.write(text)
+    with open(os.path.join(GOLDEN, "exit_codes.json"), "w") as fh:
+        json.dump(codes, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(codes)} golden cases to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -1,6 +1,8 @@
 import pytest
 from random import Random
 
+from hypothesis import given, settings, strategies as st
+
 from gogroups.backends import AbelianGroup, FreeGroup, Mono, SubgroupBackend
 from gogroups.gog import (APath, GraphOfGroups, apath_concat, apath_inverse,
                           apaths_equal, is_reduced, reduce_apath, validate_gog)
@@ -10,7 +12,7 @@ from gogroups.library import (bs_gog, nofgip_gog, rose_gog, segment_z_gog,
 from gogroups.morphism import (GoGMorphism, ImmersionFailure, identity_morphism,
                                is_covering, is_immersion, push_apath,
                                realize_subgroup, trace_apath, validate_morphism)
-from gogroups.words import parse_word
+from gogroups.words import parse_word, wreduce
 
 
 def test_identity_morphism_validates():
@@ -140,6 +142,21 @@ def test_realize_trivial_groups_matches_stallings():
                 continue
             w = tuple(tup)
             assert trace_apath(m, word_apath(A, w), start=base) == H.contains(w)
+
+
+reduced_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12).map(wreduce)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(reduced_words, min_size=1, max_size=8))
+def test_realize_on_rose_is_the_stallings_graph(words):
+    A = rose_gog(2)
+    m, base = realize_subgroup(A, 0, [word_apath(A, w) for w in words])
+    aut = FreeGroup(2).subgroup(words).aut
+    assert m.source.graph.nv == aut.n_states
+    assert m.source.graph.n_pairs == sum(len(row) for row in aut.delta) // 2
+    for w in words:
+        assert trace_apath(m, word_apath(A, w), start=base)
 
 
 def test_realize_idempotent_on_immersion_edges():
