@@ -49,17 +49,30 @@ def _load_decorated_or_gog(path):
     return _read(path, "graph of groups", _parse_decorated_or_gog)
 
 
-def _parse_immersion(data, A):
+def _parse_immersion(data, A, base):
+    """(immersion, source basepoint); generator paths are closed at base."""
     if isinstance(data, dict) and "generators" in data:
-        base = 0
         paths = [gogio.parse_apath(p, A, base) for p in data["generators"]]
         return realize_subgroup(A, base, paths)
     m, b = gogio.parse_morphism(data, A)
     return m, (b or 0)
 
 
-def _load_immersion(path, A):
-    return _read(path, "immersion", lambda data: _parse_immersion(data, A))
+def _load_immersion(path, A, base):
+    """base: the gog's basepoint, vertex 0 when its file names none."""
+    return _read(path, "immersion", lambda data: _parse_immersion(data, A, base or 0))
+
+
+def _load_product(args):
+    """The product of the two immersions, expanded from their basepoints."""
+    A, base = _load_gog(args.gog)
+    m1, b1 = _load_immersion(args.first, A, base)
+    m2, b2 = _load_immersion(args.second, A, base)
+    u1, u2 = m1.vmap[b1], m2.vmap[b2]
+    if u1 != u2:
+        raise CliError(f"the basepoints of {args.first} and {args.second} lie over "
+                       f"different vertices ({A.graph.vnames[u1]!r}, {A.graph.vnames[u2]!r})")
+    return build_product(m1, m2, args.budget, b1, b2)
 
 
 def _emit(lines, out=None):
@@ -116,8 +129,8 @@ def cmd_core(args):
 
 
 def cmd_immersion_check(args):
-    A, _ = _load_gog(args.gog)
-    m, base = _load_immersion(args.morphism, A)
+    A, base = _load_gog(args.gog)
+    m, _ = _load_immersion(args.morphism, A, base)
     violations = validate_morphism(m)
     lines = []
     for v in violations:
@@ -142,27 +155,22 @@ def cmd_immersion_check(args):
 
 
 def cmd_pullback(args):
-    A, _ = _load_gog(args.gog)
-    m1, b1 = _load_immersion(args.first, A)
-    m2, b2 = _load_immersion(args.second, A)
-    frag = build_product(m1, m2, budget=args.budget)
-    lines = frag.dump().splitlines()
+    frag = _load_product(args)
+    report = frag.to_json()
+    lines = frag.dump(report).splitlines()
     ray = frag.ray_certificate()
     if ray:
         lines.append(f"ray-certificate: {ray['verdict']} "
                      f"(period {ray['period']}, ascent {ray['ascent']})")
-    _write_optional(args.dot, frag.dot())
-    _write_optional(args.out, frag.to_json())
+    _write_optional(args.dot, frag.dot(report))
+    _write_optional(args.out, report)
     lines.append(f"VERDICT: {'complete' if frag.complete else 'budget-exhausted'}")
     _emit(lines)
     return 0
 
 
 def cmd_intersect(args):
-    A, _ = _load_gog(args.gog)
-    m1, b1 = _load_immersion(args.first, A)
-    m2, b2 = _load_immersion(args.second, A)
-    frag = build_product(m1, m2, budget=args.budget)
+    frag = _load_product(args)
     gens, exact = frag.intersection_generators()
     lines = []
     for i, p in enumerate(gens):
@@ -235,7 +243,10 @@ def cmd_decide_fgip(args):
 
 def cmd_w_construct(args):
     A, _ = _load_gog(args.input)
-    W, d, book = w_construction(A)
+    try:
+        W, d, book = w_construction(A)
+    except ValueError as exc:   # not a graph of free groups with Z edge groups
+        raise CliError(f"cannot build the commensurator graph of {args.input}: {exc}")
     lines = [f"w-vertices: {W.graph.nv}", f"w-edge-pairs: {W.graph.n_pairs}"]
     for p in range(W.graph.n_pairs):
         lines.append(f"edge {W.graph.enames[p]}: "

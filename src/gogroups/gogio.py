@@ -66,6 +66,17 @@ def group_spec_of(G):
     raise ParseError(f"cannot serialize group {G!r}")
 
 
+def _edge_list(data):
+    """data's `edges` (empty when absent), checked to be a list of objects."""
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise ParseError(f"'edges' must be a list, got {edges!r}")
+    for ed in edges:
+        if not isinstance(ed, dict):
+            raise ParseError(f"an edge must be an object, got {ed!r}")
+    return edges
+
+
 def parse_gog(data):
     """(GraphOfGroups, basepoint index or None)."""
     if isinstance(data, str):
@@ -79,7 +90,7 @@ def parse_gog(data):
         raise ParseError("duplicate vertex names")
     vgroups = [parse_group_spec(data["vertices"][n]) for n in vnames]
     org, tgt, enames, egroups, monos = [], [], [], [], []
-    for ed in data.get("edges", []):
+    for ed in _edge_list(data):
         name = ed.get("name", f"e{len(enames)}")
         if name in enames:
             raise ParseError(f"duplicate edge name {name!r}")
@@ -140,7 +151,7 @@ def parse_decorated(data):
     vnames = list(data["vertices"])
     vid = {n: i for i, n in enumerate(vnames)}
     pairs, ia, io_, enames = [], [], [], []
-    for ed in data.get("edges", []):
+    for ed in _edge_list(data):
         pairs.append((vid[ed["from"]], vid[ed["to"]]))
         a, o = ed["indices"]
         ia.append(None if a == "inf" else int(a))
@@ -183,7 +194,7 @@ def parse_morphism(data, target, target_base=None):
         vmonos.append(Mono(SB, G, SB.generators()))
     org, tgt, enames, egroups, monos = [], [], [], [], []
     emap, emonos, twists = [], [], []
-    for ed in data.get("edges", []):
+    for ed in _edge_list(data):
         name = ed.get("name", f"f{len(enames)}")
         e = _edge_by_name(target, ed["over"])
         o, t = vid[ed["from"]], vid[ed["to"]]

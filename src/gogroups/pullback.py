@@ -46,9 +46,13 @@ class ProductVertex:
 
 
 class ProductEdge:
-    __slots__ = ("f", "g", "rep", "witness", "src", "dst", "tree")
+    """A product edge and its transport record: rep moves the source witness
+    to o_raw = bc0 . witness(src) . cc0 in A_o(e) and to
+    t_raw = bc1 . witness(dst) . cc1 in A_t(e)."""
+    __slots__ = ("f", "g", "rep", "witness", "src", "dst", "tree",
+                 "bc0", "cc0", "bc1", "cc1")
 
-    def __init__(self, f, g, rep, witness, src, dst, tree):
+    def __init__(self, f, g, rep, witness, src, dst, tree, bc0, cc0, bc1, cc1):
         self.f = f
         self.g = g
         self.rep = rep          # solver representative in the edge group
@@ -56,6 +60,8 @@ class ProductEdge:
         self.src = src
         self.dst = dst
         self.tree = tree
+        self.bc0, self.cc0 = bc0, cc0
+        self.bc1, self.cc1 = bc1, cc1
 
 
 class AProductFragment:
@@ -111,13 +117,13 @@ class AProductFragment:
             raise ValueError("basepoint images do not match")
         u = self.m1.vmap[v0]
         Au = self.A.vgroups[u]
-        idx, _ = self._intern(v0, w0, Au.identity(),
-                              self.A.trivial_path(u), self.A.trivial_path(u),
-                              component=0)
-        return idx
+        return self._intern(v0, w0, Au.identity(),
+                            self.A.trivial_path(u), self.A.trivial_path(u),
+                            component=0)[0]
 
     def _intern(self, v, w, raw_witness, b_anchor, c_anchor, component):
-        """Returns (index, created)."""
+        """(index, created, bc, cc) with raw_witness = bc . witness . cc when
+        the vertex is created; bc and cc are None for an existing vertex."""
         u = self.m1.vmap[v]
         Au = self.A.vgroups[u]
         H = self._sub1(v)
@@ -125,7 +131,7 @@ class AProductFragment:
         witness = Au.dc_canon(H, raw_witness, K)
         key = (v, w, witness)
         if key in self.index:
-            return self.index[key], False
+            return self.index[key], False, None, None
         bc, cc = Au.dc_factor(H, witness, K, raw_witness)
         # raw = bc . witness . cc  =>  anchors absorb the correction
         b2 = reduce_apath(apath_concat(b_anchor, APath(self.A, u, [bc], [])))
@@ -135,7 +141,7 @@ class AProductFragment:
         self.vertices.append(pv)
         self.index[key] = idx
         self.frontier.append(idx)
-        return idx, True
+        return idx, True, bc, cc
 
     def build(self, budget=64):
         if not self.vertices:
@@ -187,18 +193,27 @@ class AProductFragment:
         w2 = self.m2.source.graph.t(g)
         u = A.graph.o(e)
         Au = A.vgroups[u]
-        lam = APath(A, u, [self.m1.twist_alpha(f), Au2.inv(f_w)], [e])
-        pi = APath(A, u, [self.m2.twist_alpha(g), Au2.inv(g_w)], [e])
         b_next = reduce_apath(apath_concat(apath_concat(
-            x.anchor1, APath(A, u, [Au.inv(bc0)], [])), lam))
+            x.anchor1, APath(A, u, [Au.inv(bc0)], [])), self._step(self.m1, f, e)))
         c_next = reduce_apath(apath_concat(apath_concat(
-            x.anchor2, APath(A, u, [cc0], [])), pi))
-        dst, created = self._intern(v2, w2, t_raw, b_next, c_next, x.component)
+            x.anchor2, APath(A, u, [cc0], [])), self._step(self.m2, g, e)))
+        dst, created, bc1, cc1 = self._intern(v2, w2, t_raw, b_next, c_next,
+                                              x.component)
         key = self._edge_key(f, g, idx, dst, ewitness)
         if key in self.edge_keys:
             return
         self.edge_keys.add(key)
-        self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created))
+        if not created:
+            bc1, cc1 = Au2.dc_factor(self._sub1(v2), self.vertices[dst].witness,
+                                     self._sub2(w2), t_raw)
+        self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created,
+                                      bc0, cc0, bc1, cc1))
+
+    def _step(self, m, f, e):
+        """The A-path alpha-twist . e . omega-twist^-1 of m's edge f over e."""
+        A = self.A
+        Au2 = A.vgroups[A.graph.t(e)]
+        return APath(A, A.graph.o(e), [m.twist_alpha(f), Au2.inv(m.twist_omega(f))], [e])
 
     # --- expansion solvers ---
 
@@ -218,35 +233,32 @@ class AProductFragment:
         alpha = A.alpha(e)
         kind = getattr(Au, "kind", None)
 
-        def factors(rep):
-            o_raw = Au.mul(Au.mul(f_a, alpha.apply(rep)), Au.inv(g_a))
-            bc0, cc0 = Au.dc_factor(H, x.witness, K, o_raw)
-            return rep, bc0, cc0
+        def o_raw(rep):
+            return Au.mul(Au.mul(f_a, alpha.apply(rep)), Au.inv(g_a))
 
         if kind == "finite":
-            out = []
+            raws = []
             seen = set()
             for a in range(Ge.order()):
-                o_raw = Au.mul(Au.mul(f_a, alpha.apply(a)), Au.inv(g_a))
-                if not Au.dc_eq(H, x.witness, K, o_raw):
+                raw = o_raw(a)
+                if not Au.dc_eq(H, x.witness, K, raw):
                     continue
                 wcan = Ge.dc_canon(E1, a, E2)
                 if wcan in seen:
                     continue
                 seen.add(wcan)
-                out.append(factors(a))
-            return out
+                raws.append((a, raw))
+        elif kind == "abelian":
+            raws = [(rep, o_raw(rep)) for rep in
+                    self._solve_abelian(x, Ge, H, K, f_a, g_a, E1, E2, alpha)]
+        elif kind == "free":
+            raws = [(rep, o_raw(rep)) for rep in
+                    self._solve_free_cyclic(x, Ge, H, K, f_a, g_a, E1, E2, alpha)]
+        else:
+            raise UnsupportedExpansion(f"no expansion solver for vertex backend {kind}")
+        return [(rep, *Au.dc_factor(H, x.witness, K, raw)) for rep, raw in raws]
 
-        if kind == "abelian":
-            return self._solve_abelian(x, Au, Ge, H, K, f_a, g_a, E1, E2, alpha, factors)
-
-        if kind == "free":
-            return self._solve_free_cyclic(x, Au, Ge, H, K, f_a, g_a, E1, E2,
-                                           alpha, factors)
-
-        raise UnsupportedExpansion(f"no expansion solver for vertex backend {kind}")
-
-    def _solve_abelian(self, x, Au, Ge, H, K, f_a, g_a, E1, E2, alpha, factors):
+    def _solve_abelian(self, x, Ge, H, K, f_a, g_a, E1, E2, alpha):
         from .intlattice import lin_solve, preimage_lattice
         if getattr(Ge, "kind", None) != "abelian":
             raise UnsupportedExpansion("abelian vertex with non-abelian edge group")
@@ -265,12 +277,9 @@ class AProductFragment:
             raise UnsupportedExpansion("edge-group cosets do not refine the fan")
         if Se.index_in(P) is None:
             raise UnsupportedExpansion("infinite-edge-fan")
-        out = []
-        for rep in Se.transversal(P):
-            out.append(factors(Ge.mul(a0, Ge.canon(tuple(rep)))))
-        return out
+        return [Ge.mul(a0, Ge.canon(tuple(rep))) for rep in Se.transversal(P)]
 
-    def _solve_free_cyclic(self, x, Au, Ge, H, K, f_a, g_a, E1, E2, alpha, factors):
+    def _solve_free_cyclic(self, x, Ge, H, K, f_a, g_a, E1, E2, alpha):
         from .backends.rational import CosetNFA, PowerPattern
         from .words import winv
         gens = Ge.generators()
@@ -302,9 +311,9 @@ class AProductFragment:
         if d0 == 0:
             if pattern.infinite():
                 raise UnsupportedExpansion("infinite-edge-fan")
-            return [factors(rep_of(n)) for n in pattern.finite_solutions()]
+            return [rep_of(n) for n in pattern.finite_solutions()]
         sols = pattern.solutions_mod(d0)
-        return [factors(rep_of(n)) for r, n in sorted(sols.items())]
+        return [rep_of(n) for r, n in sorted(sols.items())]
 
     # --- reports ---
 
@@ -337,36 +346,18 @@ class AProductFragment:
                     x.anchor1, APath(self.A, u, [b_elt], [])),
                     apath_inverse(x.anchor1)))
                 gens.append(path)
+        A = self.A
         for h in self.edges:
             if h.tree or h.src not in base_idxs:
                 continue
-            xs = self.vertices[h.src]
-            xd = self.vertices[h.dst]
-            A = self.A
             e = self.m1.edge_image(h.f)
             u = A.graph.o(e)
-            u2 = A.graph.t(e)
-            Au = A.vgroups[u]
-            Au2 = A.vgroups[u2]
-            H = self._sub1(xs.v)
-            K = self._sub2(xs.w)
-            alpha = A.alpha(e)
-            f_a = self.m1.twist_alpha(h.f)
-            g_a = self.m2.twist_alpha(h.g)
-            f_w = self.m1.twist_omega(h.f)
-            g_w = self.m2.twist_omega(h.g)
-            o_raw = Au.mul(Au.mul(f_a, alpha.apply(h.rep)), Au.inv(g_a))
-            bc0, cc0 = Au.dc_factor(H, xs.witness, K, o_raw)
-            t_raw = Au2.mul(Au2.mul(f_w, A.omega(e).apply(h.rep)), Au2.inv(g_w))
-            H2 = self._sub1(xd.v)
-            K2 = self._sub2(xd.w)
-            bc1, cc1 = Au2.dc_factor(H2, xd.witness, K2, t_raw)
-            lam = APath(A, u, [f_a, Au2.inv(f_w)], [e])
+            # anchor1(src) . bc0^-1 . step over e . bc1 . anchor1(dst)^-1
             z = apath_concat(apath_concat(apath_concat(
-                xs.anchor1, APath(A, u, [Au.inv(bc0)], [])), lam),
-                APath(A, u2, [bc1], []))
-            z = reduce_apath(apath_concat(z, apath_inverse(xd.anchor1)))
-            gens.append(z)
+                self.vertices[h.src].anchor1, APath(A, u, [A.vgroups[u].inv(h.bc0)], [])),
+                self._step(self.m1, h.f, e)), APath(A, A.graph.t(e), [h.bc1], []))
+            gens.append(reduce_apath(apath_concat(
+                z, apath_inverse(self.vertices[h.dst].anchor1))))
         return gens, self.base_component_exact()
 
     def ray_certificate(self, min_periods=3):
@@ -423,41 +414,22 @@ class AProductFragment:
         return None
 
     def _transport_indices(self, eidx):
-        """([D_src : alpha-transport of D_h], [D_dst : omega-transport])."""
+        """([D_src : alpha-transport of D_h], [D_dst : omega-transport]).
+
+        The transport conjugates the image of D_h by the twist and the
+        recorded factor: c alpha(D_h) c^-1 with c = cc0 . g_alpha, and
+        likewise at the target with cc1 . g_omega."""
         A = self.A
         h = self.edges[eidx]
         e = self.m1.edge_image(h.f)
         Eh = self.edge_group(eidx)
-        u, u2 = A.graph.o(e), A.graph.t(e)
-        Au, Au2 = A.vgroups[u], A.vgroups[u2]
-        g_a = self.m2.twist_alpha(h.g)
-        g_w = self.m2.twist_omega(h.g)
-        xs, xd = self.vertices[h.src], self.vertices[h.dst]
-        H = self._sub1(xs.v)
-        K = self._sub2(xs.w)
-        alpha = A.alpha(e)
-        f_a = self.m1.twist_alpha(h.f)
-        o_raw = Au.mul(Au.mul(f_a, alpha.apply(h.rep)), Au.inv(g_a))
-        bc0, cc0 = Au.dc_factor(H, xs.witness, K, o_raw)
-        tr_a = Au.subgroup([
-            Au.mul(Au.mul(Au.mul(Au.mul(cc0, g_a), alpha.apply(y)),
-                          Au.inv(g_a)), Au.inv(cc0))
-            for y in Eh.gens])
-        D_src = self.vertex_group(h.src)
-        a_idx = tr_a.index_in(D_src)
-        f_w = self.m1.twist_omega(h.f)
-        t_raw = Au2.mul(Au2.mul(f_w, A.omega(e).apply(h.rep)), Au2.inv(g_w))
-        H2 = self._sub1(xd.v)
-        K2 = self._sub2(xd.w)
-        bc1, cc1 = Au2.dc_factor(H2, xd.witness, K2, t_raw)
-        omega = A.omega(e)
-        tr_w = Au2.subgroup([
-            Au2.mul(Au2.mul(Au2.mul(Au2.mul(cc1, g_w), omega.apply(y)),
-                            Au2.inv(g_w)), Au2.inv(cc1))
-            for y in Eh.gens])
-        D_dst = self.vertex_group(h.dst)
-        w_idx = tr_w.index_in(D_dst)
-        return a_idx, w_idx
+        Au, Au2 = A.vgroups[A.graph.o(e)], A.vgroups[A.graph.t(e)]
+        c0 = Au.mul(h.cc0, self.m2.twist_alpha(h.g))
+        c1 = Au2.mul(h.cc1, self.m2.twist_omega(h.g))
+        tr_a = A.alpha(e).apply_subgroup(Eh).conjugate(Au.inv(c0))
+        a_idx = tr_a.index_in(self.vertex_group(h.src))
+        tr_w = A.omega(e).apply_subgroup(Eh).conjugate(Au2.inv(c1))
+        return a_idx, tr_w.index_in(self.vertex_group(h.dst))
 
     def degree_stats(self):
         out = {}
@@ -465,54 +437,10 @@ class AProductFragment:
             out[h.src] = out.get(h.src, 0) + 1
         return out
 
-    def dump(self):
-        """Deterministic machine-readable description."""
-        A = self.A
-        lines = []
-        for i, x in enumerate(self.vertices):
-            u = self.m1.vmap[x.v]
-            Au = A.vgroups[u]
-            D = self.vertex_group(i)
-            lines.append(
-                f"vertex {i}: pair=({self.m1.source.graph.vnames[x.v]},"
-                f"{self.m2.source.graph.vnames[x.w]}) witness={Au.serialize(x.witness)!r}"
-                f" group=<{', '.join(repr(Au.serialize(g)) for g in D.gens)}>"
-                f" component={x.component}")
-        for j, h in enumerate(self.edges):
-            e = self.m1.edge_image(h.f)
-            Ge = A.egroup(e)
-            E = self.edge_group(j)
-            lines.append(
-                f"edge {j}: {h.src}->{h.dst}"
-                f" pair=({self.m1.source.graph.edge_name(h.f)},"
-                f"{self.m2.source.graph.edge_name(h.g)})"
-                f" witness={Ge.serialize(h.witness)!r}"
-                f" group=<{', '.join(repr(Ge.serialize(g)) for g in E.gens)}>")
-        lines.append(f"complete: {self.complete}")
-        if self.unexpandable:
-            for idx in sorted(self.unexpandable):
-                lines.append(f"unexpandable {idx}: {self.unexpandable[idx]}")
-        return "\n".join(lines)
-
-    def dot(self):
-        lines = ["digraph fragment {"]
-        for i, x in enumerate(self.vertices):
-            u = self.m1.vmap[x.v]
-            Au = self.A.vgroups[u]
-            D = self.vertex_group(i)
-            label = (f"({self.m1.source.graph.vnames[x.v]},"
-                     f"{self.m2.source.graph.vnames[x.w]}) "
-                     f"{Au.serialize(x.witness)!r} "
-                     f"<{','.join(repr(Au.serialize(g)) for g in D.gens)}>")
-            lines.append(f'  {i} [label="{label}"];')
-        for h in self.edges:
-            lines.append(f"  {h.src} -> {h.dst};")
-        lines.append("}")
-        return "\n".join(lines)
-
     def to_json(self):
-        """Machine-readable dump: the gog file shape extended with witness,
-        source-pair and group fields."""
+        """Machine-readable report: the gog file shape extended with witness,
+        source-pair and group fields.  The only place that computes the
+        vertex and edge groups; dump() and dot() render this dict."""
         A = self.A
         verts = {}
         for i, x in enumerate(self.vertices):
@@ -545,8 +473,43 @@ class AProductFragment:
         return {"vertices": verts, "edges": edges, "complete": self.complete,
                 "unexpandable": {str(k): v for k, v in self.unexpandable.items()}}
 
+    @staticmethod
+    def dump(report):
+        """Deterministic text report of a to_json() dict."""
+        lines = []
+        for name, x in report["vertices"].items():
+            lines.append(
+                f"vertex {name[1:]}: pair=({x['pair'][0]},{x['pair'][1]})"
+                f" witness={x['witness']!r}"
+                f" group=<{', '.join(repr(g) for g in x['group'])}>"
+                f" component={x['component']}")
+        for h in report["edges"]:
+            lines.append(
+                f"edge {h['name'][1:]}: {h['from'][1:]}->{h['to'][1:]}"
+                f" pair=({h['pair'][0]},{h['pair'][1]})"
+                f" witness={h['witness']!r}"
+                f" group=<{', '.join(repr(g) for g in h['group'])}>")
+        lines.append(f"complete: {report['complete']}")
+        for idx in sorted(report["unexpandable"], key=int):
+            lines.append(f"unexpandable {idx}: {report['unexpandable'][idx]}")
+        return "\n".join(lines)
 
-def build_product(m1, m2, budget=64):
+    @staticmethod
+    def dot(report):
+        """DOT rendering of a to_json() dict."""
+        lines = ["digraph fragment {"]
+        for name, x in report["vertices"].items():
+            label = (f"({x['pair'][0]},{x['pair'][1]}) {x['witness']!r} "
+                     f"<{','.join(repr(g) for g in x['group'])}>")
+            lines.append(f'  {name[1:]} [label="{label}"];')
+        for h in report["edges"]:
+            lines.append(f"  {h['from'][1:]} -> {h['to'][1:]};")
+        lines.append("}")
+        return "\n".join(lines)
+
+
+def build_product(m1, m2, budget=64, v0=None, w0=None):
+    """The product expanded from the base vertex (v0, w0), as in add_base."""
     frag = AProductFragment(m1, m2)
-    frag.add_base()
+    frag.add_base(v0, w0)
     return frag.build(budget=budget)

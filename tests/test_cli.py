@@ -1,10 +1,16 @@
 import json
+import os
 
 import pytest
 
 from gogroups import gogio
 from gogroups.cli import main
+from gogroups.gog import APath
 from gogroups.library import bs_gog, free_double_gog, nofgip_gog
+from gogroups.morphism import realize_subgroup
+
+SAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "samples")
 
 
 BS_1_2 = {
@@ -64,6 +70,59 @@ def test_edge_without_target_is_an_input_error(tmp_path, capsys, cmd):
     assert main([cmd, path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'to'" in err
+
+
+@pytest.mark.parametrize("cmd", ["validate", "core", "reduce", "decide-fgip",
+                                 "w-construct", "export-dot"])
+@pytest.mark.parametrize("edges", [5, ["e"]], ids=["edges-not-a-list", "edge-a-string"])
+def test_wrong_typed_edges_are_an_input_error(tmp_path, capsys, cmd, edges):
+    bad = json.loads(json.dumps(BS_1_2))
+    bad["edges"] = edges
+    path = write(tmp_path, "bad.json", bad)
+    assert main([cmd, path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edge" in err
+
+
+def test_w_construct_needs_free_vertex_groups(capsys):
+    assert main(["w-construct", os.path.join(SAMPLES, "rose2.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "vertex groups must be free" in err
+
+
+def klein_at_v(tmp_path):
+    with open(os.path.join(SAMPLES, "klein_amalgam.json")) as fh:
+        data = json.load(fh)
+    data["basepoint"] = "v"
+    return write(tmp_path, "klein_v.json", data)
+
+
+def test_generators_are_read_at_the_gog_basepoint(tmp_path, capsys):
+    # Z_u *_Z Z_v with u^2 = v^2: the loop is u^3 at v, and <u^3> meets
+    # <v^3> in <v^6>, all at the basepoint v
+    gog = klein_at_v(tmp_path)
+    loop = write(tmp_path, "loop.json", {"generators": [[2, "e^-1", 1, "e", 0]]})
+    three = write(tmp_path, "three.json", {"generators": [[3]]})
+    out = str(tmp_path / "out.json")
+    assert main(["pullback", gog, loop, three, "--out", out]) == 0
+    assert "vertex 0: pair=(b0,b0) witness=0 group=<6>" in capsys.readouterr().out
+    with open(out) as fh:
+        assert json.load(fh)["vertices"]["x0"]["over"] == "v"
+    assert main(["intersect", gog, loop, three]) == 0
+    assert "VERDICT: exact" in capsys.readouterr().out
+    assert main(["immersion-check", gog, loop]) == 0
+
+
+def test_basepoints_over_different_vertices_are_an_input_error(tmp_path, capsys):
+    gog = klein_at_v(tmp_path)
+    A, _ = gogio.parse_gog(gogio.load(gog))
+    m, b = realize_subgroup(A, 0, [APath(A, 0, [1], [])])
+    at_u = write(tmp_path, "at_u.json", gogio.serialize_morphism(m, basepoint=b))
+    at_v = write(tmp_path, "at_v.json", {"generators": [[3]]})
+    for cmd in ("pullback", "intersect"):
+        assert main([cmd, gog, at_v, at_u]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "different vertices ('v', 'u')" in err
 
 
 def test_decide_fgip_invalid_gog_is_an_input_error(tmp_path, capsys):

@@ -129,6 +129,30 @@ def test_incidence_witness_independence():
         assert Au.dc_canon(H, o1, K) == Au.dc_canon(H, o2, K)
 
 
+def test_transport_record_rebuilds_both_ends():
+    # every edge of every golden product: the factors recorded during the
+    # build rebuild f_alpha alpha(rep) g_alpha^-1 and f_omega omega(rep) g_omega^-1
+    from types import SimpleNamespace
+    from gogroups.cli import _load_product
+    from test_golden import PAIRS, _path
+    for g, first, second, budget in PAIRS:
+        frag = _load_product(SimpleNamespace(gog=_path(g), first=_path(first),
+                                             second=_path(second), budget=budget))
+        A, m1, m2 = frag.A, frag.m1, frag.m2
+        assert frag.edges
+        for h in frag.edges:
+            e = m1.edge_image(h.f)
+            Au, Au2 = A.vgroups[A.graph.o(e)], A.vgroups[A.graph.t(e)]
+            o_raw = Au.mul(Au.mul(m1.twist_alpha(h.f), A.alpha(e).apply(h.rep)),
+                           Au.inv(m2.twist_alpha(h.g)))
+            t_raw = Au2.mul(Au2.mul(m1.twist_omega(h.f), A.omega(e).apply(h.rep)),
+                            Au2.inv(m2.twist_omega(h.g)))
+            w_src = frag.vertices[h.src].witness
+            w_dst = frag.vertices[h.dst].witness
+            assert Au.eq(Au.mul(Au.mul(h.bc0, w_src), h.cc0), o_raw)
+            assert Au2.eq(Au2.mul(Au2.mul(h.bc1, w_dst), h.cc1), t_raw)
+
+
 def stallings_roundtrip(rng, words_h, words_k, budget=4000):
     """Pullback of two trivial-group immersions vs the Stallings intersection."""
     A = rose_gog(2)
