@@ -114,6 +114,9 @@ class AbelianGroup:
     def inv(self, x):
         return self.canon(tuple(-a for a in x))
 
+    def pow(self, x, n):
+        return self.canon(tuple(n * a for a in x))
+
     def eq(self, x, y):
         return x == y
 

@@ -7,6 +7,7 @@ H, K subgroup handles):
   G.kind                       "finite" | "abelian" | "free"
   G.identity(); G.mul(x, y); G.inv(x); G.eq(x, y)   (elements are hashable,
                                kept in canonical form so == is equality)
+  G.pow(x, n)                  x^n for any integer n (x^-1 repeated when n < 0)
   G.order()                    int or None (infinite)
   G.generators()               canonical generating list (file formats and
                                monomorphism image lists follow this order)
@@ -28,28 +29,11 @@ equals, decompose (word over .gens).
 from __future__ import annotations
 
 
-def power(backend, x, n):
-    """x^n by repeated squaring over the backend's multiplication."""
-    if n == 0:
-        return backend.identity()
-    if n < 0:
-        return power(backend, backend.inv(x), -n)
-    acc = backend.identity()
-    sq = x
-    while n:
-        if n & 1:
-            acc = backend.mul(acc, sq)
-        n >>= 1
-        if n:
-            sq = backend.mul(sq, sq)
-    return acc
-
-
 def evaluate_word(backend, items, word):
     """Multiply out a word of (index, exponent) pairs over items."""
     acc = backend.identity()
     for i, e in word:
-        acc = backend.mul(acc, power(backend, items[i], e))
+        acc = backend.mul(acc, backend.pow(items[i], e))
     return acc
 
 
@@ -142,6 +126,9 @@ class SubgroupBackend:
 
     def inv(self, x):
         return self.ambient.inv(x)
+
+    def pow(self, x, n):
+        return self.ambient.pow(x, n)
 
     def eq(self, x, y):
         return self.ambient.eq(x, y)

@@ -148,6 +148,17 @@ class FiniteGroup:
     def inv(self, x):
         return self._inv[x]
 
+    def pow(self, x, n):
+        """Repeated squaring on n mod |G|, since x^|G| is the identity."""
+        n %= self.n
+        acc = self.e
+        while n:
+            if n & 1:
+                acc = self.table[acc][x]
+            x = self.table[x][x]
+            n >>= 1
+        return acc
+
     def eq(self, x, y):
         return x == y
 

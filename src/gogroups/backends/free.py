@@ -12,7 +12,7 @@ along any surviving closed walk multiply to a preimage of the walk's label.
 
 from __future__ import annotations
 
-from ..words import (wreduce, wmul, winv, cyc_reduce, primitive_root,
+from ..words import (wreduce, wmul, winv, wpow, cyc_reduce, primitive_root,
                      format_word, parse_word, word_key, letter_key)
 
 
@@ -438,6 +438,9 @@ class FreeGroup:
 
     def inv(self, x):
         return winv(x)
+
+    def pow(self, x, n):
+        return wpow(x, n)
 
     def eq(self, x, y):
         return x == y

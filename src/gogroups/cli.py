@@ -52,6 +52,8 @@ def _load_decorated_or_gog(path):
 def _parse_immersion(data, A, base):
     """(immersion, source basepoint); generator paths are closed at base."""
     if isinstance(data, dict) and "generators" in data:
+        if not isinstance(data["generators"], list):
+            raise gogio.ParseError(f"'generators' must be a list, got {data['generators']!r}")
         paths = [gogio.parse_apath(p, A, base) for p in data["generators"]]
         return realize_subgroup(A, base, paths)
     m, b = gogio.parse_morphism(data, A)

@@ -37,18 +37,21 @@ class ParseError(ValueError):
 def parse_group_spec(spec):
     if not isinstance(spec, dict):
         raise ParseError(f"group spec must be an object, got {spec!r}")
-    if spec.get("trivial"):
-        return FiniteGroup.trivial()
-    if spec.get("Z"):
-        return AbelianGroup.Z()
-    if "free" in spec:
-        return FreeGroup(int(spec["free"]))
-    if "abelian" in spec:
-        body = spec["abelian"]
-        return AbelianGroup(int(body.get("rank", 0)),
-                            [int(d) for d in body.get("torsion", [])])
-    if "finite" in spec:
-        return FiniteGroup(spec["finite"]["table"])
+    try:
+        if spec.get("trivial"):
+            return FiniteGroup.trivial()
+        if spec.get("Z"):
+            return AbelianGroup.Z()
+        if "free" in spec:
+            return FreeGroup(int(spec["free"]))
+        if "abelian" in spec:
+            body = spec["abelian"]
+            return AbelianGroup(int(body.get("rank", 0)),
+                                [int(d) for d in body.get("torsion", [])])
+        if "finite" in spec:
+            return FiniteGroup(spec["finite"]["table"])
+    except (TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed group spec {spec!r}: {exc}")
     raise ParseError(f"unknown group spec {spec!r}")
 
 
@@ -77,6 +80,15 @@ def _edge_list(data):
     return edges
 
 
+def _vertex_id(vid, name, what):
+    """vid[name]; a ParseError naming `what` when name is no vertex name,
+    e.g. a list, which is unhashable."""
+    try:
+        return vid[name]
+    except (KeyError, TypeError):
+        raise ParseError(f"{what} references unknown vertex {name!r}")
+
+
 def parse_gog(data):
     """(GraphOfGroups, basepoint index or None)."""
     if isinstance(data, str):
@@ -94,9 +106,8 @@ def parse_gog(data):
         name = ed.get("name", f"e{len(enames)}")
         if name in enames:
             raise ParseError(f"duplicate edge name {name!r}")
-        if ed["from"] not in vid or ed["to"] not in vid:
-            raise ParseError(f"edge {name!r} references unknown vertices")
-        o, t = vid[ed["from"]], vid[ed["to"]]
+        what = f"edge {name!r}"
+        o, t = _vertex_id(vid, ed["from"], what), _vertex_id(vid, ed["to"], what)
         Ge = parse_group_spec(ed["group"])
         Go, Gt = vgroups[o], vgroups[t]
         try:
@@ -117,9 +128,7 @@ def parse_gog(data):
                          "; ".join(str(v) for v in violations))
     base = None
     if "basepoint" in data:
-        if data["basepoint"] not in vid:
-            raise ParseError(f"unknown basepoint {data['basepoint']!r}")
-        base = vid[data["basepoint"]]
+        base = _vertex_id(vid, data["basepoint"], "basepoint")
     return A, base
 
 
@@ -152,11 +161,13 @@ def parse_decorated(data):
     vid = {n: i for i, n in enumerate(vnames)}
     pairs, ia, io_, enames = [], [], [], []
     for ed in _edge_list(data):
-        pairs.append((vid[ed["from"]], vid[ed["to"]]))
+        name = ed.get("name", f"e{len(enames)}")
+        what = f"edge {name!r}"
+        pairs.append((_vertex_id(vid, ed["from"], what), _vertex_id(vid, ed["to"], what)))
         a, o = ed["indices"]
         ia.append(None if a == "inf" else int(a))
         io_.append(None if o == "inf" else int(o))
-        enames.append(ed.get("name", f"e{len(enames)}"))
+        enames.append(name)
     graph = Graph(len(vnames), pairs, vnames=vnames, enames=enames)
     return DecoratedGraph(graph, ia, io_)
 
@@ -197,7 +208,8 @@ def parse_morphism(data, target, target_base=None):
     for ed in _edge_list(data):
         name = ed.get("name", f"f{len(enames)}")
         e = _edge_by_name(target, ed["over"])
-        o, t = vid[ed["from"]], vid[ed["to"]]
+        what = f"edge {name!r}"
+        o, t = _vertex_id(vid, ed["from"], what), _vertex_id(vid, ed["to"], what)
         if vmap[o] != g.o(e) or vmap[t] != g.t(e):
             raise ParseError(f"edge {name!r} does not respect incidence")
         Ge = target.egroup(e)
@@ -224,7 +236,7 @@ def parse_morphism(data, target, target_base=None):
     graph = Graph(len(vnames), list(zip(org, tgt)), vnames=vnames, enames=enames)
     B = GraphOfGroups(graph, vgroups, egroups, monos)
     m = GoGMorphism(B, target, vmap, emap, vmonos, emonos, twists)
-    base = vid[data["basepoint"]] if "basepoint" in data else None
+    base = _vertex_id(vid, data["basepoint"], "basepoint") if "basepoint" in data else None
     return m, base
 
 

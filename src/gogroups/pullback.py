@@ -8,10 +8,14 @@ products (which are the interesting case) are handled honestly: the fragment
 records whether the frontier ever emptied and can certify one specific
 infinite pattern (a periodic strictly-ascending ray).
 
-Every explored vertex carries anchor paths into the two factors: products of
-pushed edge paths and recorded double-coset factors whose defining invariant
-(anchor1 . witness . anchor2^-1 = component label) makes intersection
-generators fall out of the spanning tree for free.
+Every vertex but the base one records the tree edge that created it, and
+every edge records the double-coset factors of its transport.  Anchor paths
+into the two factors are derived from these records only when a report asks
+for them (component_label, intersection_generators): walking the tree edges
+from the base vertex, each step pushes the previous anchor across the edge
+and absorbs the recorded factors.  The defining invariant (anchor1 . witness
+. anchor2^-1 = component label) makes intersection generators fall out of the
+spanning tree.
 """
 
 from __future__ import annotations
@@ -28,15 +32,13 @@ class UnsupportedExpansion(Exception):
 
 
 class ProductVertex:
-    __slots__ = ("v", "w", "witness", "anchor1", "anchor2", "expanded",
-                 "component", "order")
+    __slots__ = ("v", "w", "witness", "tree_edge", "expanded", "component", "order")
 
-    def __init__(self, v, w, witness, anchor1, anchor2, component, order):
+    def __init__(self, v, w, witness, component, order):
         self.v = v
         self.w = w
         self.witness = witness
-        self.anchor1 = anchor1
-        self.anchor2 = anchor2
+        self.tree_edge = None   # index of the edge that created it; None at the base
         self.expanded = False
         self.component = component
         self.order = order
@@ -81,6 +83,7 @@ class AProductFragment:
         self.complete = False
         self.unexpandable = {}
         self.budget_spent = 0
+        self.base_factors = None  # (bc, cc) with 1 = bc . witness . cc at the base
 
     # --- vertex/edge group handles ---
 
@@ -105,8 +108,44 @@ class AProductFragment:
         x = self.vertices[idx]
         u = self.m1.vmap[x.v]
         middle = APath(self.A, u, [x.witness], [])
-        return reduce_apath(apath_concat(apath_concat(x.anchor1, middle),
-                                         apath_inverse(x.anchor2)))
+        return reduce_apath(apath_concat(apath_concat(self._anchor(idx, True, {}), middle),
+                                         apath_inverse(self._anchor(idx, False, {}))))
+
+    def _anchor(self, idx, first, memo):
+        """anchor1 (first) or anchor2 of vertex idx, built along its tree
+        edges from the base vertex; memo maps vertex indices to the anchors
+        already built on the same side.
+
+        anchor(dst) = anchor(src) . pre . step . post with the crossing of
+        the tree edge, reduced after the step and again after post."""
+        chain = []
+        while idx not in memo and self.vertices[idx].tree_edge is not None:
+            chain.append(idx)
+            idx = self.edges[self.vertices[idx].tree_edge].src
+        if idx not in memo:
+            u = self.m1.vmap[self.vertices[idx].v]
+            bc, cc = self.base_factors
+            memo[idx] = APath(self.A, u, [bc if first else self.A.vgroups[u].inv(cc)], [])
+        anchor = memo[idx]
+        for i in reversed(chain):
+            pre, step, post = self._crossing(self.edges[self.vertices[i].tree_edge], first)
+            anchor = reduce_apath(apath_concat(apath_concat(anchor, pre), step))
+            memo[i] = anchor = reduce_apath(apath_concat(anchor, post))
+        return anchor
+
+    def _crossing(self, h, first):
+        """(pre, step, post), the A-paths carrying anchor1 (first) or anchor2
+        across edge h over e: bc0^-1, m1's step over e, bc1; or cc0, m2's
+        step, cc1^-1.  The step of m's edge f is alpha-twist . e .
+        omega-twist^-1."""
+        A = self.A
+        e = self.m1.edge_image(h.f)
+        u, u2 = A.graph.o(e), A.graph.t(e)
+        Au, Au2 = A.vgroups[u], A.vgroups[u2]
+        m, f, pre, post = ((self.m1, h.f, Au.inv(h.bc0), h.bc1) if first else
+                           (self.m2, h.g, h.cc0, Au2.inv(h.cc1)))
+        step = APath(A, u, [m.twist_alpha(f), Au2.inv(m.twist_omega(f))], [e])
+        return APath(A, u, [pre], []), step, APath(A, u2, [post], [])
 
     # --- construction ---
 
@@ -115,13 +154,13 @@ class AProductFragment:
         w0 = 0 if w0 is None else w0
         if self.m1.vmap[v0] != self.m2.vmap[w0]:
             raise ValueError("basepoint images do not match")
-        u = self.m1.vmap[v0]
-        Au = self.A.vgroups[u]
-        return self._intern(v0, w0, Au.identity(),
-                            self.A.trivial_path(u), self.A.trivial_path(u),
-                            component=0)[0]
+        Au = self.A.vgroups[self.m1.vmap[v0]]
+        idx, created, bc, cc = self._intern(v0, w0, Au.identity(), component=0)
+        if created:
+            self.base_factors = (bc, cc)
+        return idx
 
-    def _intern(self, v, w, raw_witness, b_anchor, c_anchor, component):
+    def _intern(self, v, w, raw_witness, component):
         """(index, created, bc, cc) with raw_witness = bc . witness . cc when
         the vertex is created; bc and cc are None for an existing vertex."""
         u = self.m1.vmap[v]
@@ -133,12 +172,8 @@ class AProductFragment:
         if key in self.index:
             return self.index[key], False, None, None
         bc, cc = Au.dc_factor(H, witness, K, raw_witness)
-        # raw = bc . witness . cc  =>  anchors absorb the correction
-        b2 = reduce_apath(apath_concat(b_anchor, APath(self.A, u, [bc], [])))
-        c2 = reduce_apath(apath_concat(c_anchor, APath(self.A, u, [Au.inv(cc)], [])))
         idx = len(self.vertices)
-        pv = ProductVertex(v, w, witness, b2, c2, component, idx)
-        self.vertices.append(pv)
+        self.vertices.append(ProductVertex(v, w, witness, component, idx))
         self.index[key] = idx
         self.frontier.append(idx)
         return idx, True, bc, cc
@@ -191,29 +226,18 @@ class AProductFragment:
         t_raw = Au2.mul(Au2.mul(f_w, A.omega(e).apply(rep)), Au2.inv(g_w))
         v2 = self.m1.source.graph.t(f)
         w2 = self.m2.source.graph.t(g)
-        u = A.graph.o(e)
-        Au = A.vgroups[u]
-        b_next = reduce_apath(apath_concat(apath_concat(
-            x.anchor1, APath(A, u, [Au.inv(bc0)], [])), self._step(self.m1, f, e)))
-        c_next = reduce_apath(apath_concat(apath_concat(
-            x.anchor2, APath(A, u, [cc0], [])), self._step(self.m2, g, e)))
-        dst, created, bc1, cc1 = self._intern(v2, w2, t_raw, b_next, c_next,
-                                              x.component)
+        dst, created, bc1, cc1 = self._intern(v2, w2, t_raw, x.component)
         key = self._edge_key(f, g, idx, dst, ewitness)
         if key in self.edge_keys:
             return
         self.edge_keys.add(key)
-        if not created:
+        if created:
+            self.vertices[dst].tree_edge = len(self.edges)
+        else:
             bc1, cc1 = Au2.dc_factor(self._sub1(v2), self.vertices[dst].witness,
                                      self._sub2(w2), t_raw)
         self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created,
                                       bc0, cc0, bc1, cc1))
-
-    def _step(self, m, f, e):
-        """The A-path alpha-twist . e . omega-twist^-1 of m's edge f over e."""
-        A = self.A
-        Au2 = A.vgroups[A.graph.t(e)]
-        return APath(A, A.graph.o(e), [m.twist_alpha(f), Au2.inv(m.twist_omega(f))], [e])
 
     # --- expansion solvers ---
 
@@ -332,6 +356,7 @@ class AProductFragment:
         generators conjugated by the anchors; exact when the base component
         is fully explored, a lower bound otherwise."""
         gens = []
+        anchor1 = {}
         base_idxs = set(self.base_component_indices())
         for i in sorted(base_idxs):
             x = self.vertices[i]
@@ -342,22 +367,19 @@ class AProductFragment:
                 if Au.eq(d, Au.identity()):
                     continue
                 b_elt = Au.mul(Au.mul(x.witness, d), Au.inv(x.witness))
+                a = self._anchor(i, True, anchor1)
                 path = reduce_apath(apath_concat(apath_concat(
-                    x.anchor1, APath(self.A, u, [b_elt], [])),
-                    apath_inverse(x.anchor1)))
+                    a, APath(self.A, u, [b_elt], [])), apath_inverse(a)))
                 gens.append(path)
-        A = self.A
         for h in self.edges:
             if h.tree or h.src not in base_idxs:
                 continue
-            e = self.m1.edge_image(h.f)
-            u = A.graph.o(e)
             # anchor1(src) . bc0^-1 . step over e . bc1 . anchor1(dst)^-1
+            pre, step, post = self._crossing(h, True)
             z = apath_concat(apath_concat(apath_concat(
-                self.vertices[h.src].anchor1, APath(A, u, [A.vgroups[u].inv(h.bc0)], [])),
-                self._step(self.m1, h.f, e)), APath(A, A.graph.t(e), [h.bc1], []))
+                self._anchor(h.src, True, anchor1), pre), step), post)
             gens.append(reduce_apath(apath_concat(
-                z, apath_inverse(self.vertices[h.dst].anchor1))))
+                z, apath_inverse(self._anchor(h.dst, True, anchor1)))))
         return gens, self.base_component_exact()
 
     def ray_certificate(self, min_periods=3):

@@ -35,12 +35,14 @@ def winv(w):
 
 
 def wpow(w, n):
+    """w^n for any integer n.  With w = u c u^-1 and c cyclically reduced,
+    u c^n u^-1 is already reduced."""
+    if n == 0:
+        return ()
+    u, c = cyc_reduce(w)
     if n < 0:
-        return wpow(winv(w), -n)
-    out = ()
-    for _ in range(n):
-        out = wmul(out, w)
-    return out
+        c, n = winv(c), -n
+    return u + c * n + winv(u)
 
 
 def wconj(w, x):

@@ -84,6 +84,44 @@ def test_wrong_typed_edges_are_an_input_error(tmp_path, capsys, cmd, edges):
     assert err.startswith("error: ") and "edge" in err
 
 
+def test_wrong_typed_free_rank_is_an_input_error(tmp_path, capsys):
+    bad = json.loads(json.dumps(BS_1_2))
+    bad["vertices"]["u"] = {"free": [1]}
+    assert main(["validate", write(tmp_path, "bad.json", bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "group spec" in err
+
+
+DECORATED = {"decorated": True, "vertices": ["u"],
+             "edges": [{"name": "e", "from": "u", "to": "u", "indices": [1, 2]}]}
+MORPHISM = {"vertices": {"x": {"over": "u", "subgroup": [1]}},
+            "edges": [{"name": "f", "from": "x", "to": "x", "over": "e"}]}
+
+
+@pytest.mark.parametrize("end", ["from", "to"])
+@pytest.mark.parametrize("kind", ["gog", "decorated", "morphism"])
+def test_list_as_edge_end_is_an_input_error(tmp_path, capsys, kind, end):
+    bad = json.loads(json.dumps({"gog": BS_1_2, "decorated": DECORATED,
+                                 "morphism": MORPHISM}[kind]))
+    bad["edges"][0][end] = ["u"]
+    path = write(tmp_path, "bad.json", bad)
+    gog = write(tmp_path, "bs.json", BS_1_2)
+    argv = {"gog": ["validate", path], "decorated": ["decide-fgip", path],
+            "morphism": ["intersect", gog, path, path]}[kind]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown vertex" in err
+
+
+def test_non_list_generators_are_an_input_error(tmp_path, capsys):
+    gog = write(tmp_path, "nofgip.json", NOFGIP)
+    bad = write(tmp_path, "bad.json", {"generators": 5})
+    ok = write(tmp_path, "c.json", C_IMM)
+    assert main(["intersect", gog, bad, ok]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'generators' must be a list" in err
+
+
 def test_w_construct_needs_free_vertex_groups(capsys):
     assert main(["w-construct", os.path.join(SAMPLES, "rose2.json")]) == 3
     err = capsys.readouterr().err
