@@ -11,10 +11,11 @@ import json
 import sys
 
 from . import gogio
+from .backends import FreeGroup
 from .fcip import fcip_abelian, fcip_bruteforce_sample, fcip_zero_check
 from .fgip import decide_components, fgip_certify, w_construction
 from .gog import gog_core, gog_core_at, reduce_gog, validate_gog
-from .morphism import (ImmersionFailure, is_covering, is_immersion,
+from .morphism import (BudgetExceeded, ImmersionFailure, is_covering, is_immersion,
                        realize_subgroup, validate_morphism)
 from .pullback import build_product
 
@@ -25,11 +26,16 @@ class CliError(Exception):
 
 def _read(path, what, parse):
     """parse(data) for the JSON document at path; every fault of the input
-    (unreadable file, bad JSON, missing field, rejected value) is a CliError."""
+    (unreadable file, bad JSON, missing or wrong-typed field, rejected value)
+    is a CliError.  parse only reads the document, so a TypeError,
+    AttributeError or IndexError it raises comes from a field of the wrong
+    JSON type (a number where an object or list belongs, a short list)."""
     try:
         return parse(gogio.load(path))
     except KeyError as exc:
         raise CliError(f"cannot read {what} from {path}: missing field {exc}")
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise CliError(f"cannot read {what} from {path}: malformed field ({exc})")
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read {what} from {path}: {exc}")
 
@@ -50,19 +56,31 @@ def _load_decorated_or_gog(path):
 
 
 def _parse_immersion(data, A, base):
-    """(immersion, source basepoint); generator paths are closed at base."""
+    """A list of generator paths, closed at base, or (immersion, source
+    basepoint) for a morphism file."""
     if isinstance(data, dict) and "generators" in data:
         if not isinstance(data["generators"], list):
             raise gogio.ParseError(f"'generators' must be a list, got {data['generators']!r}")
         paths = [gogio.parse_apath(p, A, base) for p in data["generators"]]
-        return realize_subgroup(A, base, paths)
+        for p in paths:
+            if not p.is_closed():
+                raise gogio.ParseError(f"generator {p!r} is not a closed path")
+        return paths
     m, b = gogio.parse_morphism(data, A)
     return m, (b or 0)
 
 
 def _load_immersion(path, A, base):
-    """base: the gog's basepoint, vertex 0 when its file names none."""
-    return _read(path, "immersion", lambda data: _parse_immersion(data, A, base or 0))
+    """(immersion, source basepoint); base is the gog's basepoint, vertex 0
+    when its file names none.  Generators are realized by folding."""
+    base = base or 0
+    parsed = _read(path, "immersion", lambda data: _parse_immersion(data, A, base))
+    if isinstance(parsed, tuple):
+        return parsed
+    try:
+        return realize_subgroup(A, base, parsed)
+    except BudgetExceeded:
+        raise CliError(f"folding the generators of {path} exceeds the step budget")
 
 
 def _load_product(args):
@@ -187,50 +205,56 @@ def cmd_intersect(args):
     return 0
 
 
-def cmd_fcip(args):
-    data = _read(args.input, "fcip request", lambda data: data)
+def _parse_fcip(data):
+    """(kind, group, subgroups, offsets, length bound) of an fcip request.
+    The subgroups are A, B, C, or the zero-check list; offsets is None when
+    a sample request draws them from --seed."""
     kind = data.get("kind")
+    if kind not in ("abelian", "zero-check", "sample"):
+        raise gogio.ParseError(f"unknown fcip request kind {kind!r}")
+    G = gogio.parse_group_spec(data["group"])
+    if kind == "zero-check":
+        subs = [G.subgroup([G.parse(x) for x in gens]) for gens in data["subgroups"]]
+        return kind, G, subs, None, None
+    subs = [G.subgroup([G.parse(x) for x in data[k]]) for k in "ABC"]
     if kind == "abelian":
-        G = gogio.parse_group_spec(data["group"])
-        A = G.subgroup([G.parse(x) for x in data["A"]])
-        B = G.subgroup([G.parse(x) for x in data["B"]])
-        C = G.subgroup([G.parse(x) for x in data["C"]])
+        return kind, G, subs, None, None
+    if not isinstance(G, FreeGroup):
+        raise gogio.ParseError("a sample request needs a free group")
+    offsets = [G.parse(x) for x in data["offsets"]] if "offsets" in data else None
+    return kind, G, subs, offsets, int(data.get("length_bound", 4))
+
+
+def cmd_fcip(args):
+    kind, G, subs, offsets, length_bound = _read(args.input, "fcip request", _parse_fcip)
+    if kind == "abelian":
+        A, B, C = subs
         rep = fcip_abelian(G, B, C, A)
         lines = rep.lines()
         lines.append(f"VERDICT: {rep.verdict}")
         _emit(lines)
         return 0 if rep.verdict is True else 1
     if kind == "zero-check":
-        G = gogio.parse_group_spec(data["group"])
-        subs = [G.subgroup([G.parse(x) for x in gens]) for gens in data["subgroups"]]
         ok = fcip_zero_check(subs)
         _emit([f"VERDICT: {ok}"])
         return 0 if ok else 1
-    if kind == "sample":
-        G = gogio.parse_group_spec(data["group"])
-        A = G.subgroup([G.parse(x) for x in data["A"]])
-        B = G.subgroup([G.parse(x) for x in data["B"]])
-        C = G.subgroup([G.parse(x) for x in data["C"]])
-        if "offsets" in data:
-            offsets = [G.parse(x) for x in data["offsets"]]
-        else:
-            from random import Random
-            from .words import wreduce
-            rng = Random(args.seed)
-            offsets = [()]
-            for _ in range(24):
-                w = wreduce(tuple(rng.choice(
-                    [i for i in range(1, G.rank + 1)] +
-                    [-i for i in range(1, G.rank + 1)])
-                    for _ in range(rng.randint(1, 4))))
-                offsets.append(w)
-        rep = fcip_bruteforce_sample(G, A, B, C, offsets,
-                                     int(data.get("length_bound", 4)))
-        lines = rep.lines()
-        lines.append("VERDICT: sampled-evidence")
-        _emit(lines)
-        return 0
-    raise CliError(f"unknown fcip request kind {kind!r}")
+    A, B, C = subs
+    if offsets is None:
+        from random import Random
+        from .words import wreduce
+        rng = Random(args.seed)
+        offsets = [()]
+        for _ in range(24):
+            w = wreduce(tuple(rng.choice(
+                [i for i in range(1, G.rank + 1)] +
+                [-i for i in range(1, G.rank + 1)])
+                for _ in range(rng.randint(1, 4))))
+            offsets.append(w)
+    rep = fcip_bruteforce_sample(G, A, B, C, offsets, length_bound)
+    lines = rep.lines()
+    lines.append("VERDICT: sampled-evidence")
+    _emit(lines)
+    return 0
 
 
 def cmd_decide_fgip(args):

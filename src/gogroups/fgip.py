@@ -31,12 +31,6 @@ class DecoratedGraph:
     idx_alpha: list      # per pair: index at the origin side
     idx_omega: list      # per pair: index at the target side
 
-    def index_of(self, e):
-        return self.idx_alpha[e >> 1] if e & 1 == 0 else self.idx_omega[e >> 1]
-
-    def iso_half(self, e):
-        return self.index_of(e) == 1
-
     def halves(self, p):
         return (self.idx_alpha[p], self.idx_omega[p])
 
@@ -74,54 +68,62 @@ def extract_decoration(A):
                           ia, io)
 
 
+def _mul_index(a, b):
+    """Product of two indices; None (infinite) absorbs."""
+    return None if a is None or b is None else a * b
+
+
 def reduce_decorated(d):
     """Collapse non-loop edges with an invertible half; index data composes
-    multiplicatively across the removed vertex."""
+    multiplicatively across the removed vertex.
+
+    Each step collapses the first pair, in pair order, that is not a loop
+    and has a half of index 1: its vertex u on that side is merged into the
+    other end u2, and every half at u is re-homed to u2 with its index
+    multiplied by n0, the pair's index at u2.  Indices are positive or None
+    (infinite), so re-homing never makes an index 1 out of one that was not,
+    and a pair it turns into a loop stays one: a pair the scan passed over
+    never becomes collapsible, and one forward scan finds every step.
+
+    Re-homing is a union-find on vertices: u hangs under u2 with weight n0,
+    a half's current end is the root of its original vertex, and its current
+    index is its given index times the weights on the way to that root."""
     g = d.graph
-    org, tgt = list(g.org), list(g.tgt)
-    ia, io = list(d.idx_alpha), list(d.idx_omega)
-    vnames = list(g.vnames)
-    enames = list(g.enames)
-    alive_v = [True] * g.nv
-    alive_p = [True] * g.n_pairs
+    parent = list(range(g.nv))
+    weight = [1] * g.nv         # index factor from a vertex to its parent
 
-    def find_collapsible():
-        for p in range(len(org)):
-            if not alive_p[p] or org[p] == tgt[p]:
-                continue
-            if ia[p] == 1:
-                return 2 * p
-            if io[p] == 1:
-                return 2 * p + 1
-        return None
+    def find(v):
+        """(root of v, product of the weights from v to it)."""
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        acc = 1
+        for x in reversed(path):
+            acc = _mul_index(weight[x], acc)
+            parent[x], weight[x] = v, acc
+        return v, acc
 
-    while True:
-        e0 = find_collapsible()
-        if e0 is None:
-            break
-        p0 = e0 >> 1
-        if e0 & 1 == 0:
-            u, u2, n0 = org[p0], tgt[p0], io[p0]
+    def ends(p):
+        (o, wo), (t, wt) = find(g.org[p]), find(g.tgt[p])
+        return o, t, _mul_index(d.idx_alpha[p], wo), _mul_index(d.idx_omega[p], wt)
+
+    keep_p = []
+    for p in range(g.n_pairs):
+        o, t, a, w = ends(p)
+        if o != t and a == 1:
+            parent[o], weight[o] = t, w
+        elif o != t and w == 1:
+            parent[t], weight[t] = o, a
         else:
-            u, u2, n0 = tgt[p0], org[p0], ia[p0]
-        alive_p[p0] = False
-        alive_v[u] = False
-        for p in range(len(org)):
-            if not alive_p[p]:
-                continue
-            if tgt[p] == u:
-                tgt[p] = u2
-                io[p] = None if (io[p] is None or n0 is None) else io[p] * n0
-            if org[p] == u:
-                org[p] = u2
-                ia[p] = None if (ia[p] is None or n0 is None) else ia[p] * n0
-    keep_v = [v for v in range(len(alive_v)) if alive_v[v]]
+            keep_p.append(p)
+    keep_v = [v for v in range(g.nv) if parent[v] == v]
     vmap = {v: i for i, v in enumerate(keep_v)}
-    keep_p = [p for p in range(len(alive_p)) if alive_p[p]]
-    graph = Graph(len(keep_v), [(vmap[org[p]], vmap[tgt[p]]) for p in keep_p],
-                  vnames=[vnames[v] for v in keep_v],
-                  enames=[enames[p] for p in keep_p])
-    return DecoratedGraph(graph, [ia[p] for p in keep_p], [io[p] for p in keep_p])
+    kept = [ends(p) for p in keep_p]
+    graph = Graph(len(keep_v), [(vmap[o], vmap[t]) for o, t, _, _ in kept],
+                  vnames=[g.vnames[v] for v in keep_v],
+                  enames=[g.enames[p] for p in keep_p])
+    return DecoratedGraph(graph, [a for _, _, a, _ in kept], [w for _, _, _, w in kept])
 
 
 def _fmt_half(n):

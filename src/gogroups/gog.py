@@ -29,9 +29,6 @@ class GraphOfGroups:
         if len(self.vgroups) != graph.nv or len(self.egroups) != graph.n_pairs:
             raise ValueError("group tables do not match the graph")
 
-    def vgroup(self, v):
-        return self.vgroups[v]
-
     def egroup(self, e):
         return self.egroups[e >> 1]
 

@@ -80,6 +80,23 @@ def _edge_list(data):
     return edges
 
 
+def _edge_name(ed, default):
+    """An edge's `name`, `default` when absent; a name is a string."""
+    name = ed.get("name", default)
+    if not isinstance(name, str):
+        raise ParseError(f"an edge name must be a string, got {name!r}")
+    return name
+
+
+def _index(x, what):
+    """A decorated half's index: a positive integer, or None for "inf"."""
+    if x == "inf":
+        return None
+    if isinstance(x, int) and not isinstance(x, bool) and x >= 1:
+        return x
+    raise ParseError(f"{what}: an index is a positive integer or 'inf', got {x!r}")
+
+
 def _vertex_id(vid, name, what):
     """vid[name]; a ParseError naming `what` when name is no vertex name,
     e.g. a list, which is unhashable."""
@@ -97,13 +114,15 @@ def parse_gog(data):
         vnames = list(data["vertices"].keys())
     except (KeyError, AttributeError, TypeError) as exc:
         raise ParseError(f"missing or malformed 'vertices': {exc}")
+    if not vnames:
+        raise ParseError("a graph of groups needs a vertex")
     vid = {n: i for i, n in enumerate(vnames)}
     if len(vid) != len(vnames):
         raise ParseError("duplicate vertex names")
     vgroups = [parse_group_spec(data["vertices"][n]) for n in vnames]
     org, tgt, enames, egroups, monos = [], [], [], [], []
     for ed in _edge_list(data):
-        name = ed.get("name", f"e{len(enames)}")
+        name = _edge_name(ed, f"e{len(enames)}")
         if name in enames:
             raise ParseError(f"duplicate edge name {name!r}")
         what = f"edge {name!r}"
@@ -161,12 +180,12 @@ def parse_decorated(data):
     vid = {n: i for i, n in enumerate(vnames)}
     pairs, ia, io_, enames = [], [], [], []
     for ed in _edge_list(data):
-        name = ed.get("name", f"e{len(enames)}")
+        name = _edge_name(ed, f"e{len(enames)}")
         what = f"edge {name!r}"
         pairs.append((_vertex_id(vid, ed["from"], what), _vertex_id(vid, ed["to"], what)))
         a, o = ed["indices"]
-        ia.append(None if a == "inf" else int(a))
-        io_.append(None if o == "inf" else int(o))
+        ia.append(_index(a, what))
+        io_.append(_index(o, what))
         enames.append(name)
     graph = Graph(len(vnames), pairs, vnames=vnames, enames=enames)
     return DecoratedGraph(graph, ia, io_)
@@ -206,7 +225,7 @@ def parse_morphism(data, target, target_base=None):
     org, tgt, enames, egroups, monos = [], [], [], [], []
     emap, emonos, twists = [], [], []
     for ed in _edge_list(data):
-        name = ed.get("name", f"f{len(enames)}")
+        name = _edge_name(ed, f"f{len(enames)}")
         e = _edge_by_name(target, ed["over"])
         what = f"edge {name!r}"
         o, t = _vertex_id(vid, ed["from"], what), _vertex_id(vid, ed["to"], what)

@@ -112,24 +112,80 @@ class GraphPath:
                    for i in range(len(self.edges) - 1))
 
 
-def _turn_reach(g, allow_backtrack, sources):
-    """Directed reachability over the turn graph (nodes = directed edges).
+def _allowed(g, allow_backtrack):
+    """allow_backtrack evaluated once per directed edge (None: never)."""
+    if allow_backtrack is None:
+        return [False] * (2 * g.n_pairs)
+    return [bool(allow_backtrack(e)) for e in g.edges()]
 
-    sources: iterable of starting directed edges; a turn e -> e' is allowed
-    when t(e) = o(e') and (e' != e^-1 or allow_backtrack(e)).
-    """
+
+def _turns(g, allow):
+    """Successor lists of the turn graph, whose nodes are the directed edges:
+    e -> e2 for every e2 leaving t(e), except e2 = e^-1 unless allow[e]."""
+    out_at = g.out_edges()
+    return [[e2 for e2 in out_at[g.t(e)] if e2 != einv(e) or allow[e]]
+            for e in g.edges()]
+
+
+def _turn_reach(turns, sources):
+    """Directed edges reachable from sources in the turn graph."""
     seen = set(sources)
     stack = list(seen)
-    out_at = g.out_edges()
     while stack:
-        e = stack.pop()
-        for e2 in out_at[g.t(e)]:
-            if e2 == einv(e) and not allow_backtrack(e):
-                continue
+        for e2 in turns[stack.pop()]:
             if e2 not in seen:
                 seen.add(e2)
                 stack.append(e2)
     return seen
+
+
+def _strong_components(succ):
+    """Strongly connected components of the digraph with successor lists
+    succ (Tarjan 1972), each a list of nodes.  Iterative, so the depth of
+    the search is not bounded by the interpreter's recursion limit."""
+    n = len(succ)
+    order = [None] * n          # discovery number
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if order[root] is not None:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if order[w] is None:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
 
 
 def _subgraph(g, keep_edges, extra_vertices=()):
@@ -151,45 +207,25 @@ def core(g, allow_backtrack=None):
     """Subgraph of edges lying on a non-trivial cyclically reduced circuit.
 
     allow_backtrack(e): whether the turn (e, e^-1) is permitted (False for
-    plain graphs; group-aware callers pass the surjectivity test).
-    """
-    if allow_backtrack is None:
-        allow_backtrack = lambda e: False
-    # e lies on a cyclically reduced circuit iff the turn graph has a cycle
-    # through e, i.e. e is a successor of itself (wrap-around turn included)
-    keep = [e for e in g.edges() if e in _successors_closure(g, allow_backtrack, e)]
+    plain graphs; group-aware callers pass the surjectivity test).  It is
+    called once per directed edge.
+
+    A circuit is a cycle of the turn graph (wrap-around turn included), so
+    e lies on one iff its strongly connected component there has more than
+    one node or e has the arc e -> e, which only a loop edge has.  One
+    Tarjan pass over the turn graph gives every component, so the cost is
+    linear in the number of turns."""
+    turns = _turns(g, _allowed(g, allow_backtrack))
+    keep = [e for comp in _strong_components(turns) for e in comp
+            if len(comp) > 1 or e in turns[e]]
     return _subgraph(g, keep)[0]
 
 
-def _successors_closure(g, allow_backtrack, e0):
-    """All directed edges reachable from e0 by allowed turns (excluding e0
-    unless revisited)."""
-    seen = set()
-    stack = []
-    out_at = g.out_edges()
-    for e2 in out_at[g.t(e0)]:
-        if e2 == einv(e0) and not allow_backtrack(e0):
-            continue
-        if e2 not in seen:
-            seen.add(e2)
-            stack.append(e2)
-    while stack:
-        e = stack.pop()
-        for e2 in out_at[g.t(e)]:
-            if e2 == einv(e) and not allow_backtrack(e):
-                continue
-            if e2 not in seen:
-                seen.add(e2)
-                stack.append(e2)
-    return seen
-
-
 def core_at(g, u, allow_backtrack=None):
-    """Union of all reduced closed walks at u (always contains u)."""
-    if allow_backtrack is None:
-        allow_backtrack = lambda e: False
-    starts = [e for e in g.edges() if g.o(e) == u]
-    fwd = _turn_reach(g, allow_backtrack, starts)
+    """Union of all reduced closed walks at u (always contains u);
+    allow_backtrack as for core, called once per directed edge."""
+    turns = _turns(g, _allowed(g, allow_backtrack))
+    fwd = _turn_reach(turns, [e for e in g.edges() if g.o(e) == u])
     # backward reachability: edges from which u is reachable = forward
     # reachability in the reversed turn graph; equivalently e contributes a
     # walk ending at u iff inv(e) is forward-reachable from u in the graph

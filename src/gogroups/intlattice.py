@@ -389,7 +389,3 @@ def preimage_lattice(M, n_dom, L):
         gens.append(krow[:n_dom])
     # rows of M that are themselves zero maps contribute free directions
     return Lattice(n_dom, gens)
-
-
-def image_lattice(M, n_cod):
-    return Lattice(n_cod, [list(r) for r in M])

@@ -320,15 +320,32 @@ class _Builder:
     edge never creates a collision.  Hence every vertex outside `dirty` is
     collision-free, the lowest-id vertex with a collision is dirty, and
     checking the dirty vertices in ascending id finds the same fold as a scan
-    of every vertex in id order."""
+    of every vertex in id order.
+
+    `dirty_edges` holds the live edges whose saturation inputs (twists, edge
+    group, endpoint subgroups) may have changed since saturate_edge last
+    left them unchanged.  An edge joins it when it is created, when its
+    edge group grows, when saturate_edge changes anything on it, and when an
+    endpoint is touched: its subgroup grows or edges are re-homed onto it.
+    saturate_edge is deterministic, so on an edge outside the set it would
+    change nothing, and the sweep of realize_subgroup may skip it.
+
+    `pushed` marks an edge whose pushed edge group ta.alpha(esub).ta^-1
+    (and tw.omega(esub).tw^-1) is known to lie in its origin's (and
+    target's) subgroup.  Subgroups only grow, and re-homing re-anchors the
+    twists and the folded vertex's subgroup by the same delta, so only a
+    growing edge group (the merge join, or saturate_edge's own growth, which
+    pushes at once) can break it; saturate_edge skips the push while it
+    holds."""
 
     def __init__(self, A, u0):
         self.A = A
         self.u0 = u0
         self.verts = []           # {img, sub, alive}
-        self.edges = []           # {img (directed), src, dst, ta, tw, esub, alive}
+        self.edges = []           # {img (directed), src, dst, ta, tw, esub, pushed, alive}
         self.inc = []             # vertex -> {(edge index, forward?)}
         self.dirty = set()
+        self.dirty_edges = set()
         self.base = self.new_vertex(u0)
 
     def new_vertex(self, img):
@@ -348,7 +365,7 @@ class _Builder:
             G = A.vgroups[self.u0]
             self.verts[self.base]["sub"] = self.verts[self.base]["sub"].join(
                 G.subgroup([p.elems[0]]))
-            self.dirty.add(self.base)
+            self.touch(self.base)
             return
         k = len(p.edges)
         prev = self.base
@@ -362,20 +379,29 @@ class _Builder:
                 "ta": p.elems[i],
                 "tw": Gt.inv(p.elems[k]) if last else Gt.identity(),
                 "esub": A.egroup(e).trivial_subgroup(),
+                "pushed": True,
                 "alive": True,
             })
             self.inc[prev].add((j, True))
             self.inc[nxt].add((j, False))
             self.dirty.update((prev, nxt))
+            self.dirty_edges.add(j)
             prev = nxt
 
     def star(self, v):
         """(edge index, forward?) views with origin v, in edge order."""
         return sorted(self.inc[v], key=lambda view: (view[0], not view[1]))
 
+    def touch(self, v):
+        """v's subgroup grew or edges were re-homed onto it: its fold keys
+        and the saturation inputs of its edges may have changed."""
+        self.dirty.add(v)
+        self.dirty_edges.update(i for i, _ in self.inc[v])
+
     def kill_edge(self, i):
         d = self.edges[i]
         d["alive"] = False
+        self.dirty_edges.discard(i)
         self.inc[d["src"]].discard((i, True))
         self.inc[d["dst"]].discard((i, False))
 
@@ -384,13 +410,6 @@ class _Builder:
         if forward:
             return d["img"], d["src"], d["dst"], d["ta"], d["tw"]
         return einv(d["img"]), d["dst"], d["src"], d["tw"], d["ta"]
-
-    def set_view_twists(self, i, forward, ta, tw):
-        d = self.edges[i]
-        if forward:
-            d["ta"], d["tw"] = ta, tw
-        else:
-            d["tw"], d["ta"] = ta, tw
 
     def find_fold(self):
         """(v, first view, colliding view) at the lowest-id vertex with two
@@ -433,10 +452,12 @@ class _Builder:
         sec_sub = self.edges[i_s]["esub"]
         moved = Ge.subgroup([Ge.mul(Ge.mul(x, s), Ge.inv(x)) for s in sec_sub.gens])
         self.edges[i_p]["esub"] = self.edges[i_p]["esub"].join(moved)
+        self.edges[i_p]["pushed"] = False
         self.kill_edge(i_s)
-        self.dirty.add(y1)
+        # y1 is an end of the primary edge, so touching it dirties that edge
         if y1 == y2:
             self.verts[y1]["sub"] = self.verts[y1]["sub"].join(Gt.subgroup([delta]))
+            self.touch(y1)
             return
         # fold y2 into y1, re-anchoring by delta
         sub2 = self.verts[y2]["sub"]
@@ -457,11 +478,13 @@ class _Builder:
                 d["dst"] = y1
         self.inc[y1] |= self.inc[y2]
         self.inc[y2] = set()
+        self.touch(y1)
 
     def saturate_edge(self, i):
         """Condition-2 growth at edge i; returns True when anything grew."""
         A = self.A
         d = self.edges[i]
+        self.dirty_edges.discard(i)
         changed = False
         e = d["img"]
         alpha, omega = A.alpha(e), A.omega(e)
@@ -472,7 +495,10 @@ class _Builder:
         S_new = d["esub"].join(alpha.preimage_sub(req_a)).join(omega.preimage_sub(req_w))
         if not S_new.equals(d["esub"]):
             d["esub"] = S_new
+            d["pushed"] = False
             changed = True
+        if d["pushed"]:
+            return changed
         Go = A.vgroups[A.graph.o(e)]
         Gt = A.vgroups[A.graph.t(e)]
         push_a = Go.subgroup([Go.mul(Go.mul(d["ta"], alpha.apply(s)), Go.inv(d["ta"]))
@@ -482,13 +508,16 @@ class _Builder:
         grown_o = self.verts[d["src"]]["sub"].join(push_a)
         if not grown_o.equals(self.verts[d["src"]]["sub"]):
             self.verts[d["src"]]["sub"] = grown_o
-            self.dirty.add(d["src"])
+            self.touch(d["src"])
             changed = True
         grown_t = self.verts[d["dst"]]["sub"].join(push_w)
         if not grown_t.equals(self.verts[d["dst"]]["sub"]):
             self.verts[d["dst"]]["sub"] = grown_t
-            self.dirty.add(d["dst"])
+            self.touch(d["dst"])
             changed = True
+        d["pushed"] = True
+        if changed:
+            self.dirty_edges.add(i)
         return changed
 
     def trim(self):
@@ -564,8 +593,11 @@ def realize_subgroup(A, u0, generators, budget=2000):
 
     generators: closed A-paths at u0.  Folds condition-(1) violations and
     grows edge/vertex groups until condition (2) stabilizes; deterministic
-    (first violating pair in scan order).  Raises BudgetExceeded with the
-    partial morphism when the step budget runs out."""
+    (first violating pair in scan order).  Each saturation sweep visits the
+    edges in ascending index and skips those outside the builder's
+    dirty_edges, on which saturate_edge would change nothing; an edge
+    dirtied behind the sweep waits for the next round.  Raises
+    BudgetExceeded with the partial morphism when the step budget runs out."""
     from .gog import reduce_apath
     b = _Builder(A, u0)
     for p in generators:
@@ -584,9 +616,7 @@ def realize_subgroup(A, u0, generators, budget=2000):
             if steps > budget:
                 raise BudgetExceeded(b.to_morphism())
         for i in range(len(b.edges)):
-            if not b.edges[i]["alive"]:
-                continue
-            if b.saturate_edge(i):
+            if i in b.dirty_edges and b.saturate_edge(i):
                 progress = True
                 steps += 1
                 if steps > budget:

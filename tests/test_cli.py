@@ -122,6 +122,84 @@ def test_non_list_generators_are_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "'generators' must be a list" in err
 
 
+FCIP_ABELIAN = {"kind": "abelian", "group": {"Z": True}, "A": [2], "B": [3], "C": [6]}
+
+
+@pytest.mark.parametrize("request_", [
+    None,                                                   # not an object
+    {k: v for k, v in FCIP_ABELIAN.items() if k != "group"},
+    {k: v for k, v in FCIP_ABELIAN.items() if k != "B"},
+    dict(FCIP_ABELIAN, group={"vertices": {}}),             # unknown group spec
+    dict(FCIP_ABELIAN, B=[2.5]),                            # not an element of Z
+    {"kind": "zero-check", "group": {"Z": True}, "subgroups": [[2.5], [3]]},
+    {"kind": "sample", "group": {"free": 2}, "A": ["a"], "B": "inf", "C": ["ab"]},
+    {"kind": "sample", "group": {"Z": True}, "A": [1], "B": [2], "C": [3]},
+], ids=["null", "no-group", "no-B", "bad-group", "bad-element", "bad-zero-check",
+        "bad-word", "sample-not-free"])
+def test_malformed_fcip_request_is_an_input_error(tmp_path, capsys, request_):
+    assert main(["fcip", write(tmp_path, "req.json", request_)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd", ["immersion-check", "intersect"])
+def test_null_immersion_file_is_an_input_error(tmp_path, capsys, cmd):
+    gog = write(tmp_path, "nofgip.json", NOFGIP)
+    bad = write(tmp_path, "bad.json", None)
+    argv = [cmd, gog, bad] + ([bad] if cmd == "intersect" else [])
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_open_generator_path_is_an_input_error(tmp_path, capsys):
+    gog = write(tmp_path, "seg.json", {
+        "vertices": {"u": {"Z": True}, "v": {"Z": True}},
+        "edges": [{"name": "e", "from": "u", "to": "v", "group": {"Z": True},
+                   "alpha": [1], "omega": [2]}]})
+    bad = write(tmp_path, "open.json", {"generators": [[0, "e", 0]]})
+    assert main(["immersion-check", gog, bad]) == 3
+    assert "is not a closed path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertices", [0, None], ids=["number", "null"])
+def test_wrong_typed_decorated_vertices_are_an_input_error(tmp_path, capsys, vertices):
+    bad = dict(DECORATED, vertices=vertices)
+    assert main(["decide-fgip", write(tmp_path, "bad.json", bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("index", [0, -1, 2.5, "2", True, None])
+def test_decorated_index_must_be_positive_or_inf(tmp_path, capsys, index):
+    bad = json.loads(json.dumps(DECORATED))
+    bad["edges"][0]["indices"] = [2, index]
+    assert main(["decide-fgip", write(tmp_path, "bad.json", bad)]) == 3
+    assert "positive integer or 'inf'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["decide-fgip", "w-construct"])
+def test_non_string_edge_name_is_an_input_error(tmp_path, capsys, cmd):
+    with open(os.path.join(SAMPLES, "double_f2_cubes.json")) as fh:
+        bad = json.load(fh)
+    bad["edges"][0]["name"] = 2.5
+    assert main([cmd, write(tmp_path, "bad.json", bad)]) == 3
+    assert "an edge name must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["validate", "reduce", "core", "decide-fgip"])
+def test_gog_without_vertices_is_an_input_error(tmp_path, capsys, cmd):
+    path = write(tmp_path, "empty.json", {"vertices": {}, "edges": []})
+    assert main([cmd, path]) == 3
+    assert "needs a vertex" in capsys.readouterr().err
+
+
+def test_generators_over_the_folding_budget_are_an_input_error(tmp_path, capsys):
+    # a loop beside a 2002-edge cycle folds the cycle one merge at a time,
+    # past realize_subgroup's budget of 2000 steps
+    cycle = [0] + ["e0", 0] * 2002
+    gens = write(tmp_path, "long.json", {"generators": [cycle, [0, "e0", 0]]})
+    assert main(["immersion-check", os.path.join(SAMPLES, "rose2.json"), gens]) == 3
+    assert "exceeds the step budget" in capsys.readouterr().err
+
+
 def test_w_construct_needs_free_vertex_groups(capsys):
     assert main(["w-construct", os.path.join(SAMPLES, "rose2.json")]) == 3
     err = capsys.readouterr().err
