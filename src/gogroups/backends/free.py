@@ -185,18 +185,26 @@ class StallingsAutomaton:
         return self.trace(wreduce(word)) == 0
 
     def cored(self):
-        """Remove valence<=1 states (base exempt); renumber from the base."""
-        alive = set(range(self.n_states))
-        changed = True
-        while changed:
-            changed = False
-            for s in list(alive):
-                if s == 0:
-                    continue
-                deg = sum(1 for letter, t in self.delta[s].items() if t in alive)
-                if deg <= 1:
-                    alive.remove(s)
-                    changed = True
+        """Remove valence<=1 states (base exempt); renumber from the base.
+
+        Leaf pruning: a worklist holds the states whose valence among live
+        states has dropped to <= 1; removing one lowers the valence of its
+        neighbours.  The core is unique, so the order of removal does not
+        matter."""
+        n = self.n_states
+        deg = [len(row) for row in self.delta]
+        alive = [True] * n
+        queue = [s for s in range(1, n) if deg[s] <= 1]
+        while queue:
+            s = queue.pop()
+            if not alive[s]:
+                continue
+            alive[s] = False
+            for t in self.delta[s].values():
+                if alive[t]:
+                    deg[t] -= 1
+                    if t and deg[t] == 1:
+                        queue.append(t)
         order = {0: 0}
         queue = [0]
         i = 0
@@ -205,7 +213,7 @@ class StallingsAutomaton:
             i += 1
             for letter in sorted(self.delta[v], key=letter_key):
                 t = self.delta[v][letter]
-                if t in alive and t not in order:
+                if alive[t] and t not in order:
                     order[t] = len(order)
                     queue.append(t)
         delta = [dict() for _ in range(len(order))]
@@ -376,6 +384,8 @@ class FreeSubgroup:
 
     def elements_up_to(self, L):
         """All reduced words of the subgroup with length <= L, sorted."""
+        if L < 0:
+            raise ValueError(f"negative length bound {L}")
         out = set()
         stack = [(0, 0, ())]
         while stack:

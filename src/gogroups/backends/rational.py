@@ -8,10 +8,20 @@ witness recording the cancelled sub-walk).  After saturation the reduced
 words accepted are exactly the freely reduced forms of the elements of HgK,
 so membership, emptiness, shortest-witness extraction and factor extraction
 (target = h g k) are all effective.
+
+The NFA is laid out directly: H's states are 0..nH-1 and K's are
+nH..nH+nK-1 (their Stallings rows copied with an offset), followed by the
+inner states of the paths spelling g, the prefix and the suffix.
+Saturation is a worklist over epsilon pairs: each pair (a, b) is popped
+once, fires the cancellation rule with itself in the middle (through a
+reverse-arc index) and is composed with the pairs already found on both
+sides.  The work is proportional to the pairs found times the arcs and
+pairs met at their ends, not to a full sweep per round.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from math import lcm
 
 from ..words import wreduce, winv, cyc_reduce, letter_key
@@ -20,93 +30,86 @@ from ..words import wreduce, winv, cyc_reduce, letter_key
 class CosetNFA:
     def __init__(self, H, g, K, prefix=(), suffix=()):
         g = wreduce(g)
-        self._ids = {}
-        self.tags = []
-        self.trans = []
-        self.accepts = set()
+        nH = H.aut.n_states
+        self.trans = trans = [{x: {t} for x, t in row.items()} for row in H.aut.delta]
+        trans += [{x: {t + nH} for x, t in row.items()} for row in K.aut.delta]
+        self.tags = tags = ["H"] * nH + ["K"] * K.aut.n_states
+        hbase, kbase = 0, nH
 
-        def node(tag, payload):
-            key = (tag, payload)
-            if key not in self._ids:
-                self._ids[key] = len(self.tags)
-                self.tags.append(tag)
-                self.trans.append({})
-            return self._ids[key]
+        def new(tag):
+            trans.append({})
+            tags.append(tag)
+            return len(trans) - 1
 
-        def arc(a, x, b):
-            self.trans[a].setdefault(x, set()).add(b)
-
-        hbase = node("H", 0)
-        for s in range(H.aut.n_states):
-            for letter, t in H.aut.delta[s].items():
-                arc(node("H", s), letter, node("H", t))
-        kbase = node("K", 0)
-        for s in range(K.aut.n_states):
-            for letter, t in K.aut.delta[s].items():
-                arc(node("K", s), letter, node("K", t))
+        def path(src, word, dst, tag):
+            """Arcs spelling word from src to dst through new states tagged
+            tag (the last one new too when dst is None); returns the end."""
+            for i, x in enumerate(word):
+                nxt = dst if dst is not None and i == len(word) - 1 else new(tag)
+                trans[src].setdefault(x, set()).add(nxt)
+                src = nxt
+            return src
 
         self._primitive_eps = []
         if g:
-            prev = hbase
-            for i, x in enumerate(g):
-                nxt = kbase if i == len(g) - 1 else node("g", i + 1)
-                arc(prev, x, nxt)
-                prev = nxt
+            path(hbase, g, kbase, "g")
         else:
             self._primitive_eps.append((hbase, kbase))
-
         self.start = hbase
         if prefix:
-            prev = node("p", 0)
-            self.start = prev
-            for i, x in enumerate(prefix):
-                nxt = hbase if i == len(prefix) - 1 else node("p", i + 1)
-                arc(prev, x, nxt)
-                prev = nxt
-        end = kbase
-        if suffix:
-            prev = kbase
-            for i, x in enumerate(suffix):
-                nxt = node("s", i + 1)
-                arc(prev, x, nxt)
-                prev = nxt
-            end = prev
-        self.accepts = {end}
+            self.start = new("p")
+            path(self.start, prefix, hbase, "p")
+        self.accepts = {path(kbase, suffix, None, "s")}
         self._saturate()
 
     # --- saturation ---
 
     def _saturate(self):
-        n = len(self.trans)
-        E = {}
-        for p in range(n):
-            E[(p, p)] = ("refl",)
-        for p, q in self._primitive_eps:
-            if (p, q) not in E:
-                E[(p, q)] = ("arc",)
-        eps_of = [set([p]) for p in range(n)]
-        for (p, q) in E:
-            eps_of[p].add(q)
+        """Least set E of pairs (p, r) joined by a walk whose label freely
+        reduces to the empty word, each with the recipe of one such walk.
 
-        changed = True
-        while changed:
-            changed = False
-            for p in range(n):
-                for x, qs in list(self.trans[p].items()):
-                    for q1 in list(qs):
-                        for q2 in list(eps_of[q1]):
-                            for r in self.trans[q2].get(-x, ()):
-                                if (p, r) not in E:
-                                    E[(p, r)] = ("rule", x, q1, q2)
-                                    eps_of[p].add(r)
-                                    changed = True
-            for p in range(n):
-                for q in list(eps_of[p]):
-                    for r in list(eps_of[q]):
-                        if (p, r) not in E:
-                            E[(p, r)] = ("trans", q)
-                            eps_of[p].add(r)
-                            changed = True
+        Worklist: every pair enters the FIFO queue once, when it joins E.
+        Popping (a, b) fires the cancellation rule with (a, b) in the middle
+        (p --x--> a, b --x^-1--> r gives (p, r)) and composes (a, b) with the
+        pairs already in E on both sides.  A recipe names only pairs that are
+        already in E, so the expansion of a pair is well founded.
+        """
+        trans = self.trans
+        n = len(trans)
+        into = [[] for _ in range(n)]      # a -> [(p, x)] with p --x--> a
+        for p, row in enumerate(trans):
+            for x, ts in row.items():
+                for a in ts:
+                    into[a].append((p, x))
+        E = {}
+        eps_of = [{p} for p in range(n)]
+        eps_into = {}                      # r -> [p] with (p, r) in E, p != r
+        queue = deque()
+        for p in range(n):
+            pair = (p, p)
+            E[pair] = ("refl",)
+            queue.append(pair)
+
+        def add(p, r, recipe):
+            pair = (p, r)
+            if pair not in E:
+                E[pair] = recipe
+                eps_of[p].add(r)
+                eps_into.setdefault(r, []).append(p)
+                queue.append(pair)
+
+        for p, q in self._primitive_eps:
+            add(p, q, ("arc",))
+        while queue:
+            a, b = queue.popleft()
+            for p, x in into[a]:
+                for r in trans[b].get(-x, ()):
+                    add(p, r, ("rule", x, a, b))
+            if a != b:
+                for p in eps_into.get(a, ()):
+                    add(p, b, ("trans", a))
+                for r in eps_of[b]:
+                    add(a, r, ("trans", b))
         self.E = E
         self.eps_of = eps_of
 
@@ -158,21 +161,40 @@ class CosetNFA:
     # --- factor extraction ---
 
     def _expand(self, p, q, memo):
-        if (p, q) in memo:
-            return memo[(p, q)]
-        recipe = self.E[(p, q)]
-        if recipe[0] == "refl":
-            arcs = []
-        elif recipe[0] == "arc":
-            arcs = [(p, None, q)]
-        elif recipe[0] == "rule":
-            _, x, q1, q2 = recipe
-            arcs = [(p, x, q1)] + self._expand(q1, q2, memo) + [(q2, -x, q)]
-        else:
-            _, mid = recipe
-            arcs = self._expand(p, mid, memo) + self._expand(mid, q, memo)
-        memo[(p, q)] = arcs
-        return arcs
+        """Arcs (s, letter or None, t) of a walk p -> q whose label freely
+        reduces to the empty word, by the recipes of E; memo maps the pairs
+        expanded so far to their arcs.  An explicit stack, since recipes
+        nest as deep as the longest cancellation."""
+        stack = [(p, q)]
+        while stack:
+            pair = stack[-1]
+            if pair in memo:
+                stack.pop()
+                continue
+            a, b = pair
+            recipe = self.E[pair]
+            kind = recipe[0]
+            if kind == "rule":
+                parts = (recipe[2:],)
+            elif kind == "trans":
+                parts = ((a, recipe[1]), (recipe[1], b))
+            else:
+                parts = ()
+            todo = [part for part in parts if part not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if kind == "refl":
+                memo[pair] = []
+            elif kind == "arc":
+                memo[pair] = [(a, None, b)]
+            elif kind == "rule":
+                _, x, q1, q2 = recipe
+                memo[pair] = [(a, x, q1)] + memo[parts[0]] + [(q2, -x, b)]
+            else:
+                memo[pair] = memo[parts[0]] + memo[parts[1]]
+        return memo[(p, q)]
 
     def factor(self, target):
         """(h, k) with target == h * g * k (reduced words); target must belong."""

@@ -222,7 +222,10 @@ def _parse_fcip(data):
     if not isinstance(G, FreeGroup):
         raise gogio.ParseError("a sample request needs a free group")
     offsets = [G.parse(x) for x in data["offsets"]] if "offsets" in data else None
-    return kind, G, subs, offsets, int(data.get("length_bound", 4))
+    bound = data.get("length_bound", 4)
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise gogio.ParseError(f"length_bound must be a non-negative integer, got {bound!r}")
+    return kind, G, subs, offsets, bound
 
 
 def cmd_fcip(args):

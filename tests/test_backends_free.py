@@ -1,6 +1,8 @@
 from itertools import product
 from random import Random
 
+import pytest
+
 from gogroups.backends import FreeGroup, Mono
 from gogroups.words import format_word, parse_word, winv, wmul, wpow, wreduce
 
@@ -260,3 +262,6 @@ def test_elements_up_to():
     H = F2.subgroup(["a"])
     els = H.elements_up_to(3)
     assert set(els) == {(), (1,), (-1,), (1, 1), (-1, -1), (1, 1, 1), (-1, -1, -1)}
+    # a negative bound is refused, not enumerated without end
+    with pytest.raises(ValueError):
+        H.elements_up_to(-1)

@@ -141,6 +141,31 @@ def test_malformed_fcip_request_is_an_input_error(tmp_path, capsys, request_):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+FCIP_SAMPLE = {"kind": "sample", "group": {"free": 2}, "offsets": ["", "b"],
+               "A": ["a"], "B": ["b"], "C": ["ab"]}
+
+
+@pytest.mark.parametrize("bound", [2.9, 2.0, True, -1, "2", None],
+                         ids=["float", "integral-float", "bool", "negative", "string", "null"])
+def test_fcip_length_bound_must_be_a_non_negative_integer(tmp_path, capsys, bound):
+    req = write(tmp_path, "req.json", dict(FCIP_SAMPLE, length_bound=bound))
+    assert main(["fcip", req]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "length_bound" in err
+
+
+def test_fcip_length_bound_is_honoured(tmp_path, capsys):
+    outs = []
+    for bound in (0, 2, 4):
+        req = write(tmp_path, f"req{bound}.json", dict(FCIP_SAMPLE, length_bound=bound))
+        assert main(["fcip", req]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(set(outs)) == 3
+    # an absent bound is 4
+    assert main(["fcip", write(tmp_path, "req.json", FCIP_SAMPLE)]) == 0
+    assert capsys.readouterr().out == outs[2]
+
+
 @pytest.mark.parametrize("cmd", ["immersion-check", "intersect"])
 def test_null_immersion_file_is_an_input_error(tmp_path, capsys, cmd):
     gog = write(tmp_path, "nofgip.json", NOFGIP)
