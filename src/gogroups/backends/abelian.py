@@ -67,6 +67,42 @@ class AbelianSubgroup:
         return self.group.L0.quotient_invariants(self.lat)
 
 
+class AbelianDoubleCosets:
+    """H\\S/K for subgroups H, K of S (all of G when S is None).  In an
+    abelian group a double coset H g K is the coset g + (H + K), so the
+    handle computes the HNF of H + K once and reduces modulo it."""
+
+    __slots__ = ("group", "H", "K", "full", "lat")
+
+    def __init__(self, group, H, K, S=None):
+        self.group, self.H, self.K = group, H, K
+        self.full = group.FULL if S is None else S.lat
+        self.lat = H.lat.sum(K.lat)
+
+    def canon(self, g):
+        return self.lat.coset_canon(g)
+
+    def eq(self, g, g2):
+        return self.canon(g) == self.canon(g2)
+
+    def factor(self, w, target):
+        """(h, k) in H x K with target == h + w + k."""
+        G, hrows = self.group, self.H.lat.rows
+        diff = [a - b for a, b in zip(target, w)]
+        sol = lin_solve([list(r) for r in hrows] + [list(r) for r in self.K.lat.rows], diff)
+        if sol is None:
+            raise ValueError("target not in the double coset")
+        h = [sum(c * r[j] for c, r in zip(sol, hrows)) for j in range(G.n)]
+        return G.canon(tuple(h)), G.canon(tuple(d - a for d, a in zip(diff, h)))
+
+    def reps(self):
+        """The canon() values of the cosets of H + K in S; ValueError when
+        there are infinitely many."""
+        if self.lat.index_in(self.full) is None:
+            raise ValueError("infinitely many double cosets")
+        return {self.canon(rep) for rep in self.lat.transversal(self.full)}
+
+
 class AbelianGroup:
     kind = "abelian"
 
@@ -175,35 +211,10 @@ class AbelianGroup:
             return None
         return [(i, sol[i]) for i in range(len(gens)) if sol[i]]
 
-    # --- cosets (double cosets collapse to cosets of H + K) ---
+    # --- double cosets ---
 
-    def dc_canon(self, H, g, K):
-        return H.lat.sum(K.lat).coset_canon(g)
-
-    def dc_eq(self, H, g, K, g2):
-        s = H.lat.sum(K.lat)
-        return s.coset_canon(g) == s.coset_canon(g2)
-
-    def dc_factor(self, H, w, K, target):
-        diff = [a - b for a, b in zip(target, w)]
-        rows = [list(r) for r in H.lat.rows] + [list(r) for r in K.lat.rows]
-        if not rows:
-            if any(diff):
-                raise ValueError("target not in the double coset")
-            return self.identity(), self.identity()
-        sol = lin_solve(rows, diff)
-        if sol is None:
-            raise ValueError("target not in the double coset")
-        h = [0] * self.n
-        for i in range(len(H.lat.rows)):
-            if sol[i]:
-                for k in range(self.n):
-                    h[k] += sol[i] * H.lat.rows[i][k]
-        k = [d - a for d, a in zip(diff, h)]
-        return self.canon(tuple(h)), self.canon(tuple(k))
-
-    def coset_canon(self, H, g):
-        return H.lat.coset_canon(g)
+    def double_cosets(self, H, K, S=None):
+        return AbelianDoubleCosets(self, H, K, S)
 
     # --- mono support ---
 

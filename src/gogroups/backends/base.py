@@ -15,10 +15,14 @@ H, K subgroup handles):
   G.subgroup(gens) / G.trivial_subgroup() / G.full_subgroup()
   G.express(target, gens)      constructive membership: word over `gens`
                                (list of signed 1-based indices) or None
-  G.dc_canon(H, g, K)          canonical witness of the double coset H g K
-  G.dc_eq(H, g, K, g2)
-  G.dc_factor(H, w, K, target) (h, k) with target == h * w * k
-  G.coset_canon(H, g)          canonical representative of the left coset g H
+  G.double_cosets(H, K[, S])   handle on H\\G/K (keeping .H and .K), kept by its
+                               caller (no backend keeps one): canon(g), a
+                               witness of H g K (not canonical over free
+                               groups); eq(g, g2); factor(w, target) -> (h, k)
+                               with target == h * w * k; reps(), the canon()
+                               of every double coset inside S (all of G by
+                               default; ValueError when infinitely many, None
+                               when unknown)
   G.serialize(x) / G.parse(obj)
 
 Subgroup handles expose: .group, .gens, contains, is_trivial, order, index
@@ -157,17 +161,8 @@ class SubgroupBackend:
     def express(self, target, gens):
         return self.ambient.express(target, gens)
 
-    def dc_canon(self, H, g, K):
-        return self.ambient.dc_canon(H, g, K)
-
-    def dc_eq(self, H, g, K, g2):
-        return self.ambient.dc_eq(H, g, K, g2)
-
-    def dc_factor(self, H, w, K, target):
-        return self.ambient.dc_factor(H, w, K, target)
-
-    def coset_canon(self, H, g):
-        return self.ambient.coset_canon(H, g)
+    def double_cosets(self, H, K, S=None):
+        return self.ambient.double_cosets(H, K, self.handle if S is None else S)
 
     def serialize(self, x):
         return self.ambient.serialize(x)

@@ -57,6 +57,38 @@ class FiniteSubgroup:
         return sorted(self.elts)
 
 
+class FiniteDoubleCosets:
+    """H\\S/K for subgroups H, K of S (all of G when S is None), by running
+    through H x K on each query; nothing is computed up front."""
+
+    __slots__ = ("group", "H", "K", "S")
+
+    def __init__(self, group, H, K, S=None):
+        self.group, self.H, self.K, self.S = group, H, K, S
+
+    def canon(self, g):
+        mul = self.group.mul
+        return min(mul(mul(h, g), k) for h in self.H.elts for k in self.K.elts)
+
+    def eq(self, g, g2):
+        mul = self.group.mul
+        return any(mul(mul(h, g), k) == g2 for h in self.H.elts for k in self.K.elts)
+
+    def factor(self, w, target):
+        """(h, k) in H x K with target == h w k."""
+        mul = self.group.mul
+        for h in self.H.elts:
+            for k in self.K.elts:
+                if mul(mul(h, w), k) == target:
+                    return h, k
+        raise ValueError("target not in the double coset")
+
+    def reps(self):
+        """The canon() values of the double cosets inside S."""
+        elts = range(self.group.n) if self.S is None else self.S.elts
+        return {self.canon(g) for g in elts}
+
+
 class FiniteGroup:
     kind = "finite"
 
@@ -222,26 +254,10 @@ class FiniteGroup:
                         queue.append(y)
         return None
 
-    # --- cosets ---
+    # --- double cosets ---
 
-    def dc_set(self, H, g, K):
-        return {self.mul(self.mul(h, g), k) for h in H.elts for k in K.elts}
-
-    def dc_canon(self, H, g, K):
-        return min(self.dc_set(H, g, K))
-
-    def dc_eq(self, H, g, K, g2):
-        return g2 in self.dc_set(H, g, K)
-
-    def dc_factor(self, H, w, K, target):
-        for h in H.elts:
-            for k in K.elts:
-                if self.mul(self.mul(h, w), k) == target:
-                    return h, k
-        raise ValueError("target not in the double coset")
-
-    def coset_canon(self, H, g):
-        return min(self.mul(g, h) for h in H.elts)
+    def double_cosets(self, H, K, S=None):
+        return FiniteDoubleCosets(self, H, K, S)
 
     # --- mono support ---
 

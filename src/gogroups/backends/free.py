@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from ..words import (wreduce, wmul, winv, wpow, cyc_reduce, primitive_root,
                      format_word, parse_word, word_key, letter_key)
+from .base import evaluate_word
+from .rational import CosetNFA
 
 
 class _Folder:
@@ -150,7 +152,7 @@ class StallingsAutomaton:
     def from_words(cls, gen_words, annotate=False):
         f = _Folder()
         for i, w in enumerate(gen_words):
-            f.add_word(wreduce(w), (i + 1,))
+            f.add_word(wreduce(w), (i + 1,) if annotate else ())
         f.fold()
         return f.compact(annotate=annotate)
 
@@ -425,6 +427,82 @@ class FreeSubgroup:
             s = s_next
 
 
+class FreeDoubleCosets:
+    """H\\S/K for subgroups H, K of S (all of F when S is None), through
+    saturated Benois automata (.rational) recognizing the reduced words of
+    H g K.  eq is membership in one, since canon() is not canonical when a
+    double coset has several shortest words."""
+
+    __slots__ = ("group", "H", "K", "S", "_last")
+
+    def __init__(self, group, H, K, S=None):
+        self.group, self.H, self.K, self.S = group, H, K, S
+        self._last = None       # (g, automaton of H g K)
+
+    def nfa(self, g, prefix=(), suffix=()):
+        """The automaton of prefix . H g K . suffix.  The handle keeps the
+        one of the last g asked about without prefix or suffix, which is the
+        one its holders ask about next (canon then factor of a new product
+        vertex or fold); keeping one per g would pin an automaton per product
+        vertex for the life of a pullback."""
+        if prefix or suffix:
+            return CosetNFA(self.H, g, self.K, prefix, suffix)
+        if self._last is None or self._last[0] != g:
+            self._last = (g, CosetNFA(self.H, g, self.K))
+        return self._last[1]
+
+    def canon(self, g):
+        return self.nfa(g).shortest_reduced()
+
+    def eq(self, g, g2):
+        return self.nfa(g).member(wreduce(g2))
+
+    def factor(self, w, target):
+        """(h, k) in H x K with target == h w k."""
+        return self.nfa(w).factor(wreduce(target))
+
+    def reps(self):
+        """The canon() values of one word per double coset inside S, read
+        off the Schreier graph of whichever of H, K has finite index in S;
+        None when neither has.  H and K are taken in the coordinates of S's
+        basis, where S is a free group of its own (for all of F, the same
+        words)."""
+        S = self.group.full_subgroup() if self.S is None else self.S
+        Fs = FreeGroup(len(S.gens))
+        H, K = (Fs.subgroup([tuple((i + 1) * e for i, e in S.decompose(x)) for x in U.gens])
+                for U in (self.H, self.K))
+        if H.index() is not None:
+            words = _orbit_reps(H, K)
+        elif K.index() is not None:
+            words = [winv(w) for w in _orbit_reps(K, H)]
+        else:
+            return None
+        return {self.canon(evaluate_word(self.group, S.gens, Fs.decompose(w))) for w in words}
+
+
+def _orbit_reps(H, K):
+    """One word per double coset of H\\F/K, H of finite index: the tree
+    word of the least state of each orbit of K on the states of H's
+    complete automaton, where each word acts as a permutation."""
+    aut = H.aut
+    tree_word, _ = aut.spanning()
+    seen, reps = set(), []
+    for s in range(aut.n_states):
+        if s in seen:
+            continue
+        reps.append(tree_word[s])
+        seen.add(s)
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for k in K.gens:
+                r = aut.trace(k, start=t)
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+    return reps
+
+
 class FreeGroup:
     kind = "free"
 
@@ -500,23 +578,20 @@ class FreeGroup:
             return None
         return [(abs(s) - 1, 1 if s > 0 else -1) for s in res[1]]
 
-    # --- double cosets (Benois automata live in .rational) ---
+    # --- double cosets ---
 
+    def double_cosets(self, H, K, S=None):
+        return FreeDoubleCosets(self, H, K, S)
+
+    # one-shot queries through a fresh handle, for callers that hold none
     def dc_canon(self, H, g, K):
-        from .rational import coset_nfa
-        return coset_nfa(H, g, K).shortest_reduced()
+        return self.double_cosets(H, K).canon(g)
 
     def dc_eq(self, H, g, K, g2):
-        from .rational import coset_nfa
-        return coset_nfa(H, g, K).member(wreduce(g2))
+        return self.double_cosets(H, K).eq(g, g2)
 
     def dc_factor(self, H, w, K, target):
-        from .rational import coset_nfa
-        return coset_nfa(H, w, K).factor(wreduce(target))
-
-    def coset_canon(self, H, g):
-        from .rational import coset_nfa
-        return coset_nfa(self.trivial_subgroup(), g, H).shortest_reduced()
+        return self.double_cosets(H, K).factor(w, target)
 
     # --- extras used by the pullback and the commensurator pipeline ---
 

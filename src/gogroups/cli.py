@@ -59,9 +59,8 @@ def _parse_immersion(data, A, base):
     """A list of generator paths, closed at base, or (immersion, source
     basepoint) for a morphism file."""
     if isinstance(data, dict) and "generators" in data:
-        if not isinstance(data["generators"], list):
-            raise gogio.ParseError(f"'generators' must be a list, got {data['generators']!r}")
-        paths = [gogio.parse_apath(p, A, base) for p in data["generators"]]
+        paths = [gogio.parse_apath(p, A, base)
+                 for p in gogio.as_list(data["generators"], "'generators'")]
         for p in paths:
             if not p.is_closed():
                 raise gogio.ParseError(f"generator {p!r} is not a closed path")
@@ -214,14 +213,16 @@ def _parse_fcip(data):
         raise gogio.ParseError(f"unknown fcip request kind {kind!r}")
     G = gogio.parse_group_spec(data["group"])
     if kind == "zero-check":
-        subs = [G.subgroup([G.parse(x) for x in gens]) for gens in data["subgroups"]]
+        subs = [G.subgroup([G.parse(x) for x in gogio.as_list(gens, "a 'subgroups' entry")])
+                for gens in gogio.as_list(data["subgroups"], "'subgroups'")]
         return kind, G, subs, None, None
-    subs = [G.subgroup([G.parse(x) for x in data[k]]) for k in "ABC"]
+    subs = [G.subgroup([G.parse(x) for x in gogio.as_list(data[k], f"'{k}'")]) for k in "ABC"]
     if kind == "abelian":
         return kind, G, subs, None, None
     if not isinstance(G, FreeGroup):
         raise gogio.ParseError("a sample request needs a free group")
-    offsets = [G.parse(x) for x in data["offsets"]] if "offsets" in data else None
+    offsets = ([G.parse(x) for x in gogio.as_list(data["offsets"], "'offsets'")]
+               if "offsets" in data else None)
     bound = data.get("length_bound", 4)
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
         raise gogio.ParseError(f"length_bound must be a non-negative integer, got {bound!r}")

@@ -127,15 +127,16 @@ def fcip_bruteforce_sample(G, A, B, C, offsets, length_bound, max_family=8):
     offsets: iterable of candidate words for both f and g families; members
     falling into already-seen (B, A)- / (C, A)-double cosets are dropped so
     the families hit pairwise distinct cosets, as the definition requires."""
+    BA, CA, BC = G.double_cosets(B, A), G.double_cosets(C, A), G.double_cosets(B, C)
     fam_f = []
     for w in offsets:
-        if all(not G.dc_eq(B, f0, A, w) for f0 in fam_f):
+        if all(not BA.eq(f0, w) for f0 in fam_f):
             fam_f.append(w)
         if len(fam_f) >= max_family:
             break
     fam_g = []
     for w in offsets:
-        if all(not G.dc_eq(C, g0, A, w) for g0 in fam_g):
+        if all(not CA.eq(g0, w) for g0 in fam_g):
             fam_g.append(w)
         if len(fam_g) >= max_family:
             break
@@ -146,14 +147,14 @@ def fcip_bruteforce_sample(G, A, B, C, offsets, length_bound, max_family=8):
         ABf = A.intersect(Bf)
         for g in fam_g:
             Cg = C.conjugate(g)
-            ACg = A.intersect(Cg)
+            domain = G.double_cosets(ABf, A.intersect(Cg))
             reps = []
             for a in A.elements_up_to(length_bound):
-                if all(not G.dc_eq(ABf, r, ACg, a) for r in reps):
+                if all(not domain.eq(r, a) for r in reps):
                     reps.append(a)
             domain_sizes[(f, g)] = len(reps)
             for a in reps:
-                img = G.dc_canon(B, G.mul(G.mul(f, a), G.inv(g)), C)
+                img = BC.canon(G.mul(G.mul(f, a), G.inv(g)))
                 counts[img] = counts.get(img, 0) + 1
     collisions = sum(max(0, c - 1) for c in counts.values())
     multiset = sorted((c for c in counts.values() if c > 1), reverse=True)
@@ -174,28 +175,19 @@ def k_fcip_index_harness(G, A, A_prime, B, C, samples):
     k = A_prime.index_in(A)
     if k is None:
         raise ValueError("A' must have finite index in A")
-    BA = B.intersect(A_prime)
-    CA = C.intersect(A_prime)
-    if getattr(G, "kind", None) == "abelian":
-        fine_lat = BA.lat.sum(CA.lat)
-        coarse_lat = B.lat.sum(C.lat)
-        fine_canon = fine_lat.coset_canon
-        coarse_canon = coarse_lat.coset_canon
-    else:
-        fine_canon = lambda a: G.dc_canon(BA, a, CA)
-        coarse_canon = lambda a: G.dc_canon(B, a, C)
+    fine = G.double_cosets(B.intersect(A_prime), C.intersect(A_prime))
+    coarse = G.double_cosets(B, C)
     fine_classes = {}
     for a in samples:
         if not A_prime.contains(a):
             continue
-        key = fine_canon(a)
+        key = fine.canon(a)
         if key in fine_classes:
             continue
         fine_classes[key] = a
     mult = {}
     for key, a in fine_classes.items():
-        coarse = coarse_canon(a)
-        mult.setdefault(coarse, []).append(key)
+        mult.setdefault(coarse.canon(a), []).append(key)
     worst = max((len(v) for v in mult.values()), default=0)
     violations = {c: v for c, v in mult.items() if len(v) > k}
     return {"k": k, "worst_multiplicity": worst,

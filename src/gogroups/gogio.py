@@ -34,20 +34,38 @@ class ParseError(ValueError):
     pass
 
 
+def as_list(value, what):
+    """value, checked to be a JSON list: a string where a list of elements
+    belongs would otherwise be read one character per element."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def parse_group_spec(spec):
     if not isinstance(spec, dict):
         raise ParseError(f"group spec must be an object, got {spec!r}")
+
+    def count(x):
+        """A rank or torsion factor: an int (not a bool), never negative."""
+        if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+            raise ParseError(f"malformed group spec {spec!r}: a rank or torsion "
+                             f"factor must be a non-negative integer, got {x!r}")
+        return x
+
     try:
         if spec.get("trivial"):
             return FiniteGroup.trivial()
         if spec.get("Z"):
             return AbelianGroup.Z()
         if "free" in spec:
-            return FreeGroup(int(spec["free"]))
+            return FreeGroup(count(spec["free"]))
         if "abelian" in spec:
             body = spec["abelian"]
-            return AbelianGroup(int(body.get("rank", 0)),
-                                [int(d) for d in body.get("torsion", [])])
+            return AbelianGroup(count(body.get("rank", 0)),
+                                [count(d) for d in as_list(
+                                    body.get("torsion", []),
+                                    f"malformed group spec {spec!r}: 'torsion'")])
         if "finite" in spec:
             return FiniteGroup(spec["finite"]["table"])
     except (TypeError, AttributeError) as exc:
@@ -71,9 +89,7 @@ def group_spec_of(G):
 
 def _edge_list(data):
     """data's `edges` (empty when absent), checked to be a list of objects."""
-    edges = data.get("edges", [])
-    if not isinstance(edges, list):
-        raise ParseError(f"'edges' must be a list, got {edges!r}")
+    edges = as_list(data.get("edges", []), "'edges'")
     for ed in edges:
         if not isinstance(ed, dict):
             raise ParseError(f"an edge must be an object, got {ed!r}")
@@ -130,8 +146,8 @@ def parse_gog(data):
         Ge = parse_group_spec(ed["group"])
         Go, Gt = vgroups[o], vgroups[t]
         try:
-            alpha = Mono(Ge, Go, [Go.parse(x) for x in ed["alpha"]])
-            omega = Mono(Ge, Gt, [Gt.parse(x) for x in ed["omega"]])
+            alpha = Mono(Ge, Go, [Go.parse(x) for x in as_list(ed["alpha"], "'alpha'")])
+            omega = Mono(Ge, Gt, [Gt.parse(x) for x in as_list(ed["omega"], "'omega'")])
         except ValueError as exc:
             raise ParseError(f"edge {name!r}: {exc}")
         org.append(o)
@@ -216,7 +232,8 @@ def parse_morphism(data, target, target_base=None):
             raise ParseError(f"vertex {n!r} lies over unknown vertex")
         u = tvid[body["over"]]
         G = target.vgroups[u]
-        gens = [G.parse(x) for x in body.get("subgroup", [])]
+        gens = [G.parse(x) for x in as_list(body.get("subgroup", []),
+                                            f"vertex {n!r}: 'subgroup'")]
         handle = G.subgroup(gens)
         SB = SubgroupBackend(G, handle)
         vmap.append(u)
@@ -232,7 +249,7 @@ def parse_morphism(data, target, target_base=None):
         if vmap[o] != g.o(e) or vmap[t] != g.t(e):
             raise ParseError(f"edge {name!r} does not respect incidence")
         Ge = target.egroup(e)
-        gens = [Ge.parse(x) for x in ed.get("subgroup", [])]
+        gens = [Ge.parse(x) for x in as_list(ed.get("subgroup", []), f"{what}: 'subgroup'")]
         handle = Ge.subgroup(gens)
         SB = SubgroupBackend(Ge, handle)
         Gto, Gtt = target.vgroups[g.o(e)], target.vgroups[g.t(e)]

@@ -119,7 +119,8 @@ class ImmersionCertificate:
         lines = []
         gs = m.source.graph
         for (v, e), items in sorted(self.vertex_blocks.items()):
-            names = ", ".join(f"{gs.edge_name(f)}:{w!r}" for f, w in items)
+            Au = m.target.vgroups[m.vmap[v]]
+            names = ", ".join(f"{gs.edge_name(f)}:{Au.serialize(w)!r}" for f, w in items)
             lines.append(f"vertex {gs.vnames[v]} over edge "
                          f"{m.target.graph.edge_name(e)}: {names}")
         lines.append(f"edge-group equalities verified: {len(self.edge_checks)}")
@@ -148,17 +149,17 @@ def is_immersion(m):
         Au = T.vgroups[u]
         H = m.vertex_image_handle(v)
         for e, fs in by_image.items():
-            K = T.alpha(e).image()
+            dc = Au.double_cosets(H, T.alpha(e).image())
             items = []
             seen = {}
             for f in fs:
-                w = Au.dc_canon(H, m.twist_alpha(f), K)
+                w = dc.canon(m.twist_alpha(f))
                 if w in seen:
                     raise ImmersionFailure(
                         "edges-not-separated",
                         (gs.edge_name(seen[w]), gs.edge_name(f), gs.vnames[v]))
                 seen[w] = f
-                items.append((f, Au.serialize(w)))
+                items.append((f, w))
             vertex_blocks[(v, e)] = items
     edge_checks = {}
     for p in range(gs.n_pairs):
@@ -185,76 +186,20 @@ def is_covering(m, certificate=None):
     gs, gt = S.graph, T.graph
     for v in range(gs.nv):
         u = m.vmap[v]
-        Au = T.vgroups[u]
-        H = m.vertex_image_handle(v)
         for e in gt.edges():
             if gt.o(e) != u:
                 continue
-            K = T.alpha(e).image()
-            witnesses = {Au.dc_canon(H, m.twist_alpha(f), K)
-                         for f in gs.edges()
-                         if gs.o(f) == v and m.edge_image(f) == e}
-            total = _enumerate_double_cosets(Au, H, K)
+            witnesses = {w for _, w in certificate.vertex_blocks.get((v, e), ())}
+            dc = T.vgroups[u].double_cosets(m.vertex_image_handle(v), T.alpha(e).image())
+            try:
+                total = dc.reps()
+            except ValueError:
+                return False    # infinitely many double cosets: no finite star is onto
             if total is None:
                 return None
             if witnesses != total:
                 return False
     return True
-
-
-def _enumerate_double_cosets(G, H, K):
-    """Set of canonical double-coset witnesses, or None when not decidable.
-
-    Finite groups: exhaustive.  Abelian: transversal when the index of H+K is
-    finite, otherwise the set is infinite and cannot be covered by finitely
-    many edges, so an impossible marker is returned.  Free groups: decided
-    when H or K has finite index (Schreier-graph orbit count)."""
-    kind = getattr(G, "kind", None)
-    if kind == "finite":
-        return {G.dc_canon(H, g, K) for g in range(G.order())}
-    if kind == "abelian":
-        lat = H.lat.sum(K.lat)
-        if lat.index_in(G.FULL) is None:
-            # infinitely many cosets: no finite star can be onto
-            return {object()}
-        return {G.dc_canon(H, rep, K) for rep in lat.transversal(G.FULL)}
-    if kind == "free":
-        if H.index() is not None:
-            return {G.dc_canon(H, w, K) for w in _orbit_reps(H, K)}
-        if K.index() is not None:
-            return {G.dc_canon(H, w, K) for w in _orbit_reps(K, H, invert=True)}
-        return None
-    return None
-
-
-def _orbit_reps(H, K, invert=False):
-    """Representatives of H\\F/K from the complete automaton of H under the
-    right K-action (or of K\\F/H read backwards when invert is set)."""
-    from .words import winv
-    aut = H.aut
-    tree_word, _ = aut.spanning()
-    parent = list(range(aut.n_states))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in range(aut.n_states):
-        for k in K.gens:
-            t = aut.trace(k, start=s)
-            if t is None:
-                continue
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[rs] = rt
-    reps = {}
-    for s in range(aut.n_states):
-        reps.setdefault(find(s), tree_word[s])
-    if invert:
-        return [winv(w) for w in reps.values()]
-    return list(reps.values())
 
 
 def trace_apath(m, p, start=None):
@@ -272,20 +217,18 @@ def trace_apath(m, p, start=None):
     v = start
     carry = p.elems[0]
     for i, e in enumerate(p.edges):
-        u = gt.o(e)
-        Au = T.vgroups[u]
-        H = m.vertex_image_handle(v)
-        K = T.alpha(e).image()
+        Au = T.vgroups[gt.o(e)]
+        dc = Au.double_cosets(m.vertex_image_handle(v), T.alpha(e).image())
         lifted = None
         for f in gs.edges():
             if gs.o(f) != v or m.edge_image(f) != e:
                 continue
-            if Au.dc_eq(H, m.twist_alpha(f), K, carry):
+            if dc.eq(m.twist_alpha(f), carry):
                 lifted = f
                 break
         if lifted is None:
             return False
-        b, kk = Au.dc_factor(H, m.twist_alpha(lifted), K, carry)
+        _, kk = dc.factor(m.twist_alpha(lifted), carry)
         x = T.alpha(e).preimage_elt(kk)
         Av = T.vgroups[gt.t(e)]
         carry = Av.mul(Av.mul(m.twist_omega(lifted), T.omega(e).apply(x)),
@@ -312,7 +255,7 @@ class _Builder:
 
     `inc[v]` is the set of (edge index, forward?) views with origin v, and
     `dirty` holds the live vertices whose fold keys
-    (e, dc_canon(H_v, ta, alpha_e(E))) may have changed since they were last
+    (e, canon of H_v ta alpha_e(E)) may have changed since they were last
     checked.  A key changes only when H_v grows or an edge is added at v or
     re-homed onto it, so a vertex is dirtied when it is created, when its
     subgroup grows (add_generator, merge, saturate_edge), when an edge is
@@ -321,6 +264,12 @@ class _Builder:
     collision-free, the lowest-id vertex with a collision is dirty, and
     checking the dirty vertices in ascending id finds the same fold as a scan
     of every vertex in id order.
+
+    `verts[v]["keys"]` holds the fold key of each star view of v already
+    computed, and `verts[v]["dc"]` v's double-coset handles (one per target
+    edge, shared by find_fold and merge).  A key changes only when H_v
+    changes or the view is re-homed onto v, and both are followed by
+    touch(v), which drops keys and handles.
 
     `dirty_edges` holds the live edges whose saturation inputs (twists, edge
     group, endpoint subgroups) may have changed since saturate_edge last
@@ -351,7 +300,7 @@ class _Builder:
     def new_vertex(self, img):
         self.verts.append({"img": img,
                            "sub": self.A.vgroups[img].trivial_subgroup(),
-                           "alive": True})
+                           "alive": True, "keys": {}, "dc": {}})
         self.inc.append(set())
         v = len(self.verts) - 1
         self.dirty.add(v)
@@ -395,6 +344,8 @@ class _Builder:
     def touch(self, v):
         """v's subgroup grew or edges were re-homed onto it: its fold keys
         and the saturation inputs of its edges may have changed."""
+        self.verts[v]["keys"].clear()
+        self.verts[v]["dc"].clear()
         self.dirty.add(v)
         self.dirty_edges.update(i for i, _ in self.inc[v])
 
@@ -411,19 +362,29 @@ class _Builder:
             return d["img"], d["src"], d["dst"], d["ta"], d["tw"]
         return einv(d["img"]), d["dst"], d["src"], d["tw"], d["ta"]
 
+    def double_cosets(self, v, e):
+        """v's handle on H_v \\ A_o(e) / alpha_e(E), kept until touch(v)."""
+        dcs = self.verts[v]["dc"]
+        dc = dcs.get(e)
+        if dc is None:
+            dc = dcs[e] = self.A.vgroups[self.A.graph.o(e)].double_cosets(
+                self.verts[v]["sub"], self.A.alpha(e).image())
+        return dc
+
     def find_fold(self):
         """(v, first view, colliding view) at the lowest-id vertex with two
         star views of equal fold key, or None."""
         for v in sorted(self.dirty):
-            H = self.verts[v]["sub"]
+            keys = self.verts[v]["keys"]
             seen = {}
-            for i, fwd in self.star(v):
-                e, _, _, ta, _ = self.view(i, fwd)
-                A_u = self.A.vgroups[self.A.graph.o(e)]
-                key = (e, A_u.dc_canon(H, ta, self.A.alpha(e).image()))
+            for view in self.star(v):
+                key = keys.get(view)
+                if key is None:
+                    e, _, _, ta, _ = self.view(*view)
+                    key = keys[view] = (e, self.double_cosets(v, e).canon(ta))
                 if key in seen:
-                    return v, seen[key], (i, fwd)
-                seen[key] = (i, fwd)
+                    return v, seen[key], view
+                seen[key] = view
             self.dirty.discard(v)
         return None
 
@@ -437,11 +398,7 @@ class _Builder:
             y1, y2 = y2, y1
         e, _, _, p_ta, p_tw = self.view(*primary)
         _, _, _, s_ta, s_tw = self.view(*secondary)
-        u = A.graph.o(e)
-        Au = A.vgroups[u]
-        H = self.verts[v]["sub"]
-        K = A.alpha(e).image()
-        h, kk = Au.dc_factor(H, p_ta, K, s_ta)
+        _, kk = self.double_cosets(v, e).factor(p_ta, s_ta)
         x = A.alpha(e).preimage_elt(kk)
         Gt = A.vgroups[A.graph.t(e)]
         delta = Gt.mul(Gt.mul(p_tw, A.omega(e).apply(x)), Gt.inv(s_tw))

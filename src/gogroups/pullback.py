@@ -84,6 +84,9 @@ class AProductFragment:
         self.unexpandable = {}
         self.budget_spent = 0
         self.base_factors = None  # (bc, cc) with 1 = bc . witness . cc at the base
+        # double-coset handles, kept for the fragment's lifetime:
+        self.vertex_dcs = {}      # (v, w) -> mu1(B_v) \ A_u / mu2(C_w)
+        self.edge_dcs = {}        # (f, g) pair indices -> E1 \ A_e / E2
 
     # --- vertex/edge group handles ---
 
@@ -92,6 +95,23 @@ class AProductFragment:
 
     def _sub2(self, w):
         return self.m2.vertex_image_handle(w)
+
+    def _vertex_dc(self, v, w):
+        """The double-coset handle of the pair (v, w), made once."""
+        dc = self.vertex_dcs.get((v, w))
+        if dc is None:
+            Au = self.A.vgroups[self.m1.vmap[v]]
+            dc = self.vertex_dcs[(v, w)] = Au.double_cosets(self._sub1(v), self._sub2(w))
+        return dc
+
+    def _edge_dc(self, f, g):
+        """The double-coset handle of the edge pair of f and g, made once."""
+        p, q = f >> 1, g >> 1
+        dc = self.edge_dcs.get((p, q))
+        if dc is None:
+            dc = self.edge_dcs[(p, q)] = self.A.egroup(self.m1.edge_image(f)).double_cosets(
+                self.m1.edge_image_handle(p), self.m2.edge_image_handle(q))
+        return dc
 
     def vertex_group(self, idx):
         x = self.vertices[idx]
@@ -163,15 +183,12 @@ class AProductFragment:
     def _intern(self, v, w, raw_witness, component):
         """(index, created, bc, cc) with raw_witness = bc . witness . cc when
         the vertex is created; bc and cc are None for an existing vertex."""
-        u = self.m1.vmap[v]
-        Au = self.A.vgroups[u]
-        H = self._sub1(v)
-        K = self._sub2(w)
-        witness = Au.dc_canon(H, raw_witness, K)
+        dc = self._vertex_dc(v, w)
+        witness = dc.canon(raw_witness)
         key = (v, w, witness)
         if key in self.index:
             return self.index[key], False, None, None
-        bc, cc = Au.dc_factor(H, witness, K, raw_witness)
+        bc, cc = dc.factor(witness, raw_witness)
         idx = len(self.vertices)
         self.vertices.append(ProductVertex(v, w, witness, component, idx))
         self.index[key] = idx
@@ -215,10 +232,7 @@ class AProductFragment:
     def _add_edge(self, idx, f, g, e, rep, bc0, cc0):
         A = self.A
         x = self.vertices[idx]
-        Ge = A.egroup(e)
-        E1 = self.m1.edge_image_handle(f >> 1)
-        E2 = self.m2.edge_image_handle(g >> 1)
-        ewitness = Ge.dc_canon(E1, rep, E2)
+        ewitness = self._edge_dc(f, g).canon(rep)
         u2 = A.graph.t(e)
         Au2 = A.vgroups[u2]
         f_w = self.m1.twist_omega(f)
@@ -234,8 +248,7 @@ class AProductFragment:
         if created:
             self.vertices[dst].tree_edge = len(self.edges)
         else:
-            bc1, cc1 = Au2.dc_factor(self._sub1(v2), self.vertices[dst].witness,
-                                     self._sub2(w2), t_raw)
+            bc1, cc1 = self._vertex_dc(v2, w2).factor(self.vertices[dst].witness, t_raw)
         self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created,
                                       bc0, cc0, bc1, cc1))
 
@@ -248,12 +261,10 @@ class AProductFragment:
         u = A.graph.o(e)
         Au = A.vgroups[u]
         Ge = A.egroup(e)
-        H = self._sub1(x.v)
-        K = self._sub2(x.w)
+        dc = self._vertex_dc(x.v, x.w)
+        edc = self._edge_dc(f, g)
         f_a = self.m1.twist_alpha(f)
         g_a = self.m2.twist_alpha(g)
-        E1 = self.m1.edge_image_handle(f >> 1)
-        E2 = self.m2.edge_image_handle(g >> 1)
         alpha = A.alpha(e)
         kind = getattr(Au, "kind", None)
 
@@ -261,50 +272,42 @@ class AProductFragment:
             return Au.mul(Au.mul(f_a, alpha.apply(rep)), Au.inv(g_a))
 
         if kind == "finite":
-            raws = []
-            seen = set()
-            for a in range(Ge.order()):
-                raw = o_raw(a)
-                if not Au.dc_eq(H, x.witness, K, raw):
-                    continue
-                wcan = Ge.dc_canon(E1, a, E2)
-                if wcan in seen:
-                    continue
-                seen.add(wcan)
-                raws.append((a, raw))
+            # raw(b a c) lies in H raw(a) K for b in E1 and c in E2, so one
+            # test per edge double coset, at its least element, decides it
+            raws = [(a, o_raw(a)) for a in sorted(edc.reps())]
+            raws = [(a, raw) for a, raw in raws if dc.eq(x.witness, raw)]
         elif kind == "abelian":
             raws = [(rep, o_raw(rep)) for rep in
-                    self._solve_abelian(x, Ge, H, K, f_a, g_a, E1, E2, alpha)]
+                    self._solve_abelian(x, Ge, dc, edc, f_a, g_a, alpha)]
         elif kind == "free":
             raws = [(rep, o_raw(rep)) for rep in
-                    self._solve_free_cyclic(x, Ge, H, K, f_a, g_a, E1, E2, alpha)]
+                    self._solve_free_cyclic(x, Ge, dc, edc, f_a, g_a, alpha)]
         else:
             raise UnsupportedExpansion(f"no expansion solver for vertex backend {kind}")
-        return [(rep, *Au.dc_factor(H, x.witness, K, raw)) for rep, raw in raws]
+        return [(rep, *dc.factor(x.witness, raw)) for rep, raw in raws]
 
-    def _solve_abelian(self, x, Ge, H, K, f_a, g_a, E1, E2, alpha):
+    def _solve_abelian(self, x, Ge, dc, edc, f_a, g_a, alpha):
         from .intlattice import lin_solve, preimage_lattice
         if getattr(Ge, "kind", None) != "abelian":
             raise UnsupportedExpansion("abelian vertex with non-abelian edge group")
         # alpha(a) must fall in witness - f_a + g_a + (H + K)
-        S = H.lat.sum(K.lat)
         target = [xw - fa + ga for xw, fa, ga in zip(x.witness, f_a, g_a)]
         M = [list(alpha.apply(gen)) for gen in Ge.generators()]
-        rows = M + [list(r) for r in S.rows]
+        rows = M + [list(r) for r in dc.lat.rows]
         sol = lin_solve(rows, target)
         if sol is None:
             return []
         a0 = Ge.canon(tuple(sol[:len(M)]))
-        P = preimage_lattice(M, Ge.n, S)
-        Se = E1.lat.sum(E2.lat)
+        P = preimage_lattice(M, Ge.n, dc.lat)
+        Se = edc.lat
         if not Se.is_sublattice_of(P):
             raise UnsupportedExpansion("edge-group cosets do not refine the fan")
         if Se.index_in(P) is None:
             raise UnsupportedExpansion("infinite-edge-fan")
         return [Ge.mul(a0, Ge.canon(tuple(rep))) for rep in Se.transversal(P)]
 
-    def _solve_free_cyclic(self, x, Ge, H, K, f_a, g_a, E1, E2, alpha):
-        from .backends.rational import CosetNFA, PowerPattern
+    def _solve_free_cyclic(self, x, Ge, dc, edc, f_a, g_a, alpha):
+        from .backends.rational import PowerPattern
         from .words import winv
         gens = Ge.generators()
         if len(gens) != 1:
@@ -314,17 +317,12 @@ class AProductFragment:
         if not c:
             raise UnsupportedExpansion("edge map with trivial image")
 
-        def exponent(handle):
-            """k with handle = <z^k>, 0 when handle is trivial."""
-            if getattr(Ge, "kind", None) == "abelian":
-                return abs(handle.lat.rows[0][0]) if handle.lat.rows else 0
-            return handle.index() or 0
-
-        k1 = exponent(E1)
-        k2 = exponent(E2)
-        d0 = gcd(k1, k2)
-        nfa = CosetNFA(H, x.witness, K, prefix=winv(f_a), suffix=g_a)
-        pattern = PowerPattern(nfa, c)
+        # E1 E2 = <z^d0>, d0 = 0 when both are trivial
+        if getattr(Ge, "kind", None) == "abelian":
+            d0 = abs(edc.lat.rows[0][0]) if edc.lat.rows else 0
+        else:
+            d0 = gcd(edc.H.index() or 0, edc.K.index() or 0)
+        pattern = PowerPattern(dc.nfa(x.witness, winv(f_a), g_a), c)
 
         def rep_of(n):
             if getattr(Ge, "kind", None) == "abelian":

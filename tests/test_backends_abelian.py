@@ -74,11 +74,12 @@ def test_double_coset_canonical():
     Z2 = AbelianGroup(2)
     H = Z2.subgroup([(1, 0)])
     K = Z2.subgroup([(1, 0)])
-    w = Z2.dc_canon(H, (3, -2), K)
+    dc = Z2.double_cosets(H, K)
+    w = dc.canon((3, -2))
     assert w == (0, -2)
-    assert Z2.dc_eq(H, (3, -2), K, (7, -2))
-    assert not Z2.dc_eq(H, (3, -2), K, (3, 2))
-    h, k = Z2.dc_factor(H, w, K, (5, -2))
+    assert dc.eq((3, -2), (7, -2))
+    assert not dc.eq((3, -2), (3, 2))
+    h, k = dc.factor(w, (5, -2))
     assert H.contains(h) and K.contains(k)
     assert tuple(a + b + c for a, b, c in zip(h, w, k)) == (5, -2)
 

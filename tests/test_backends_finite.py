@@ -12,6 +12,11 @@ def sym3():
     return FiniteGroup(table)
 
 
+def dc_set(G, H, g, K):
+    """H g K, listed."""
+    return {G.mul(G.mul(h, g), k) for h in H.elts for k in K.elts}
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 1]])
@@ -41,29 +46,31 @@ def test_double_cosets():
     G = sym3()
     H = G.subgroup([1])
     K = G.subgroup([3])
+    dc = G.double_cosets(H, K)
     # |H g K| covers the group in few double cosets
-    seen = {G.dc_canon(H, g, K) for g in range(6)}
+    seen = {dc.canon(g) for g in range(6)}
     total = set()
     for g in range(6):
-        total |= G.dc_set(H, g, K)
+        total |= dc_set(G, H, g, K)
     assert total == set(range(6))
     for g in range(6):
-        for g2 in G.dc_set(H, g, K):
-            assert G.dc_eq(H, g, K, g2)
-            assert G.dc_canon(H, g, K) == G.dc_canon(H, g2, K)
-    assert seen == {G.dc_canon(H, g, K) for g in range(6)}
+        for g2 in dc_set(G, H, g, K):
+            assert dc.eq(g, g2)
+            assert dc.canon(g) == dc.canon(g2)
+    assert seen == {dc.canon(g) for g in range(6)}
 
 
 def test_dc_factor():
     G = sym3()
     H = G.subgroup([1])
     K = G.subgroup([3])
+    dc = G.double_cosets(H, K)
     rng = Random(7)
     for _ in range(40):
         g = rng.randrange(6)
-        w = G.dc_canon(H, g, K)
-        target = rng.choice(sorted(G.dc_set(H, g, K)))
-        h, k = G.dc_factor(H, w, K, target)
+        w = dc.canon(g)
+        target = rng.choice(sorted(dc_set(G, H, g, K)))
+        h, k = dc.factor(w, target)
         assert H.contains(h) and K.contains(k)
         assert G.mul(G.mul(h, w), k) == target
 

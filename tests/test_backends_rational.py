@@ -123,13 +123,6 @@ def test_dc_factor():
         assert wmul(h2, w, k2) == target
 
 
-def test_coset_canon():
-    H = F2.subgroup(["aa"])
-    # left coset aH: canonical rep should be a (shortest)
-    assert F2.coset_canon(H, parse_word("aaa")) == parse_word("a")
-    assert F2.coset_canon(H, parse_word("aa")) == ()
-
-
 def test_power_pattern_basic():
     H = F2.subgroup(["aa"])
     K = F2.trivial_subgroup()

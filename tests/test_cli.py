@@ -92,6 +92,72 @@ def test_wrong_typed_free_rank_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "group spec" in err
 
 
+@pytest.mark.parametrize("spec", [
+    {"free": 2.7}, {"free": "2"}, {"free": True}, {"free": -1},
+    {"abelian": {"rank": 1.5}}, {"abelian": {"rank": -1}}, {"abelian": {"rank": True}},
+    {"abelian": {"rank": 1, "torsion": "24"}}, {"abelian": {"rank": 1, "torsion": [2.0]}},
+    {"abelian": {"rank": 1.5, "torsion": "24"}},
+])
+def test_group_spec_numbers_are_integers(tmp_path, capsys, spec):
+    # int() took 2.7 and "2" as 2, true as 1, and the string "24" as [2, 4]
+    assert main(["validate", write(tmp_path, "bad.json", {"vertices": {"u": spec}})]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "group spec" in err
+
+
+DOUBLE_F2 = {
+    "vertices": {"u": {"free": 2}, "v": {"free": 2}},
+    "edges": [{"name": "e", "from": "u", "to": "v", "group": {"free": 1},
+               "alpha": ["aa"], "omega": ["aa"]}],
+    "basepoint": "u",
+}
+F2_MORPHISM = {"vertices": {"x": {"over": "u", "subgroup": ["aa"]},
+                            "y": {"over": "v", "subgroup": ["aa"]}},
+               "edges": [{"name": "f", "from": "x", "to": "y", "over": "e",
+                          "subgroup": ["a"]}]}
+
+
+@pytest.mark.parametrize("where", ["vertex", "edge"])
+def test_string_as_morphism_subgroup_is_an_input_error(tmp_path, capsys, where):
+    # "ab" was read as ["a", "b"]
+    bad = json.loads(json.dumps(F2_MORPHISM))
+    if where == "vertex":
+        bad["vertices"]["x"]["subgroup"] = "ab"
+    else:
+        bad["edges"][0]["subgroup"] = "aa"
+    gog = write(tmp_path, "gog.json", DOUBLE_F2)
+    assert main(["immersion-check", gog, write(tmp_path, "ok.json", F2_MORPHISM)]) == 0
+    capsys.readouterr()
+    assert main(["immersion-check", gog, write(tmp_path, "bad.json", bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'subgroup' must be a list" in err
+
+
+@pytest.mark.parametrize("field", ["alpha", "omega"])
+def test_string_as_edge_map_is_an_input_error(tmp_path, capsys, field):
+    bad = json.loads(json.dumps(DOUBLE_F2))
+    bad["edges"][0][field] = "a"
+    assert main(["validate", write(tmp_path, "bad.json", bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{field}' must be a list" in err
+
+
+FCIP_SAMPLE = {"kind": "sample", "group": {"free": 2}, "A": ["a"], "B": ["b"],
+               "C": ["ab"], "offsets": ["", "a"], "length_bound": 2}
+
+
+@pytest.mark.parametrize("request_", [
+    dict(FCIP_SAMPLE, A="a"), dict(FCIP_SAMPLE, B="b"), dict(FCIP_SAMPLE, C="ab"),
+    dict(FCIP_SAMPLE, offsets="ab"),
+    {"kind": "zero-check", "group": {"free": 2}, "subgroups": ["ab", ["b"]]},
+    {"kind": "zero-check", "group": {"free": 2}, "subgroups": "ab"},
+], ids=["A", "B", "C", "offsets", "subgroups-entry", "subgroups"])
+def test_string_as_fcip_list_is_an_input_error(tmp_path, capsys, request_):
+    assert main(["fcip", write(tmp_path, "req.json", request_)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a list" in err
+
+
 DECORATED = {"decorated": True, "vertices": ["u"],
              "edges": [{"name": "e", "from": "u", "to": "u", "indices": [1, 2]}]}
 MORPHISM = {"vertices": {"x": {"over": "u", "subgroup": [1]}},

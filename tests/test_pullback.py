@@ -115,7 +115,7 @@ def test_incidence_witness_independence():
         coeff_c = rng.randint(-2, 2)
         moved = Ge.mul(Ge.mul(tuple(coeff_b * x for x in b), h.rep),
                        tuple(coeff_c * x for x in c))
-        assert Ge.dc_eq(E1, h.rep, E2, moved)
+        assert Ge.double_cosets(E1, E2).eq(h.rep, moved)
         # o and t witnesses agree after canonicalization
         e = frag.m1.edge_image(h.f)
         u = A.graph.o(e)
@@ -126,7 +126,8 @@ def test_incidence_witness_independence():
         o2 = Au.mul(Au.mul(f_a, A.alpha(e).apply(moved)), Au.inv(g_a))
         H = frag._sub1(frag.vertices[h.src].v)
         K = frag._sub2(frag.vertices[h.src].w)
-        assert Au.dc_canon(H, o1, K) == Au.dc_canon(H, o2, K)
+        dc = Au.double_cosets(H, K)
+        assert dc.canon(o1) == dc.canon(o2)
 
 
 def test_transport_record_rebuilds_both_ends():
