@@ -9,6 +9,7 @@ handles unique per subgroup.
 from __future__ import annotations
 
 from ..intlattice import Lattice, lin_solve, preimage_lattice
+from ..words import primitive_root, winv
 
 
 class AbelianSubgroup:
@@ -218,29 +219,35 @@ class AbelianGroup:
 
     # --- mono support ---
 
-    def mono_matrix(self, images):
-        return [list(img) for img in images]
-
     @staticmethod
-    def _ambient_relations(backend):
-        return backend.L0 if hasattr(backend, "L0") else backend.ambient.L0
-
-    def mono_well_defined(self, images, codomain):
-        """Torsion generators must map to elements killed by their order."""
-        cod_L0 = self._ambient_relations(codomain)
-        for i, d in enumerate(self.torsion):
-            img = images[self.rank + i]
-            scaled = tuple(d * a for a in img)
-            if not cod_L0.contains(scaled):
-                return False
-        return True
+    def _image_coords(images, codomain):
+        """(matrix, relation lattice) placing the images in a lattice, or
+        None when they do not commute.  An abelian codomain lends its own
+        coordinates.  Commuting elements of a free group are powers r^m of
+        one primitive root r (up to inverting r), so there they sit in Z by
+        their exponents m."""
+        if codomain.kind != "free":
+            L0 = codomain.L0 if hasattr(codomain, "L0") else codomain.ambient.L0
+            return [list(img) for img in images], L0
+        root, exps = None, []
+        for w in images:
+            if not w:
+                exps.append([0])
+                continue
+            r, m = primitive_root(w)
+            root = root or r
+            if r not in (root, winv(root)):
+                return None
+            exps.append([m if r == root else -m])
+        return exps, Lattice(1)
 
     def mono_injective(self, images, codomain):
-        if not self.mono_well_defined(images, codomain):
+        """The relations among the images are exactly those of the
+        generators (L0): the map is then well-defined and injective."""
+        coords = self._image_coords(images, codomain)
+        if coords is None:
             return False
-        M = self.mono_matrix(images)
-        ker = preimage_lattice(M, self.n, self._ambient_relations(codomain))
-        return ker == self.L0
+        return preimage_lattice(coords[0], self.n, coords[1]) == self.L0
 
     def sub_mono_injective(self, handle, images, codomain):
         # Relations among the images (in coefficient space) must match the
@@ -249,8 +256,8 @@ class AbelianGroup:
         k = len(handle.gens)
         if k == 0:
             return True
-        M_img = [list(img) for img in images]
-        ker_img = preimage_lattice(M_img, k, self._ambient_relations(codomain))
-        M_dom = [list(g) for g in handle.gens]
-        ker_dom = preimage_lattice(M_dom, k, self.L0)
-        return ker_img == ker_dom
+        coords = self._image_coords(images, codomain)
+        if coords is None:
+            return False
+        ker_dom = preimage_lattice([list(g) for g in handle.gens], k, self.L0)
+        return preimage_lattice(coords[0], k, coords[1]) == ker_dom

@@ -62,6 +62,12 @@ class Mono:
     def apply(self, x):
         return evaluate_word(self.codomain, self.images, self.domain.decompose(x))
 
+    def twisted_images(self, t, gens):
+        """t . self(s) . t^-1 for each s in gens."""
+        G = self.codomain
+        t_inv = G.inv(t)
+        return [G.mul(G.mul(t, self.apply(s)), t_inv) for s in gens]
+
     def image(self):
         if self._image_handle is None:
             self._image_handle = self.codomain.subgroup(self.images)

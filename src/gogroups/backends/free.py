@@ -18,127 +18,26 @@ from .base import evaluate_word
 from .rational import CosetNFA
 
 
-class _Folder:
-    def __init__(self):
-        self.parent = []
-        self.adj = []          # vertex -> list of edge ids
-        self.edges = []        # [src, dst, letter>0, ann, alive]
-        self.base = self.new_vertex()
+def _bfs(delta, alive=None):
+    """Shortlex breadth-first search from state 0 over letter -> state rows,
+    skipping the states where `alive` is false: the states reached, in visit
+    order, and the tree arc (parent, letter) by which each was reached."""
+    order, tree = [0], {0: None}
+    for v in order:
+        row = delta[v]
+        for x in sorted(row, key=letter_key):
+            t = row[x]
+            if t not in tree and (alive is None or alive[t]):
+                tree[t] = (v, x)
+                order.append(t)
+    return order, tree
 
-    def new_vertex(self):
-        v = len(self.parent)
-        self.parent.append(v)
-        self.adj.append([])
-        return v
 
-    def find(self, v):
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def add_edge(self, s, d, letter, ann=()):
-        eid = len(self.edges)
-        if letter < 0:
-            s, d, letter, ann = d, s, -letter, winv(ann)
-        self.edges.append([s, d, letter, ann, True])
-        self.adj[s].append(eid)
-        self.adj[d].append(eid)
-        return eid
-
-    def add_word(self, w, ann):
-        """Petal at base spelling w; the last edge carries the annotation."""
-        if not w:
-            return
-        cur = self.base
-        for i, x in enumerate(w):
-            last = i == len(w) - 1
-            nxt = self.base if last else self.new_vertex()
-            self.add_edge(cur, nxt, x, ann if last else ())
-            cur = nxt
-
-    def _halves(self, v):
-        """Signed-letter halves at v: letter -> list of (edge_id, far, ann)."""
-        out = {}
-        seen = set()
-        for eid in self.adj[v]:
-            if eid in seen:
-                continue
-            seen.add(eid)
-            s, d, letter, ann, alive = self.edges[eid]
-            if not alive:
-                continue
-            fs, fd = self.find(s), self.find(d)
-            if fs == v:
-                out.setdefault(letter, []).append((eid, fd, ann))
-            if fd == v:
-                out.setdefault(-letter, []).append((eid, fs, winv(ann)))
-        return out
-
-    def fold(self):
-        stack = list(range(len(self.parent)))
-        while stack:
-            v = self.find(stack.pop())
-            halves = self._halves(v)
-            for letter, entries in halves.items():
-                if len(entries) < 2:
-                    continue
-                (e1, q1, a1), (e2, q2, a2) = entries[0], entries[1]
-                if q1 == q2:
-                    self.edges[e2][4] = False
-                    stack.append(v)
-                    break
-                # survivor: base wins, then the smaller id
-                if q2 == self.base or (q1 != self.base and q2 < q1):
-                    e1, q1, a1, e2, q2, a2 = e2, q2, a2, e1, q1, a1
-                c = wmul(winv(a1), a2)
-                self.edges[e2][4] = False
-                for eid in set(self.adj[q2]):
-                    s, d, lt, ann, alive = self.edges[eid]
-                    if not alive:
-                        continue
-                    if self.find(s) == q2:
-                        ann = wmul(c, ann)
-                    if self.find(d) == q2:
-                        ann = wmul(ann, winv(c))
-                    self.edges[eid][3] = ann
-                self.parent[q2] = q1
-                self.adj[q1].extend(self.adj[q2])
-                self.adj[q2] = []
-                stack.append(q1)
-                stack.append(v)
-                break
-
-    def compact(self, annotate=False):
-        order = {self.find(self.base): 0}
-        queue = [self.find(self.base)]
-        delta_raw = {}
-        for eid, (s, d, letter, ann, alive) in enumerate(self.edges):
-            if not alive:
-                continue
-            fs, fd = self.find(s), self.find(d)
-            delta_raw.setdefault(fs, {})[letter] = (fd, ann)
-            delta_raw.setdefault(fd, {})[-letter] = (fs, winv(ann))
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            i += 1
-            for letter in sorted(delta_raw.get(v, {}), key=letter_key):
-                t, _ = delta_raw[v][letter]
-                if t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
-        n = len(order)
-        delta = [dict() for _ in range(n)]
-        ann_map = {} if annotate else None
-        for v, row in delta_raw.items():
-            if v not in order:
-                continue
-            for letter, (t, ann) in row.items():
-                delta[order[v]][letter] = order[t]
-                if annotate:
-                    ann_map[(order[v], letter)] = ann
-        return StallingsAutomaton(delta, ann=ann_map)
+def _renumbered(delta, order):
+    """The rows of the states in `order`, state order[i] renamed i and arcs
+    to other states dropped; and the renaming."""
+    new = {v: i for i, v in enumerate(order)}
+    return [{x: new[t] for x, t in delta[v].items() if t in new} for v in order], new
 
 
 class StallingsAutomaton:
@@ -150,18 +49,79 @@ class StallingsAutomaton:
 
     @classmethod
     def from_words(cls, gen_words, annotate=False):
-        f = _Folder()
+        """Fold the petals spelling gen_words at the base, numbered by _bfs.
+
+        Each live state keeps a row, signed letter -> (target, annotation),
+        with every arc stored at both ends.  An arc whose letter is already
+        in a row at either end is not added: the two states it would make
+        one are queued for identification instead.  An identification moves
+        the smaller row onto the larger (the base never moves) and
+        re-anchors only the moved arcs: with the shift c of the moved state,
+        an arc leaving it gets c.a and one entering it a.c^-1, so the
+        annotations along any closed walk at the base still multiply to a
+        preimage of its label.  With annotate the last arc of petal i
+        carries (i + 1,); otherwise every annotation is ()."""
+        rows = [{}]
+        moved = {}          # identified state -> (state it moved onto, shift)
+        pending = []        # (p, q, c): make q one with p, q's shift c
+
+        def link(s, x, t, a):
+            hit = rows[s].get(x)
+            if hit is not None:
+                pending.append((hit[0], t, wmul(winv(hit[1]), a)))
+                return
+            hit = rows[t].get(-x)
+            if hit is not None:
+                pending.append((hit[0], s, wmul(winv(hit[1]), winv(a))))
+                return
+            rows[s][x] = (t, a)
+            rows[t][-x] = (s, winv(a))
+
+        def find(v):
+            c = ()
+            while v in moved:
+                v, d = moved[v]
+                c = wmul(d, c)
+            return v, c
+
         for i, w in enumerate(gen_words):
-            f.add_word(wreduce(w), (i + 1,) if annotate else ())
-        f.fold()
-        return f.compact(annotate=annotate)
+            w = wreduce(w)
+            s = 0
+            for j, x in enumerate(w):
+                if j == len(w) - 1:
+                    t, a = 0, (i + 1,) if annotate else ()
+                else:
+                    t, a = len(rows), ()
+                    rows.append({})
+                link(s, x, t, a)
+                s = t
+        while pending:
+            p, q, c = pending.pop()
+            p, e = find(p)
+            q, d = find(q)
+            if p == q:
+                continue
+            c = wmul(e, c, winv(d))
+            if q == 0 or (p != 0 and len(rows[p]) < len(rows[q])):
+                p, q, c = q, p, winv(c)
+            row, rows[q] = rows[q], None
+            moved[q] = (p, c)
+            for x, (t, a) in row.items():
+                if t != q:
+                    del rows[t][-x]
+                    link(p, x, t, wmul(c, a))
+                elif x > 0:
+                    link(p, x, p, wmul(c, a, winv(c)))
+        delta = [row and {x: t for x, (t, _) in row.items()} for row in rows]
+        delta, new = _renumbered(delta, _bfs(delta)[0])
+        ann = None
+        if annotate:
+            ann = {(new[v], x): a for v in new for x, (_, a) in rows[v].items()}
+        return cls(delta, ann)
 
     @property
     def n_states(self):
         return len(self.delta)
-
-    def step(self, state, letter):
-        return self.delta[state].get(letter)
 
     def trace(self, word, start=0):
         s = start
@@ -183,11 +143,8 @@ class StallingsAutomaton:
             s = t
         return s, acc
 
-    def accepts(self, word):
-        return self.trace(wreduce(word)) == 0
-
     def cored(self):
-        """Remove valence<=1 states (base exempt); renumber from the base.
+        """Remove valence<=1 states (base exempt); renumber by _bfs.
 
         Leaf pruning: a worklist holds the states whose valence among live
         states has dropped to <= 1; removing one lowers the valence of its
@@ -207,99 +164,53 @@ class StallingsAutomaton:
                     deg[t] -= 1
                     if t and deg[t] == 1:
                         queue.append(t)
-        order = {0: 0}
-        queue = [0]
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            i += 1
-            for letter in sorted(self.delta[v], key=letter_key):
-                t = self.delta[v][letter]
-                if alive[t] and t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
-        delta = [dict() for _ in range(len(order))]
-        for v, row in enumerate(self.delta):
-            if v not in order:
-                continue
-            for letter, t in row.items():
-                if t in order:
-                    delta[order[v]][letter] = order[t]
-        return StallingsAutomaton(delta)
+        return StallingsAutomaton(_renumbered(self.delta, _bfs(self.delta, alive)[0])[0])
 
     def spanning(self):
-        """BFS spanning tree: (tree_word per state, nontree positive triples)."""
+        """The _bfs spanning tree: (tree word of each state, the positive
+        non-tree arcs (v, letter, t) in state then letter order)."""
+        order, tree = _bfs(self.delta)
         tree_word = {0: ()}
-        queue = [0]
-        tree_edges = set()
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            i += 1
-            for letter in sorted(self.delta[v], key=letter_key):
-                t = self.delta[v][letter]
-                if t not in tree_word:
-                    tree_word[t] = wmul(tree_word[v], (letter,))
-                    tree_edges.add((v, letter, t))
-                    tree_edges.add((t, -letter, v))
-                    queue.append(t)
+        for t in order[1:]:
+            v, x = tree[t]
+            tree_word[t] = tree_word[v] + (x,)
         nontree = []
         for v in range(self.n_states):
-            for letter, t in sorted(self.delta[v].items(), key=lambda kv: letter_key(kv[0])):
-                if letter > 0 and (v, letter, t) not in tree_edges:
-                    nontree.append((v, letter, t))
+            for x in sorted(self.delta[v], key=letter_key):
+                t = self.delta[v][x]
+                if x > 0 and tree.get(t) != (v, x) and tree.get(v) != (t, -x):
+                    nontree.append((v, x, t))
         return tree_word, nontree
-
-    def basis(self):
-        tree_word, nontree = self.spanning()
-        out = []
-        for v, letter, t in nontree:
-            out.append(wmul(tree_word[v], (letter,), winv(tree_word[t])))
-        return out
-
-    def rank(self):
-        edges = sum(len(row) for row in self.delta) // 2
-        return edges - self.n_states + 1
 
     def complete(self, rank_letters):
         return all(len(row) == 2 * rank_letters for row in self.delta)
 
-    def decompose_over_basis(self, word):
-        """Non-tree edge crossings along the trace, as (index, +-1) pairs."""
-        tree_word, nontree = self.spanning()
-        pos = {}
-        for i, (v, letter, t) in enumerate(nontree):
-            pos[(v, letter, t)] = i + 1
-            pos[(t, -letter, v)] = -(i + 1)
-        s = 0
-        out = []
-        for x in wreduce(word):
-            t = self.delta[s].get(x)
-            if t is None:
-                raise ValueError("word not in subgroup")
-            key = (s, x, t)
-            if key in pos:
-                sgn = pos[key]
-                out.append((abs(sgn) - 1, 1 if sgn > 0 else -1))
-            s = t
-        if s != 0:
-            raise ValueError("word not in subgroup")
-        return out
-
 
 class FreeSubgroup:
-    __slots__ = ("group", "aut", "gens")
+    """A subgroup through its cored automaton.  The generator list is the
+    basis read off the automaton's spanning tree, one generator per non-tree
+    arc, so expressing an element over it is a trace counting the crossings
+    of those arcs."""
+
+    __slots__ = ("group", "aut", "gens", "tree_word", "crossing")
 
     def __init__(self, group, aut):
         self.group = group
         self.aut = aut.cored()
-        self.gens = tuple(self.aut.basis())
+        self.tree_word, nontree = self.aut.spanning()
+        self.gens = tuple(wmul(self.tree_word[v], (x,), winv(self.tree_word[t]))
+                          for v, x, t in nontree)
+        # (state, letter) -> (basis index, +-1) on both ends of each non-tree arc
+        self.crossing = {}
+        for i, (v, x, t) in enumerate(nontree):
+            self.crossing[(v, x)] = (i, 1)
+            self.crossing[(t, -x)] = (i, -1)
 
     def __repr__(self):
         return f"FreeSubgroup(rank={len(self.gens)}, gens={[format_word(g) for g in self.gens]})"
 
     def contains(self, w):
-        return self.aut.accepts(w)
+        return self.aut.trace(wreduce(w)) == 0
 
     def is_trivial(self):
         return not self.gens
@@ -349,7 +260,19 @@ class FreeSubgroup:
                 and all(self.contains(g) for g in other.gens))
 
     def decompose(self, x):
-        return self.aut.decompose_over_basis(x)
+        """Word over gens: the non-tree arc crossings along the trace of x."""
+        delta, crossing = self.aut.delta, self.crossing
+        s, out = 0, []
+        for a in wreduce(x):
+            t = delta[s].get(a)
+            if t is None:
+                raise ValueError("word not in subgroup")
+            if (s, a) in crossing:
+                out.append(crossing[(s, a)])
+            s = t
+        if s != 0:
+            raise ValueError("word not in subgroup")
+        return out
 
     def index_in(self, sup):
         """[sup : self] for self <= sup; None when infinite."""
@@ -485,12 +408,11 @@ def _orbit_reps(H, K):
     word of the least state of each orbit of K on the states of H's
     complete automaton, where each word acts as a permutation."""
     aut = H.aut
-    tree_word, _ = aut.spanning()
     seen, reps = set(), []
     for s in range(aut.n_states):
         if s in seen:
             continue
-        reps.append(tree_word[s])
+        reps.append(H.tree_word[s])
         seen.add(s)
         stack = [s]
         while stack:

@@ -8,15 +8,7 @@ of the negative half, so the pair is stored once.
 
 from __future__ import annotations
 
-from .backends import SubgroupBackend
 from .graphs import Graph, core, core_at, einv, validate_graph
-
-
-def subgroup_index_in(handle, group_backend):
-    """[group : handle] where `handle` is a subgroup of `group_backend`."""
-    if isinstance(group_backend, SubgroupBackend):
-        return handle.index_in(group_backend.handle)
-    return handle.index()
 
 
 class GraphOfGroups:
@@ -39,10 +31,10 @@ class GraphOfGroups:
         return self.monos[e >> 1][1] if e & 1 == 0 else self.monos[e >> 1][0]
 
     def omega_image_index(self, e):
-        return subgroup_index_in(self.omega(e).image(), self.vgroups[self.graph.t(e)])
+        return self.omega(e).index_of_image()
 
     def alpha_image_index(self, e):
-        return subgroup_index_in(self.alpha(e).image(), self.vgroups[self.graph.o(e)])
+        return self.alpha(e).index_of_image()
 
     def omega_surjective(self, e):
         return self.omega_image_index(e) == 1
@@ -259,8 +251,7 @@ def reduce_gog(A, basepoint):
         for e in range(2 * g.n_pairs):
             if g.o(e) == g.t(e):
                 continue
-            alpha = cur.alpha(e)
-            if subgroup_index_in(alpha.image(), cur.vgroups[g.o(e)]) == 1:
+            if cur.alpha(e).index_of_image() == 1:
                 target_edge = e
                 break
         if target_edge is None:

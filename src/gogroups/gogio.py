@@ -255,12 +255,8 @@ def parse_morphism(data, target, target_base=None):
         Gto, Gtt = target.vgroups[g.o(e)], target.vgroups[g.t(e)]
         ta = Gto.parse(ed["twists"]["alpha"]) if "twists" in ed else Gto.identity()
         tw = Gtt.parse(ed["twists"]["omega"]) if "twists" in ed else Gtt.identity()
-        alpha_m = Mono(SB, vgroups[o],
-                       [Gto.mul(Gto.mul(ta, target.alpha(e).apply(s)), Gto.inv(ta))
-                        for s in SB.generators()])
-        omega_m = Mono(SB, vgroups[t],
-                       [Gtt.mul(Gtt.mul(tw, target.omega(e).apply(s)), Gtt.inv(tw))
-                        for s in SB.generators()])
+        alpha_m = Mono(SB, vgroups[o], target.alpha(e).twisted_images(ta, SB.generators()))
+        omega_m = Mono(SB, vgroups[t], target.omega(e).twisted_images(tw, SB.generators()))
         org.append(o)
         tgt.append(t)
         enames.append(name)

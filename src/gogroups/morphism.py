@@ -78,15 +78,19 @@ def validate_morphism(m):
         for half in (f, einv(f)):
             eh = m.edge_image(half)
             v = gs.o(half)
-            Au = T.vgroups[gt.o(eh)]
+            Av, Au = S.vgroups[v], T.vgroups[gt.o(eh)]
             f_alpha = m.twist_alpha(half)
+            side = "alpha" if half == f else "omega"
             for gi, x in enumerate(S.egroup(half).generators()):
+                img = S.alpha(half).apply(x)
+                if isinstance(Av, SubgroupBackend) and not Av.handle.contains(img):
+                    violations.append(("edge-image-outside-vertex-group", name, side, gi))
+                    continue
                 lhs = T.alpha(eh).apply(mono_f.apply(x))
-                inner = m.vmonos[v].apply(S.alpha(half).apply(x))
+                inner = m.vmonos[v].apply(img)
                 rhs = Au.mul(Au.mul(Au.inv(f_alpha), inner), f_alpha)
                 if not Au.eq(lhs, rhs):
-                    violations.append(("twisted-commutation", name,
-                                       "alpha" if half == f else "omega", gi))
+                    violations.append(("twisted-commutation", name, side, gi))
     return violations
 
 
@@ -456,12 +460,8 @@ class _Builder:
             changed = True
         if d["pushed"]:
             return changed
-        Go = A.vgroups[A.graph.o(e)]
-        Gt = A.vgroups[A.graph.t(e)]
-        push_a = Go.subgroup([Go.mul(Go.mul(d["ta"], alpha.apply(s)), Go.inv(d["ta"]))
-                              for s in d["esub"].gens])
-        push_w = Gt.subgroup([Gt.mul(Gt.mul(d["tw"], omega.apply(s)), Gt.inv(d["tw"]))
-                              for s in d["esub"].gens])
+        push_a = A.vgroups[A.graph.o(e)].subgroup(alpha.twisted_images(d["ta"], d["esub"].gens))
+        push_w = A.vgroups[A.graph.t(e)].subgroup(omega.twisted_images(d["tw"], d["esub"].gens))
         grown_o = self.verts[d["src"]]["sub"].join(push_a)
         if not grown_o.equals(self.verts[d["src"]]["sub"]):
             self.verts[d["src"]]["sub"] = grown_o
@@ -496,10 +496,8 @@ class _Builder:
                     i, fwd = next(iter(incident))
                     # view into y: reverse of the star view
                     e, _, _, ta, tw = self.view(i, not fwd)
-                    omega = A.omega(e)
-                    Gt = A.vgroups[A.graph.t(e)]
-                    img = Gt.subgroup([Gt.mul(Gt.mul(tw, omega.apply(s)), Gt.inv(tw))
-                                       for s in self.edges[i]["esub"].gens])
+                    img = A.vgroups[A.graph.t(e)].subgroup(
+                        A.omega(e).twisted_images(tw, self.edges[i]["esub"].gens))
                     if img.equals(self.verts[y]["sub"]):
                         self.kill_edge(i)
                         self.verts[y]["alive"] = False
@@ -520,19 +518,13 @@ class _Builder:
         egroups = [SubgroupBackend(A.egroup(self.edges[i]["img"]), self.edges[i]["esub"])
                    for i in eids]
         monos = []
-        vmonos_src = {}
         for new_p, i in enumerate(eids):
             d = self.edges[i]
-            e = d["img"]
-            alpha, omega = A.alpha(e), A.omega(e)
-            Go = A.vgroups[A.graph.o(e)]
-            Gt = A.vgroups[A.graph.t(e)]
+            e, gens = d["img"], egroups[new_p].generators()
             af = Mono(egroups[new_p], vgroups[vmapping[d["src"]]],
-                      [Go.mul(Go.mul(d["ta"], alpha.apply(s)), Go.inv(d["ta"]))
-                       for s in egroups[new_p].generators()])
+                      A.alpha(e).twisted_images(d["ta"], gens))
             wf = Mono(egroups[new_p], vgroups[vmapping[d["dst"]]],
-                      [Gt.mul(Gt.mul(d["tw"], omega.apply(s)), Gt.inv(d["tw"]))
-                       for s in egroups[new_p].generators()])
+                      A.omega(e).twisted_images(d["tw"], gens))
             monos.append((af, wf))
         B = GraphOfGroups(graph, vgroups, egroups, monos)
         vmap = [self.verts[v]["img"] for v in vids]

@@ -2,9 +2,10 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gogroups.backends import FreeGroup, Mono
-from gogroups.words import format_word, parse_word, winv, wmul, wpow, wreduce
+from gogroups.backends import FreeGroup, Mono, StallingsAutomaton
+from gogroups.words import format_word, letter_key, parse_word, winv, wmul, wpow, wreduce
 
 
 F2 = FreeGroup(2)
@@ -265,3 +266,76 @@ def test_elements_up_to():
     # a negative bound is refused, not enumerated without end
     with pytest.raises(ValueError):
         H.elements_up_to(-1)
+
+
+# --- the fold against a naive one ---
+
+def naive_fold(gen_words):
+    """Petals at state 0, then: while two arcs leave one state with the
+    same signed letter, rename the larger of their targets to the smaller.
+    Returns the rows numbered shortlex breadth-first from state 0."""
+    arcs, n = set(), 1
+    for w in map(wreduce, gen_words):
+        s = 0
+        for j, x in enumerate(w):
+            t = 0 if j == len(w) - 1 else n
+            n += t != 0
+            arcs.add((s, x, t) if x > 0 else (t, -x, s))
+            s = t
+    while True:
+        seen, pair = {}, None
+        for s, x, t in sorted(arcs):
+            for a, y, b in ((s, x, t), (t, -x, s)):
+                if seen.get((a, y), b) != b:
+                    pair = sorted((seen[(a, y)], b))
+                seen[(a, y)] = b
+        if pair is None:
+            break
+        keep, gone = pair
+        arcs = {(keep if s == gone else s, x, keep if t == gone else t) for s, x, t in arcs}
+    rows = {0: {}}
+    for s, x, t in arcs:
+        rows.setdefault(s, {})[x] = t
+        rows.setdefault(t, {})[-x] = s
+    order = [0]
+    for v in order:
+        for x in sorted(rows[v], key=letter_key):
+            if rows[v][x] not in order:
+                order.append(rows[v][x])
+    num = {v: i for i, v in enumerate(order)}
+    return [{x: num[t] for x, t in rows[v].items()} for v in order]
+
+
+letters3 = st.sampled_from([1, -1, 2, -2, 3, -3])
+gen_lists = st.lists(st.lists(letters3, max_size=7).map(tuple), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen_lists)
+def test_fold_matches_naive_fold(gens):
+    naive = naive_fold(gens)
+    assert StallingsAutomaton.from_words(gens).delta == naive
+    assert StallingsAutomaton.from_words(gens, annotate=True).delta == naive
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen_lists.filter(any), st.lists(st.tuples(st.integers(0, 20), st.booleans()),
+                                       max_size=4),
+       st.lists(st.integers(-20, 20).filter(bool), max_size=6))
+def test_express_multiplies_back_over_dependent_lists(gens, products, word):
+    """Generators followed by products of earlier ones (a dependent list);
+    a product of them expresses as a word that multiplies back to it."""
+    gens = [wreduce(g) for g in gens]
+    for i, flip in products:
+        a, b = gens[i % len(gens)], gens[(i // 2) % len(gens)]
+        gens.append(wmul(a, winv(b) if flip else b))
+    target = ()
+    for s in word:
+        g = gens[(abs(s) - 1) % len(gens)]
+        target = wmul(target, g if s > 0 else winv(g))
+    expr = FreeGroup(3).express(target, gens)
+    assert expr is not None
+    acc = ()
+    for i, e in expr:
+        acc = wmul(acc, gens[i] if e > 0 else winv(gens[i]))
+    assert acc == target

@@ -418,6 +418,49 @@ def test_immersion_check(tmp_path, capsys):
     assert "VERDICT: immersion" in out
 
 
+def test_edge_image_outside_vertex_subgroup_is_an_invalid_morphism(tmp_path, capsys):
+    # the edge image aa of f does not lie in x's subgroup <ab>
+    imm = {"vertices": {"x": {"over": "u", "subgroup": ["ab"]},
+                        "y": {"over": "v", "subgroup": ["a"]}},
+           "edges": [{"name": "f", "from": "x", "to": "y", "over": "e", "subgroup": ["a"]}],
+           "basepoint": "x"}
+    path = write(tmp_path, "imm.json", imm)
+    assert main(["immersion-check", os.path.join(SAMPLES, "double_f2_squares.json"), path]) == 1
+    out = capsys.readouterr().out
+    assert "violation: edge-image-outside-vertex-group f alpha 0" in out
+    assert out.endswith("VERDICT: invalid-morphism\n")
+
+
+# Z as an edge group between free vertex groups, once abelian and once free
+Z_INTO_F2 = {"vertices": {"u": {"free": 2}},
+             "edges": [{"name": "e", "from": "u", "to": "u", "group": {"Z": True},
+                        "alpha": ["aa"], "omega": ["aaa"]}]}
+F1_INTO_F2 = {**Z_INTO_F2, "edges": [{**Z_INTO_F2["edges"][0], "group": {"free": 1}}]}
+
+
+def test_abelian_edge_group_into_free_vertex_group_validates(tmp_path, capsys):
+    assert main(["validate", write(tmp_path, "z.json", Z_INTO_F2)]) == 0
+    assert "VERDICT: ok" in capsys.readouterr().out
+
+
+def test_abelian_edge_group_pullback_matches_free_encoding(tmp_path, capsys):
+    P = write(tmp_path, "P.json", {"generators": [["a"], ["", "e", "b", "e^-1", ""]]})
+    Q = write(tmp_path, "Q.json", {"generators": [["aa"], ["", "e", "b", "e^-1", ""]]})
+    reports = []
+    for name, gog in (("z", Z_INTO_F2), ("f1", F1_INTO_F2)):
+        out = str(tmp_path / f"{name}.out.json")
+        assert main(["pullback", write(tmp_path, f"{name}.json", gog), P, Q,
+                     "--budget", "12", "--out", out]) == 0
+        reports.append(json.load(open(out)))
+    z, f1 = reports
+    # the edge groups' elements n of Z are the words a^n of F1
+    for h in z["edges"]:
+        h["group"] = [("a" if n > 0 else "A") * abs(n) for n in h["group"]]
+        h["witness"] = ("a" if h["witness"] > 0 else "A") * abs(h["witness"])
+    assert z == f1
+    assert any(h["group"] for h in f1["edges"])
+
+
 def test_w_construct(tmp_path, capsys):
     A = free_double_gog("aa", "aa")
     payload = gogio.serialize_gog(A, basepoint=0)
