@@ -8,7 +8,7 @@ handles unique per subgroup.
 
 from __future__ import annotations
 
-from ..intlattice import Lattice, lin_solve, preimage_lattice
+from ..intlattice import Lattice, LinSolver, lin_solve, preimage_lattice
 from ..words import primitive_root, winv
 
 
@@ -71,14 +71,16 @@ class AbelianSubgroup:
 class AbelianDoubleCosets:
     """H\\S/K for subgroups H, K of S (all of G when S is None).  In an
     abelian group a double coset H g K is the coset g + (H + K), so the
-    handle computes the HNF of H + K once and reduces modulo it."""
+    handle computes the HNF of H + K once and reduces modulo it; factor()
+    solves over the rows of H and K with one LinSolver, made on first use."""
 
-    __slots__ = ("group", "H", "K", "full", "lat")
+    __slots__ = ("group", "H", "K", "full", "lat", "_solver")
 
     def __init__(self, group, H, K, S=None):
         self.group, self.H, self.K = group, H, K
         self.full = group.FULL if S is None else S.lat
         self.lat = H.lat.sum(K.lat)
+        self._solver = None
 
     def canon(self, g):
         return self.lat.coset_canon(g)
@@ -89,8 +91,10 @@ class AbelianDoubleCosets:
     def factor(self, w, target):
         """(h, k) in H x K with target == h + w + k."""
         G, hrows = self.group, self.H.lat.rows
+        if self._solver is None:
+            self._solver = LinSolver([list(r) for r in hrows] + [list(r) for r in self.K.lat.rows])
         diff = [a - b for a, b in zip(target, w)]
-        sol = lin_solve([list(r) for r in hrows] + [list(r) for r in self.K.lat.rows], diff)
+        sol = self._solver.solve(diff)
         if sol is None:
             raise ValueError("target not in the double coset")
         h = [sum(c * r[j] for c, r in zip(sol, hrows)) for j in range(G.n)]

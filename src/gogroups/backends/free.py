@@ -523,7 +523,19 @@ class FreeGroup:
     # --- mono support ---
 
     def mono_injective(self, images, codomain):
-        return codomain.subgroup(images).rank() == self.rank
+        return self._free_rank_injective(self.rank, images, codomain)
 
     def sub_mono_injective(self, handle, images, codomain):
-        return codomain.subgroup(images).rank() == len(handle.gens)
+        return self._free_rank_injective(len(handle.gens), images, codomain)
+
+    @staticmethod
+    def _free_rank_injective(k, images, codomain):
+        """Whether the map from a free group of rank k (its basis to images)
+        is injective.  In a free codomain the images must have rank k.
+        Elsewhere (abelian or finite) a rank >= 2 domain is never injective,
+        being non-abelian, and a rank-1 domain is injective iff its image
+        has infinite order."""
+        image = codomain.subgroup(images)
+        if codomain.kind == "free":
+            return image.rank() == k
+        return k == 0 or (k == 1 and image.order() is None)

@@ -69,12 +69,17 @@ def _parse_immersion(data, A, base):
     return m, (b or 0)
 
 
-def _load_immersion(path, A, base):
+def _load_immersion(path, A, base, check=False):
     """(immersion, source basepoint); base is the gog's basepoint, vertex 0
-    when its file names none.  Generators are realized by folding."""
+    when its file names none.  Generators are realized by folding.  With
+    check, a morphism file that fails validate_morphism is an input error
+    naming its first violation (folded generators always give a morphism)."""
     base = base or 0
     parsed = _read(path, "immersion", lambda data: _parse_immersion(data, A, base))
     if isinstance(parsed, tuple):
+        violations = validate_morphism(parsed[0]) if check else []
+        if violations:
+            raise CliError(f"{path} is not a morphism: {' '.join(map(str, violations[0]))}")
         return parsed
     try:
         return realize_subgroup(A, base, parsed)
@@ -85,8 +90,8 @@ def _load_immersion(path, A, base):
 def _load_product(args):
     """The product of the two immersions, expanded from their basepoints."""
     A, base = _load_gog(args.gog)
-    m1, b1 = _load_immersion(args.first, A, base)
-    m2, b2 = _load_immersion(args.second, A, base)
+    m1, b1 = _load_immersion(args.first, A, base, check=True)
+    m2, b2 = _load_immersion(args.second, A, base, check=True)
     u1, u2 = m1.vmap[b1], m2.vmap[b2]
     if u1 != u2:
         raise CliError(f"the basepoints of {args.first} and {args.second} lie over "

@@ -4,6 +4,13 @@ A graph of groups assigns a group backend to every vertex, one to every edge
 pair (shared by the two halves), and injective edge maps into the endpoint
 vertex groups.  The alpha map of the positive half doubles as the omega map
 of the negative half, so the pair is stored once.
+
+Only the public APath constructor checks that a path's edges are
+consecutive: it is how paths from files and user code come in.  The
+operations here build their results from paths already checked, whose end
+vertex they know, through the unchecked _apath.  Britton reduction of a
+concatenation p . q of a reduced p starts at the seam (reduce_concat): the
+scan before it only meets pinch-free positions of p.
 """
 
 from __future__ import annotations
@@ -70,7 +77,10 @@ def validate_gog(A):
 
 
 class APath:
-    """Alternating sequence (a0, e1, a1, ..., ek, ak) based at a vertex."""
+    """Alternating sequence (a0, e1, a1, ..., ek, ak) based at a vertex.
+
+    The constructor checks that the edges are consecutive; operations on
+    checked paths build their results with the unchecked _apath."""
 
     def __init__(self, gog, base, elems, edges):
         if len(elems) != len(edges) + 1:
@@ -101,15 +111,33 @@ class APath:
         return v
 
     def __repr__(self):
-        gog, g = self.gog, self.gog.graph
+        vgroups, t, name = self.gog.vgroups, self.gog.graph.t, self.gog.graph.edge_name
+        elems = self.elems
         parts = []
+        add = parts.append
+        # long paths repeat a few elements and edges: render each once
+        text, crossing = {}, {}
         v = self.base
         for i, e in enumerate(self.edges):
-            parts.append(gog.vgroups[v].serialize(self.elems[i]).__repr__())
-            parts.append(g.edge_name(e))
-            v = g.t(e)
-        parts.append(gog.vgroups[v].serialize(self.elems[-1]).__repr__())
-        return "APath[" + ", ".join(str(x) for x in parts) + "]"
+            s = text.get((v, elems[i]))
+            if s is None:
+                s = text[(v, elems[i])] = repr(vgroups[v].serialize(elems[i]))
+            add(s)
+            c = crossing.get(e)
+            if c is None:
+                c = crossing[e] = (name(e), t(e))
+            add(c[0])
+            v = c[1]
+        add(repr(vgroups[v].serialize(elems[-1])))
+        return "APath[" + ", ".join(parts) + "]"
+
+
+def _apath(gog, base, elems, edges, end):
+    """An APath from fresh lists whose edges are known to run from base to
+    end; no check."""
+    p = object.__new__(APath)
+    p.gog, p.base, p.elems, p.edges, p.end = gog, base, elems, edges, end
+    return p
 
 
 def apath_concat(p, q):
@@ -119,27 +147,31 @@ def apath_concat(p, q):
         raise ValueError("paths are not composable")
     G = p.gog.vgroups[p.end]
     elems = p.elems[:-1] + [G.mul(p.elems[-1], q.elems[0])] + q.elems[1:]
-    return APath(p.gog, p.base, elems, p.edges + q.edges)
+    return _apath(p.gog, p.base, elems, p.edges + q.edges, q.end)
 
 
 def apath_inverse(p):
     gog = p.gog
+    vgroups, t = gog.vgroups, gog.graph.t
+    # long paths repeat a few elements: invert each once
+    inverse = {}
     elems = []
-    v_seq = [p.base]
-    for e in p.edges:
-        v_seq.append(gog.graph.t(e))
-    for i in range(len(p.elems) - 1, -1, -1):
-        elems.append(gog.vgroups[v_seq[i]].inv(p.elems[i]))
+    for v, x in zip([p.base] + [t(e) for e in p.edges], p.elems):
+        y = inverse.get((v, x))
+        if y is None:
+            y = inverse[(v, x)] = vgroups[v].inv(x)
+        elems.append(y)
+    elems.reverse()
     edges = [einv(e) for e in reversed(p.edges)]
-    return APath(gog, p.end, elems, edges)
+    return _apath(gog, p.end, elems, edges, p.base)
 
 
-def reduce_apath(p):
-    """Britton reduction: remove pinches (e, omega_e(x), e^-1) -> alpha_e(x)."""
+def _reduce_from(p, i):
+    """Britton reduction of p, scanning for pinches from position i on; p
+    must have no pinch at a position before i."""
     gog = p.gog
     elems = list(p.elems)
     edges = list(p.edges)
-    i = 0
     while i < len(edges) - 1:
         e = edges[i]
         if edges[i + 1] == einv(e):
@@ -155,7 +187,26 @@ def reduce_apath(p):
                 i = max(i - 1, 0)
                 continue
         i += 1
-    return APath(gog, p.base, elems, edges)
+    return _apath(gog, p.base, elems, edges, p.end)
+
+
+def reduce_apath(p):
+    """Britton reduction: remove pinches (e, omega_e(x), e^-1) -> alpha_e(x)."""
+    return _reduce_from(p, 0)
+
+
+def reduce_concat(p, q):
+    """reduce_apath(apath_concat(p, q)) for a reduced p.
+
+    The scan starts at the seam, position len(p) - 1: every earlier position
+    only sees edges and inner elements of p, which has no pinch, so the
+    left-to-right scan of the whole concatenation passes them unchanged and
+    reaches the seam in the same state (Britton 1963; the same fact is
+    behind the A-path foldings of Kapovich-Weidmann-Miasnikov 2005).  For
+    any p, reduce_concat(reduce_apath(p), q) is reduce_apath(p . q) too:
+    the scan of p . q reaches the seam of reduce_apath(p) in the state where
+    the scan of p alone ends."""
+    return _reduce_from(apath_concat(p, q), max(len(p.edges) - 1, 0))
 
 
 def is_reduced(p):

@@ -108,30 +108,38 @@ def hnf(rows, n=None, transform=False):
     return basis
 
 
+class LinSolver:
+    """Integer solves x . rows == target over fixed rows.  The HNF of the
+    rows and its transform U are computed once; each solve is one
+    back-substitution through the HNF basis, then x = coeffs . U."""
+
+    __slots__ = ("m", "basis", "pivots", "U")
+
+    def __init__(self, rows):
+        self.m = len(rows)
+        self.basis, self.U, _ = hnf(rows, transform=True) if rows else ([], [], [])
+        self.pivots = [next(k for k in range(len(r)) if r[k]) for r in self.basis]
+
+    def solve(self, target):
+        """One integer solution x with sum_i x[i]*rows[i] == target, or None."""
+        t = list(target)
+        n = len(t)
+        x = [0] * self.m
+        for r, j, u in zip(self.basis, self.pivots, self.U):
+            q, rem = divmod(t[j], r[j])
+            if rem:
+                return None
+            if q:
+                for k in range(j, n):
+                    t[k] -= q * r[k]
+                for k in range(self.m):
+                    x[k] += q * u[k]
+        return None if any(t) else x
+
+
 def lin_solve(rows, target):
     """One integer solution x with sum_i x[i]*rows[i] == target, or None."""
-    if not rows:
-        return [] if not any(target) else None
-    basis, U, _ = hnf(rows, transform=True)
-    n = len(target)
-    t = list(target)
-    coeffs = [0] * len(basis)
-    for i, r in enumerate(basis):
-        j = next(k for k in range(n) if r[k])
-        if t[j] % r[j] != 0:
-            return None
-        q = t[j] // r[j]
-        coeffs[i] = q
-        for k in range(n):
-            t[k] -= q * r[k]
-    if any(t):
-        return None
-    x = [0] * len(rows)
-    for i, q in enumerate(coeffs):
-        if q:
-            for k in range(len(rows)):
-                x[k] += q * U[i][k]
-    return x
+    return LinSolver(rows).solve(target)
 
 
 def kernel(rows, n=None):
@@ -275,14 +283,7 @@ class Lattice:
         return len(self.rows)
 
     def contains(self, vec):
-        v = list(vec)
-        for r, j in zip(self.rows, self._pivots):
-            if v[j] % r[j] != 0:
-                return False
-            q = v[j] // r[j]
-            for k in range(j, self.n):
-                v[k] -= q * r[k]
-        return not any(v)
+        return self.solve(vec) is not None
 
     def coset_canon(self, vec):
         """Canonical representative of vec + L (entries over pivots reduced)."""
@@ -315,8 +316,19 @@ class Lattice:
         return all(other.contains(r) for r in self.rows)
 
     def solve(self, target):
-        """Integer coefficients over self.rows producing target, or None."""
-        return lin_solve([list(r) for r in self.rows], list(target))
+        """Integer coefficients over self.rows producing target, or None: a
+        back-substitution, since the rows are already in HNF."""
+        v = list(target)
+        coeffs = []
+        for r, j in zip(self.rows, self._pivots):
+            q, rem = divmod(v[j], r[j])
+            if rem:
+                return None
+            coeffs.append(q)
+            if q:
+                for k in range(j, self.n):
+                    v[k] -= q * r[k]
+        return None if any(v) else coeffs
 
     def in_coords_of(self, other):
         """Matrix C with self.rows[i] == C[i] . other.rows (self <= other)."""

@@ -15,7 +15,19 @@ for them (component_label, intersection_generators): walking the tree edges
 from the base vertex, each step pushes the previous anchor across the edge
 and absorbs the recorded factors.  The defining invariant (anchor1 . witness
 . anchor2^-1 = component label) makes intersection generators fall out of the
-spanning tree.
+spanning tree.  Each anchor extends its tree parent's, which is reduced, so
+it is reduced from the seam on (gog.reduce_concat), as are the generator
+paths built from anchors.
+
+The fragment keeps, for its lifetime, every piece of work that does not
+depend on a witness.  Besides the double-coset handles per vertex pair and
+per edge pair, an abelian expansion keeps one fan per (v, w, f, g): the
+matrix M of alpha-images of the edge group's generators, a LinSolver over M
+plus H + K, the preimage lattice P of H + K under M, and the transversal of
+E1 + E2 in P (or why it cannot be listed).  Each vertex then costs one
+back-substitution for its own target.  Vertex and edge groups are computed
+once each, on first request, and shared by to_json, the intersection
+generators and the ray certificate.
 """
 
 from __future__ import annotations
@@ -23,12 +35,19 @@ from __future__ import annotations
 from collections import deque
 from math import gcd
 
-from .gog import APath, apath_concat, apath_inverse, reduce_apath
+from .backends.base import evaluate_word
+from .gog import APath, apath_concat, apath_inverse, reduce_concat
 from .graphs import einv
+from .intlattice import Lattice, LinSolver, preimage_lattice
 
 
 class UnsupportedExpansion(Exception):
     pass
+
+
+def _element(G, gens, vec):
+    """The element of G with coordinate vector vec over gens."""
+    return evaluate_word(G, gens, [(i, c) for i, c in enumerate(vec) if c])
 
 
 class ProductVertex:
@@ -87,6 +106,9 @@ class AProductFragment:
         # double-coset handles, kept for the fragment's lifetime:
         self.vertex_dcs = {}      # (v, w) -> mu1(B_v) \ A_u / mu2(C_w)
         self.edge_dcs = {}        # (f, g) pair indices -> E1 \ A_e / E2
+        self.fans = {}            # (v, w, f, g) -> _abelian_fan of the four
+        self.vertex_groups = {}   # vertex index -> its vertex group
+        self.edge_groups = {}     # edge index -> its edge group
 
     # --- vertex/edge group handles ---
 
@@ -114,22 +136,31 @@ class AProductFragment:
         return dc
 
     def vertex_group(self, idx):
-        x = self.vertices[idx]
-        return self._sub1(x.v).conjugate(x.witness).intersect(self._sub2(x.w))
+        """mu1(B_v)^witness meet mu2(C_w), made once per vertex."""
+        D = self.vertex_groups.get(idx)
+        if D is None:
+            x = self.vertices[idx]
+            D = self.vertex_groups[idx] = (
+                self._sub1(x.v).conjugate(x.witness).intersect(self._sub2(x.w)))
+        return D
 
     def edge_group(self, eidx):
-        h = self.edges[eidx]
-        E1 = self.m1.edge_image_handle(h.f >> 1)
-        E2 = self.m2.edge_image_handle(h.g >> 1)
-        return E1.conjugate(h.rep).intersect(E2)
+        """E1^rep meet E2, made once per edge."""
+        E = self.edge_groups.get(eidx)
+        if E is None:
+            h = self.edges[eidx]
+            E1 = self.m1.edge_image_handle(h.f >> 1)
+            E2 = self.m2.edge_image_handle(h.g >> 1)
+            E = self.edge_groups[eidx] = E1.conjugate(h.rep).intersect(E2)
+        return E
 
     def component_label(self, idx):
         """Witness A-path for the component's double coset B g C."""
         x = self.vertices[idx]
         u = self.m1.vmap[x.v]
         middle = APath(self.A, u, [x.witness], [])
-        return reduce_apath(apath_concat(apath_concat(self._anchor(idx, True, {}), middle),
-                                         apath_inverse(self._anchor(idx, False, {}))))
+        return reduce_concat(apath_concat(self._anchor(idx, True, {}), middle),
+                             apath_inverse(self._anchor(idx, False, {})))
 
     def _anchor(self, idx, first, memo):
         """anchor1 (first) or anchor2 of vertex idx, built along its tree
@@ -137,7 +168,8 @@ class AProductFragment:
         already built on the same side.
 
         anchor(dst) = anchor(src) . pre . step . post with the crossing of
-        the tree edge, reduced after the step and again after post."""
+        the tree edge, reduced from the seam of the step.  pre and post have
+        no edges, so anchor(src) . pre is reduced and post adds no pinch."""
         chain = []
         while idx not in memo and self.vertices[idx].tree_edge is not None:
             chain.append(idx)
@@ -149,8 +181,8 @@ class AProductFragment:
         anchor = memo[idx]
         for i in reversed(chain):
             pre, step, post = self._crossing(self.edges[self.vertices[i].tree_edge], first)
-            anchor = reduce_apath(apath_concat(apath_concat(anchor, pre), step))
-            memo[i] = anchor = reduce_apath(apath_concat(anchor, post))
+            anchor = reduce_concat(apath_concat(anchor, pre), step)
+            memo[i] = anchor = apath_concat(anchor, post)
         return anchor
 
     def _crossing(self, h, first):
@@ -278,7 +310,7 @@ class AProductFragment:
             raws = [(a, raw) for a, raw in raws if dc.eq(x.witness, raw)]
         elif kind == "abelian":
             raws = [(rep, o_raw(rep)) for rep in
-                    self._solve_abelian(x, Ge, dc, edc, f_a, g_a, alpha)]
+                    self._solve_abelian(x, f, g, Ge, dc, edc, f_a, g_a, alpha)]
         elif kind == "free":
             raws = [(rep, o_raw(rep)) for rep in
                     self._solve_free_cyclic(x, Ge, dc, edc, f_a, g_a, alpha)]
@@ -286,25 +318,49 @@ class AProductFragment:
             raise UnsupportedExpansion(f"no expansion solver for vertex backend {kind}")
         return [(rep, *dc.factor(x.witness, raw)) for rep, raw in raws]
 
-    def _solve_abelian(self, x, Ge, dc, edc, f_a, g_a, alpha):
-        from .intlattice import lin_solve, preimage_lattice
-        if getattr(Ge, "kind", None) != "abelian":
-            raise UnsupportedExpansion("abelian vertex with non-abelian edge group")
+    def _solve_abelian(self, x, f, g, Ge, dc, edc, f_a, g_a, alpha):
+        gens, solver, reps, error = self._abelian_fan(x.v, x.w, f, g, Ge, dc, edc, alpha)
         # alpha(a) must fall in witness - f_a + g_a + (H + K)
-        target = [xw - fa + ga for xw, fa, ga in zip(x.witness, f_a, g_a)]
-        M = [list(alpha.apply(gen)) for gen in Ge.generators()]
-        rows = M + [list(r) for r in dc.lat.rows]
-        sol = lin_solve(rows, target)
+        sol = solver.solve([xw - fa + ga for xw, fa, ga in zip(x.witness, f_a, g_a)])
         if sol is None:
             return []
-        a0 = Ge.canon(tuple(sol[:len(M)]))
-        P = preimage_lattice(M, Ge.n, dc.lat)
-        Se = edc.lat
-        if not Se.is_sublattice_of(P):
-            raise UnsupportedExpansion("edge-group cosets do not refine the fan")
-        if Se.index_in(P) is None:
-            raise UnsupportedExpansion("infinite-edge-fan")
-        return [Ge.mul(a0, Ge.canon(tuple(rep))) for rep in Se.transversal(P)]
+        if error:
+            raise UnsupportedExpansion(error)
+        a0 = _element(Ge, gens, sol[:len(gens)])
+        return [Ge.mul(a0, rep) for rep in reps]
+
+    def _abelian_fan(self, v, w, f, g, Ge, dc, edc, alpha):
+        """The part of _solve_abelian that does not depend on the witness,
+        made once per (v, w, f, g): (gens, solver, reps, error).  Elements
+        of Ge are read as coordinate vectors over gens: its own coordinates
+        when Ge is abelian, the exponent n of a^n when Ge is free of rank 1.
+        The solver works over the rows of M = alpha(gens) plus H + K; reps
+        is the transversal of E1 + E2 in P = {a : alpha(a) in H + K}, or
+        error says why the fan cannot be listed."""
+        fan = self.fans.get((v, w, f, g))
+        if fan is None:
+            gens = Ge.generators()
+            kind = getattr(Ge, "kind", None)
+            if kind == "abelian":
+                n, Se = Ge.n, edc.lat
+            elif kind == "free" and len(gens) <= 1:
+                n = len(gens)
+                Se = Lattice(n, [[sum(c for _, c in Ge.decompose(h))]
+                                 for h in edc.H.gens + edc.K.gens])
+            else:
+                raise UnsupportedExpansion("abelian vertex with non-abelian edge group")
+            M = [list(alpha.apply(gen)) for gen in gens]
+            solver = LinSolver(M + [list(r) for r in dc.lat.rows])
+            P = preimage_lattice(M, n, dc.lat)
+            reps, error = [], None
+            if not Se.is_sublattice_of(P):
+                error = "edge-group cosets do not refine the fan"
+            elif Se.index_in(P) is None:
+                error = "infinite-edge-fan"
+            else:
+                reps = [_element(Ge, gens, rep) for rep in Se.transversal(P)]
+            fan = self.fans[(v, w, f, g)] = (gens, solver, reps, error)
+        return fan
 
     def _solve_free_cyclic(self, x, Ge, dc, edc, f_a, g_a, alpha):
         from .backends.rational import PowerPattern
@@ -366,18 +422,17 @@ class AProductFragment:
                     continue
                 b_elt = Au.mul(Au.mul(x.witness, d), Au.inv(x.witness))
                 a = self._anchor(i, True, anchor1)
-                path = reduce_apath(apath_concat(apath_concat(
-                    a, APath(self.A, u, [b_elt], [])), apath_inverse(a)))
-                gens.append(path)
+                gens.append(reduce_concat(apath_concat(a, APath(self.A, u, [b_elt], [])),
+                                          apath_inverse(a)))
         for h in self.edges:
             if h.tree or h.src not in base_idxs:
                 continue
-            # anchor1(src) . bc0^-1 . step over e . bc1 . anchor1(dst)^-1
+            # anchor1(src) . bc0^-1 . step over e . bc1 . anchor1(dst)^-1,
+            # reduced seam by seam: the same path as one scan (reduce_concat)
             pre, step, post = self._crossing(h, True)
-            z = apath_concat(apath_concat(apath_concat(
-                self._anchor(h.src, True, anchor1), pre), step), post)
-            gens.append(reduce_apath(apath_concat(
-                z, apath_inverse(self._anchor(h.dst, True, anchor1)))))
+            z = reduce_concat(apath_concat(self._anchor(h.src, True, anchor1), pre), step)
+            gens.append(reduce_concat(apath_concat(z, post),
+                                      apath_inverse(self._anchor(h.dst, True, anchor1))))
         return gens, self.base_component_exact()
 
     def ray_certificate(self, min_periods=3):

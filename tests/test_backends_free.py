@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gogroups.backends import FreeGroup, Mono, StallingsAutomaton
+from gogroups.backends import AbelianGroup, FreeGroup, Mono, StallingsAutomaton
 from gogroups.words import format_word, letter_key, parse_word, winv, wmul, wpow, wreduce
 
 
@@ -339,3 +339,11 @@ def test_express_multiplies_back_over_dependent_lists(gens, products, word):
     for i, e in expr:
         acc = wmul(acc, gens[i] if e > 0 else winv(gens[i]))
     assert acc == target
+
+
+def test_mono_injective_into_abelian_codomain():
+    Z, Z3 = AbelianGroup.Z(), AbelianGroup(0, [3])
+    assert Mono(FreeGroup(1), Z, [(2,)]).is_injective()
+    assert not Mono(FreeGroup(1), Z, [(0,)]).is_injective()
+    assert not Mono(FreeGroup(1), Z3, [(1,)]).is_injective()
+    assert not Mono(FreeGroup(2), AbelianGroup(2), [(1, 0), (0, 1)]).is_injective()

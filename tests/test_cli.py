@@ -431,6 +431,21 @@ def test_edge_image_outside_vertex_subgroup_is_an_invalid_morphism(tmp_path, cap
     assert out.endswith("VERDICT: invalid-morphism\n")
 
 
+def test_pullback_and_intersect_reject_a_file_that_is_not_a_morphism(tmp_path, capsys):
+    imm = {"vertices": {"x": {"over": "u", "subgroup": ["ab"]},
+                        "y": {"over": "v", "subgroup": ["a"]}},
+           "edges": [{"name": "f", "from": "x", "to": "y", "over": "e", "subgroup": ["a"]}],
+           "basepoint": "x"}
+    path = write(tmp_path, "imm.json", imm)
+    gog = os.path.join(SAMPLES, "double_f2_squares.json")
+    for cmd in ("pullback", "intersect"):
+        assert main([cmd, gog, path, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path} is not a morphism: "
+                                "edge-image-outside-vertex-group f alpha 0\n")
+
+
 # Z as an edge group between free vertex groups, once abelian and once free
 Z_INTO_F2 = {"vertices": {"u": {"free": 2}},
              "edges": [{"name": "e", "from": "u", "to": "u", "group": {"Z": True},
@@ -514,3 +529,33 @@ def test_gog_roundtrip_through_files():
         assert B.graph.nv == A.graph.nv
         assert B.graph.n_pairs == A.graph.n_pairs
         assert gogio.serialize_gog(B, basepoint=base) == payload
+
+
+# Z as an edge group of Z, once abelian and once free of rank 1
+Z_INTO_Z = {"vertices": {"u": {"Z": True}},
+            "edges": [{"name": "e", "from": "u", "to": "u", "group": {"Z": True},
+                       "alpha": [1], "omega": [2]}]}
+F1_INTO_Z = {**Z_INTO_Z, "edges": [{**Z_INTO_Z["edges"][0], "group": {"free": 1}}]}
+
+
+def test_free_edge_group_into_abelian_vertex_group_validates(tmp_path, capsys):
+    assert main(["validate", write(tmp_path, "f1.json", F1_INTO_Z)]) == 0
+    assert "VERDICT: ok" in capsys.readouterr().out
+
+
+def test_free_edge_group_pullback_matches_abelian_encoding(tmp_path, capsys):
+    P = write(tmp_path, "P.json", {"generators": [[3], [1, "e", 0]]})
+    Q = write(tmp_path, "Q.json", {"generators": [[6], [1, "e", 1]]})
+    reports = []
+    for name, gog in (("z", Z_INTO_Z), ("f1", F1_INTO_Z)):
+        out = str(tmp_path / f"{name}.out.json")
+        assert main(["pullback", write(tmp_path, f"{name}.json", gog), P, Q,
+                     "--budget", "12", "--out", out]) == 0
+        reports.append(json.load(open(out)))
+    z, f1 = reports
+    # the edge groups' elements n of Z are the words a^n of F1
+    for h in z["edges"]:
+        h["group"] = [("a" if n > 0 else "A") * abs(n) for n in h["group"]]
+        h["witness"] = ("a" if h["witness"] > 0 else "A") * abs(h["witness"])
+    assert z == f1
+    assert len(f1["edges"]) == 2 and all(h["group"] for h in f1["edges"])

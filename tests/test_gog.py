@@ -1,11 +1,17 @@
-import pytest
+import json
+import os
 from random import Random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
+from gogroups.backends.base import evaluate_word
 from gogroups.gog import (APath, GraphOfGroups, apath_concat, apath_inverse,
                           apaths_equal, cyclically_reduce, gog_core,
                           gog_core_at, is_cyclically_reduced, is_reduced,
-                          reduce_apath, reduce_gog, validate_gog)
+                          reduce_apath, reduce_concat, reduce_gog, validate_gog)
+from gogroups.gogio import parse_gog
 from gogroups.graphs import Graph
 from gogroups.library import bs_gog, klein_amalgam_gog, nofgip_gog, segment_z_gog
 
@@ -237,3 +243,72 @@ def test_apaths_equal_is_congruence():
             # congruence under concatenation on both sides
             assert apaths_equal(apath_concat(p, r), apath_concat(q, r))
             assert apaths_equal(apath_concat(r, p), apath_concat(r, q))
+
+
+SAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "samples")
+SEAM_GOGS = ["bs_1_2", "bs_2_3", "zsquared_hnn", "klein_amalgam"]
+
+
+def sample_gog(name):
+    with open(os.path.join(SAMPLES, name + ".json")) as fh:
+        return parse_gog(json.load(fh))[0]
+
+
+def random_elem(G, rng):
+    gens = G.generators()
+    return evaluate_word(G, gens, [(i, rng.randint(-3, 3)) for i in range(len(gens))])
+
+
+def random_apath(A, rng, v, length):
+    out = A.graph.out_edges()
+    base, elems, edges = v, [], []
+    for _ in range(length):
+        elems.append(random_elem(A.vgroups[v], rng))
+        edges.append(rng.choice(out[v]))
+        v = A.graph.t(edges[-1])
+    elems.append(random_elem(A.vgroups[v], rng))
+    return APath(A, base, elems, edges)
+
+
+def seam_pair(A, rng):
+    """(p_raw, p, q): p is the reduction of p_raw, and q is reduced and
+    starts where p ends, by retracing part of p backwards with some elements
+    moved, so the seam often pinches several times over."""
+    p_raw = random_apath(A, rng, rng.randrange(A.graph.nv), rng.randint(0, 7))
+    p = reduce_apath(p_raw)
+    back = apath_inverse(p)
+    k = rng.randint(0, len(back.edges))
+    elems = list(back.elems[:k + 1])
+    for i in range(len(elems)):
+        if rng.random() < 0.3:
+            G = A.vgroups[back.vertex_at(i)]
+            elems[i] = G.mul(elems[i], random_elem(G, rng))
+    retrace = APath(A, back.base, elems, back.edges[:k])
+    tail = random_apath(A, rng, retrace.end, rng.randint(0, 4))
+    return p_raw, p, reduce_apath(apath_concat(retrace, tail))
+
+
+def fields(p):
+    return p.base, p.end, p.elems, p.edges
+
+
+@settings(deadline=None, max_examples=400)
+@given(name=st.sampled_from(SEAM_GOGS), seed=st.integers(0, 2**32 - 1))
+def test_reduce_concat_is_the_reduction_of_the_concatenation(name, seed):
+    A = sample_gog(name)
+    p_raw, p, q = seam_pair(A, Random(seed))
+    got = reduce_concat(p, q)
+    assert fields(got) == fields(reduce_apath(apath_concat(p, q)))
+    assert got.end == APath(A, got.base, got.elems, got.edges).end
+    # reducing a prefix first and the rest from its seam is one full scan
+    assert fields(got) == fields(reduce_apath(apath_concat(p_raw, q)))
+
+
+def test_apath_constructor_rejects_non_consecutive_edges():
+    A = sample_gog("klein_amalgam")   # one edge, u -> v
+    Z = A.vgroups[0]
+    assert APath(A, 0, [(1,), (0,), (2,)], [0, 1]).end == 0
+    with pytest.raises(ValueError, match="not consecutive"):
+        APath(A, 0, [(1,), (0,), (2,)], [0, 0])
+    with pytest.raises(ValueError, match="not consecutive"):
+        APath(A, 1, [Z.identity(), Z.identity()], [0])

@@ -13,6 +13,7 @@ Regenerate the stored files, only when an output change is intended, with
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -138,6 +139,40 @@ def test_golden(name, argv, suffixes, tmp_path):
     assert stdout == _read(os.path.join(GOLDEN, name + ".txt"))
     for s, text in artifacts.items():
         assert text == _read(os.path.join(GOLDEN, f"{name}.{s}"))
+
+
+# Long-path pins: at budget 128 the anchors of the zsquared pair are long
+# enough for Britton reduction at the seams to cascade.  sha256 of stdout and
+# of each artifact, generated by the code before anchors were reduced from
+# the seam on; regenerate() leaves them alone.
+LONG_PAIR = ("zsquared_hnn", "zsquared_hnn_sub_C", "zsquared_hnn_sub_B", 128)
+LONG_PINS = {
+    "pullback": {
+        "stdout": "7c727ee5911e48224afd8164b1d0e4b0a94d6f6d692284e67a2ba84a607c028d",
+        "out.json": "d3ed5a34891315570e9fe38caeb7545136df5aa28c1f411ff66740d375d68f88",
+        "dot": "779bbd9e60db5431ab63acf451ef00e70c6335bc8fd5e9c532a0344db7543a71",
+    },
+    "intersect": {
+        "stdout": "df904b2244866668d56c183376e039769f3f9f4b9ba35e0dbd2d30f6fe09dbc6",
+    },
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cmd", sorted(LONG_PINS))
+def test_long_path_pins(cmd, tmp_path):
+    g, first, second, budget = LONG_PAIR
+    suffixes = tuple(s for s in LONG_PINS[cmd] if s != "stdout")
+    argv = [cmd, _path(g), _path(first), _path(second), "--budget", str(budget)]
+    if suffixes:
+        argv += ["--out", "{out}", "--dot", "{dot}"]
+    code, stdout, artifacts = run_case(argv, suffixes, str(tmp_path))
+    assert code == 0
+    got = {"stdout": _sha256(stdout), **{s: _sha256(t) for s, t in artifacts.items()}}
+    assert got == LONG_PINS[cmd]
 
 
 def regenerate():

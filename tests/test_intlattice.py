@@ -1,6 +1,8 @@
 from random import Random
 
-from gogroups.intlattice import (Lattice, det, hnf, kernel, lin_solve,
+from hypothesis import given, settings, strategies as st
+
+from gogroups.intlattice import (Lattice, LinSolver, det, hnf, kernel, lin_solve,
                                  preimage_lattice, smith, xgcd)
 
 
@@ -67,6 +69,68 @@ def test_lin_solve():
 def test_lin_solve_unsolvable():
     assert lin_solve([[2, 0]], [1, 0]) is None
     assert lin_solve([[2, 0]], [0, 1]) is None
+
+
+def _one_shot_lin_solve(rows, target):
+    """lin_solve as it was before LinSolver: a transform HNF per call."""
+    if not rows:
+        return [] if not any(target) else None
+    basis, U, _ = hnf(rows, transform=True)
+    n = len(target)
+    t = list(target)
+    coeffs = [0] * len(basis)
+    for i, r in enumerate(basis):
+        j = next(k for k in range(n) if r[k])
+        if t[j] % r[j] != 0:
+            return None
+        q = t[j] // r[j]
+        coeffs[i] = q
+        for k in range(n):
+            t[k] -= q * r[k]
+    if any(t):
+        return None
+    x = [0] * len(rows)
+    for i, q in enumerate(coeffs):
+        if q:
+            for k in range(len(rows)):
+                x[k] += q * U[i][k]
+    return x
+
+
+@st.composite
+def matrix_and_targets(draw):
+    """(rows, targets): an integer matrix (possibly without rows) and
+    targets both inside and (mostly) outside its row lattice."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
+    targets = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+    for coeffs in draw(st.lists(st.lists(st.integers(-4, 4), min_size=len(rows),
+                                         max_size=len(rows)), min_size=1, max_size=4)):
+        targets.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+    return rows, targets
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=matrix_and_targets())
+def test_lin_solver_matches_one_shot_lin_solve(case):
+    rows, targets = case
+    solver = LinSolver([r[:] for r in rows])
+    for t in targets:
+        want = _one_shot_lin_solve([r[:] for r in rows], t)
+        assert solver.solve(t) == want
+        assert lin_solve([r[:] for r in rows], t) == want
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=matrix_and_targets())
+def test_lattice_solve_matches_lin_solve_over_its_rows(case):
+    rows, targets = case
+    n = len(targets[0])
+    L = Lattice(n, rows)
+    for t in targets:
+        want = lin_solve([list(r) for r in L.rows], t)
+        assert L.solve(t) == want == _one_shot_lin_solve([list(r) for r in L.rows], t)
 
 
 def test_kernel():
