@@ -149,14 +149,18 @@ class AbelianGroup:
     def identity(self):
         return tuple([0] * self.n)
 
+    # each result is built once, and reduced only when there is torsion
     def mul(self, x, y):
-        return self.canon(tuple(a + b for a, b in zip(x, y)))
+        z = tuple([a + b for a, b in zip(x, y)])
+        return self.canon(z) if self.torsion else z
 
     def inv(self, x):
-        return self.canon(tuple(-a for a in x))
+        z = tuple([-a for a in x])
+        return self.canon(z) if self.torsion else z
 
     def pow(self, x, n):
-        return self.canon(tuple(n * a for a in x))
+        z = tuple([n * a for a in x])
+        return self.canon(z) if self.torsion else z
 
     def eq(self, x, y):
         return x == y

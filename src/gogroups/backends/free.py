@@ -19,18 +19,49 @@ from .rational import CosetNFA
 
 
 def _bfs(delta, alive=None):
-    """Shortlex breadth-first search from state 0 over letter -> state rows,
-    skipping the states where `alive` is false: the states reached, in visit
-    order, and the tree arc (parent, letter) by which each was reached."""
-    order, tree = [0], {0: None}
+    """Shortlex breadth-first search from state 0 over letter -> state rows
+    (None for a state folded away), skipping the states where `alive` is
+    false: the states reached, in visit order; the tree arc (parent, letter)
+    by which each was reached; and the positive non-tree arcs (v, letter, t)
+    in visit then letter order.  Every row is walked in one letter order,
+    sorted once."""
+    letters = sorted({x for row in delta if row for x in row}, key=letter_key)
+    order, tree, nontree = [0], {0: None}, []
     for v in order:
         row = delta[v]
-        for x in sorted(row, key=letter_key):
-            t = row[x]
-            if t not in tree and (alive is None or alive[t]):
+        for x in letters:
+            t = row.get(x)
+            if t is None or (alive is not None and not alive[t]):
+                continue
+            if t not in tree:
                 tree[t] = (v, x)
                 order.append(t)
-    return order, tree
+            elif x > 0 and tree[v] != (t, -x):
+                nontree.append((v, x, t))
+    return order, tree, nontree
+
+
+def _core(delta):
+    """Whether each state is in the core: a worklist holds the states (base
+    exempt) whose valence among live states has dropped to <= 1, and
+    removing one lowers the valence of its neighbours.  Rows folded away
+    (None) are dead too.  The core is unique, so the order of removal does
+    not matter."""
+    n = len(delta)
+    deg = [len(row or ()) for row in delta]
+    alive = [True] * n
+    queue = [s for s in range(1, n) if deg[s] <= 1]
+    while queue:
+        s = queue.pop()
+        if not alive[s]:
+            continue
+        alive[s] = False
+        for t in (delta[s] or {}).values():
+            if alive[t]:
+                deg[t] -= 1
+                if t and deg[t] == 1:
+                    queue.append(t)
+    return alive
 
 
 def _renumbered(delta, order):
@@ -38,6 +69,75 @@ def _renumbered(delta, order):
     to other states dropped; and the renaming."""
     new = {v: i for i, v in enumerate(order)}
     return [{x: new[t] for x, t in delta[v].items() if t in new} for v in order], new
+
+
+def _fold(gen_words, annotate=False):
+    """Fold the petals spelling gen_words at the base, without numbering:
+    the rows letter -> state, None for a state folded away, and the same
+    rows with each arc's annotation, letter -> (state, annotation).
+
+    Each live state keeps a row, signed letter -> (target, annotation),
+    with every arc stored at both ends.  An arc whose letter is already
+    in a row at either end is not added: the two states it would make
+    one are queued for identification instead.  An identification moves
+    the smaller row onto the larger (the base never moves) and
+    re-anchors only the moved arcs: with the shift c of the moved state,
+    an arc leaving it gets c.a and one entering it a.c^-1, so the
+    annotations along any closed walk at the base still multiply to a
+    preimage of its label.  With annotate the last arc of petal i
+    carries (i + 1,); otherwise every annotation is ()."""
+    rows = [{}]
+    moved = {}          # identified state -> (state it moved onto, shift)
+    pending = []        # (p, q, c): make q one with p, q's shift c
+
+    def link(s, x, t, a):
+        hit = rows[s].get(x)
+        if hit is not None:
+            pending.append((hit[0], t, wmul(winv(hit[1]), a)))
+            return
+        hit = rows[t].get(-x)
+        if hit is not None:
+            pending.append((hit[0], s, wmul(winv(hit[1]), winv(a))))
+            return
+        rows[s][x] = (t, a)
+        rows[t][-x] = (s, winv(a))
+
+    def find(v):
+        c = ()
+        while v in moved:
+            v, d = moved[v]
+            c = wmul(d, c)
+        return v, c
+
+    for i, w in enumerate(gen_words):
+        w = wreduce(w)
+        s = 0
+        for j, x in enumerate(w):
+            if j == len(w) - 1:
+                t, a = 0, (i + 1,) if annotate else ()
+            else:
+                t, a = len(rows), ()
+                rows.append({})
+            link(s, x, t, a)
+            s = t
+    while pending:
+        p, q, c = pending.pop()
+        p, e = find(p)
+        q, d = find(q)
+        if p == q:
+            continue
+        c = wmul(e, c, winv(d))
+        if q == 0 or (p != 0 and len(rows[p]) < len(rows[q])):
+            p, q, c = q, p, winv(c)
+        row, rows[q] = rows[q], None
+        moved[q] = (p, c)
+        for x, (t, a) in row.items():
+            if t != q:
+                del rows[t][-x]
+                link(p, x, t, wmul(c, a))
+            elif x > 0:
+                link(p, x, p, wmul(c, a, winv(c)))
+    return [row and {x: t for x, (t, _) in row.items()} for row in rows], rows
 
 
 class StallingsAutomaton:
@@ -49,70 +149,10 @@ class StallingsAutomaton:
 
     @classmethod
     def from_words(cls, gen_words, annotate=False):
-        """Fold the petals spelling gen_words at the base, numbered by _bfs.
-
-        Each live state keeps a row, signed letter -> (target, annotation),
-        with every arc stored at both ends.  An arc whose letter is already
-        in a row at either end is not added: the two states it would make
-        one are queued for identification instead.  An identification moves
-        the smaller row onto the larger (the base never moves) and
-        re-anchors only the moved arcs: with the shift c of the moved state,
-        an arc leaving it gets c.a and one entering it a.c^-1, so the
-        annotations along any closed walk at the base still multiply to a
-        preimage of its label.  With annotate the last arc of petal i
-        carries (i + 1,); otherwise every annotation is ()."""
-        rows = [{}]
-        moved = {}          # identified state -> (state it moved onto, shift)
-        pending = []        # (p, q, c): make q one with p, q's shift c
-
-        def link(s, x, t, a):
-            hit = rows[s].get(x)
-            if hit is not None:
-                pending.append((hit[0], t, wmul(winv(hit[1]), a)))
-                return
-            hit = rows[t].get(-x)
-            if hit is not None:
-                pending.append((hit[0], s, wmul(winv(hit[1]), winv(a))))
-                return
-            rows[s][x] = (t, a)
-            rows[t][-x] = (s, winv(a))
-
-        def find(v):
-            c = ()
-            while v in moved:
-                v, d = moved[v]
-                c = wmul(d, c)
-            return v, c
-
-        for i, w in enumerate(gen_words):
-            w = wreduce(w)
-            s = 0
-            for j, x in enumerate(w):
-                if j == len(w) - 1:
-                    t, a = 0, (i + 1,) if annotate else ()
-                else:
-                    t, a = len(rows), ()
-                    rows.append({})
-                link(s, x, t, a)
-                s = t
-        while pending:
-            p, q, c = pending.pop()
-            p, e = find(p)
-            q, d = find(q)
-            if p == q:
-                continue
-            c = wmul(e, c, winv(d))
-            if q == 0 or (p != 0 and len(rows[p]) < len(rows[q])):
-                p, q, c = q, p, winv(c)
-            row, rows[q] = rows[q], None
-            moved[q] = (p, c)
-            for x, (t, a) in row.items():
-                if t != q:
-                    del rows[t][-x]
-                    link(p, x, t, wmul(c, a))
-                elif x > 0:
-                    link(p, x, p, wmul(c, a, winv(c)))
-        delta = [row and {x: t for x, (t, _) in row.items()} for row in rows]
+        """The folded petals spelling gen_words at the base (_fold),
+        numbered by _bfs; with annotate, ann maps each arc to its
+        annotation."""
+        delta, rows = _fold(gen_words, annotate)
         delta, new = _renumbered(delta, _bfs(delta)[0])
         ann = None
         if annotate:
@@ -144,43 +184,10 @@ class StallingsAutomaton:
         return s, acc
 
     def cored(self):
-        """Remove valence<=1 states (base exempt); renumber by _bfs.
-
-        Leaf pruning: a worklist holds the states whose valence among live
-        states has dropped to <= 1; removing one lowers the valence of its
-        neighbours.  The core is unique, so the order of removal does not
-        matter."""
-        n = self.n_states
-        deg = [len(row) for row in self.delta]
-        alive = [True] * n
-        queue = [s for s in range(1, n) if deg[s] <= 1]
-        while queue:
-            s = queue.pop()
-            if not alive[s]:
-                continue
-            alive[s] = False
-            for t in self.delta[s].values():
-                if alive[t]:
-                    deg[t] -= 1
-                    if t and deg[t] == 1:
-                        queue.append(t)
-        return StallingsAutomaton(_renumbered(self.delta, _bfs(self.delta, alive)[0])[0])
-
-    def spanning(self):
-        """The _bfs spanning tree: (tree word of each state, the positive
-        non-tree arcs (v, letter, t) in state then letter order)."""
-        order, tree = _bfs(self.delta)
-        tree_word = {0: ()}
-        for t in order[1:]:
-            v, x = tree[t]
-            tree_word[t] = tree_word[v] + (x,)
-        nontree = []
-        for v in range(self.n_states):
-            for x in sorted(self.delta[v], key=letter_key):
-                t = self.delta[v][x]
-                if x > 0 and tree.get(t) != (v, x) and tree.get(v) != (t, -x):
-                    nontree.append((v, x, t))
-        return tree_word, nontree
+        """Remove valence<=1 states (base exempt, see _core); renumber by
+        _bfs."""
+        order = _bfs(self.delta, _core(self.delta))[0]
+        return StallingsAutomaton(_renumbered(self.delta, order)[0])
 
     def complete(self, rank_letters):
         return all(len(row) == 2 * rank_letters for row in self.delta)
@@ -194,17 +201,25 @@ class FreeSubgroup:
 
     __slots__ = ("group", "aut", "gens", "tree_word", "crossing")
 
-    def __init__(self, group, aut):
+    def __init__(self, group, delta):
+        """From the rows of a folded graph at base 0 (None for a state
+        folded away): one _bfs over its core numbers the states and gives
+        the spanning tree."""
         self.group = group
-        self.aut = aut.cored()
-        self.tree_word, nontree = self.aut.spanning()
-        self.gens = tuple(wmul(self.tree_word[v], (x,), winv(self.tree_word[t]))
+        order, tree, nontree = _bfs(delta, _core(delta))
+        delta, new = _renumbered(delta, order)
+        self.aut = StallingsAutomaton(delta)
+        self.tree_word = tree_word = {0: ()}
+        for i in range(1, len(order)):
+            v, x = tree[order[i]]
+            tree_word[i] = tree_word[new[v]] + (x,)
+        self.gens = tuple(wmul(tree_word[new[v]], (x,), winv(tree_word[new[t]]))
                           for v, x, t in nontree)
         # (state, letter) -> (basis index, +-1) on both ends of each non-tree arc
         self.crossing = {}
         for i, (v, x, t) in enumerate(nontree):
-            self.crossing[(v, x)] = (i, 1)
-            self.crossing[(t, -x)] = (i, -1)
+            self.crossing[(new[v], x)] = (i, 1)
+            self.crossing[(new[t], -x)] = (i, -1)
 
     def __repr__(self):
         return f"FreeSubgroup(rank={len(self.gens)}, gens={[format_word(g) for g in self.gens]})"
@@ -247,7 +262,7 @@ class FreeSubgroup:
                     delta.append(dict())
                     queue.append(key)
                 delta[s][letter] = pairs[key]
-        return FreeSubgroup(self.group, StallingsAutomaton(delta))
+        return FreeSubgroup(self.group, delta)
 
     def join(self, other):
         return self.group.subgroup(list(self.gens) + list(other.gens))
@@ -480,7 +495,7 @@ class FreeGroup:
 
     def subgroup(self, gens):
         gens = [self.parse(g) if not self.is_element(g) else g for g in gens]
-        return FreeSubgroup(self, StallingsAutomaton.from_words(gens))
+        return FreeSubgroup(self, _fold(gens)[0])
 
     def trivial_subgroup(self):
         return self.subgroup([])

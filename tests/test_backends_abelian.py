@@ -1,5 +1,7 @@
 from random import Random
 
+from hypothesis import given, settings, strategies as st
+
 from gogroups.backends import AbelianGroup, Mono
 
 
@@ -119,3 +121,18 @@ def test_invariants():
     full = G.full_subgroup()
     free, tors = full.invariants()
     assert free == 2 and tors == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, ()), (1, (6,))]), st.data())
+def test_element_operations_match_canon(shape, data):
+    """mul, inv and pow build their result once; it must be the canon() of
+    the coordinatewise result, on Z^2 and on Z x Z/6."""
+    G = AbelianGroup(*shape)
+    coords = st.tuples(*[st.integers(-40, 40)] * G.n)
+    x, y = data.draw(coords.map(G.canon)), data.draw(coords.map(G.canon))
+    n = data.draw(st.integers(-12, 12))
+    assert G.mul(x, y) == G.canon(tuple(a + b for a, b in zip(x, y)))
+    assert G.inv(x) == G.canon(tuple(-a for a in x))
+    assert G.pow(x, n) == G.canon(tuple(n * a for a in x))
+    assert all(type(z) is tuple for z in (G.mul(x, y), G.inv(x), G.pow(x, n)))

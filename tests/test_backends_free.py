@@ -347,3 +347,86 @@ def test_mono_injective_into_abelian_codomain():
     assert not Mono(FreeGroup(1), Z, [(0,)]).is_injective()
     assert not Mono(FreeGroup(1), Z3, [(1,)]).is_injective()
     assert not Mono(FreeGroup(2), AbelianGroup(2), [(1, 0), (0, 1)]).is_injective()
+
+
+# --- brute force: intersect, index_in and express against enumeration ---
+
+def small_words(rank, max_len):
+    letters = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
+    return st.lists(st.sampled_from(letters), max_size=max_len).map(wreduce)
+
+
+@st.composite
+def small_pairs(draw):
+    rank = draw(st.integers(1, 2))
+    words = st.lists(small_words(rank, 4), max_size=3)
+    return rank, draw(words), draw(words)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_pairs())
+def test_intersect_against_enumeration(case):
+    rank, h_words, k_words = case
+    F = FreeGroup(rank)
+    H, K = F.subgroup(h_words), F.subgroup(k_words)
+    L = 6
+    both = set(H.elements_up_to(L)) & set(K.elements_up_to(L))
+    assert set(H.intersect(K).elements_up_to(L)) == both
+
+
+@st.composite
+def subgroup_chains(draw):
+    """S = <s_1..s_m> and T generated by products of S's basis, so T <= S."""
+    rank = draw(st.integers(1, 2))
+    S = FreeGroup(rank).subgroup(draw(st.lists(small_words(rank, 3).filter(bool),
+                                               min_size=1, max_size=3)))
+    if not S.gens:
+        return S, S
+    factor = st.tuples(st.sampled_from(S.gens), st.booleans())
+    products = st.lists(factor, min_size=1, max_size=3).map(
+        lambda picks: wmul(*[w if keep else winv(w) for w, keep in picks]))
+    return S, S.group.subgroup(draw(st.lists(products, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(subgroup_chains())
+def test_index_in_against_coset_enumeration(case):
+    """The right cosets T x met by the elements of S up to length L: never
+    more than a finite [S : T], all of them once L reaches (n - 1) times
+    the longest basis word of S, and at least L // longest + 1 of them
+    when the index is infinite (the Schreier graph is then infinite and
+    connected)."""
+    S, T = case
+    n = T.index_in(S)
+    L = 4
+    inside = set(T.elements_up_to(2 * L))
+    reps = []
+    for x in S.elements_up_to(L):
+        if not any(wmul(x, winv(r)) in inside for r in reps):
+            reps.append(x)
+    longest = max((len(g) for g in S.gens), default=1)
+    if n is None:
+        assert len(reps) >= L // longest + 1
+    else:
+        assert len(reps) <= n
+        if (n - 1) * longest <= L:
+            assert len(reps) == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_pairs(), st.data())
+def test_express_against_enumeration(case, data):
+    rank, gens, _ = case
+    F = FreeGroup(rank)
+    inside = set(F.subgroup(gens).elements_up_to(8))
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(gens), st.booleans()), max_size=2)
+                      if gens else st.just([]))
+    product_ = wmul(*[w if keep else winv(w) for w, keep in picks])
+    for target in (product_, data.draw(small_words(rank, 6))):
+        expr = F.express(target, gens)
+        assert (expr is not None) == (target in inside)
+        if expr is not None:
+            acc = ()
+            for i, e in expr:
+                acc = wmul(acc, gens[i] if e > 0 else winv(gens[i]))
+            assert acc == target

@@ -2,14 +2,19 @@
 
 The replaced algorithms are kept here as references: `CosetNFA._saturate`
 against the round-robin fixpoint that re-swept every state and arc until a
-full round added nothing, and `StallingsAutomaton.cored` against the loop
-that rescanned every live state until none had valence <= 1.  The double
-coset operations of `FreeGroup` are checked against their construction:
-h g k is in H g K, and inside the kernel of F2 -> Z/3 (a-exponent sum mod 3)
-h g a k is not.
+full round added nothing; `CosetNFA` against the automaton that copied the
+rows of H and K into a table of its own and kept every reflexive pair;
+`StallingsAutomaton.cored` against the loop that rescanned every live state
+until none had valence <= 1; and the numbering of `FreeSubgroup` against
+the pipeline that folded, cored and then built the spanning tree, one
+breadth-first search each.  The double coset operations of `FreeGroup` are
+checked against their construction: h g k is in H g K, and inside the
+kernel of F2 -> Z/3 (a-exponent sum mod 3) h g a k is not.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
@@ -101,9 +106,12 @@ def coset_inputs(draw):
 def test_saturation_matches_the_round_robin_fixpoint(inputs):
     _, H, g, K, prefix, suffix = inputs
     nfa = CosetNFA(H, g, K, prefix=prefix, suffix=suffix)
+    n = len(nfa.trans)
     E, eps_of = saturate_by_rounds(nfa.trans, nfa._primitive_eps)
-    assert set(nfa.E) == E
-    assert nfa.eps_of == eps_of
+    # reflexive pairs are implicit in the automaton
+    assert all(p != r for p, r in nfa.E)
+    assert set(nfa.E) | {(p, p) for p in range(n)} == E
+    assert [nfa.closure({p}) for p in range(n)] == eps_of
     # every recipe expands to a walk p -> r whose label reduces to nothing
     memo = {}
     for p, r in nfa.E:
@@ -125,12 +133,20 @@ def test_layout_is_h_then_k_then_the_paths():
     H, K = F.subgroup(["ab", "bba"]), F.subgroup(["bAb"])
     nfa = CosetNFA(H, (1, 2, 1), K, prefix=(2, 2), suffix=(-1,))
     nH, nK = H.aut.n_states, K.aut.n_states
-    assert nfa.tags == ["H"] * nH + ["K"] * nK + ["g"] * 2 + ["p"] * 2 + ["s"]
+    # H and K are read in place; only the paths are the automaton's own
+    assert nfa.hd is H.aut.delta and nfa.kd is K.aut.delta
+    assert nfa.path_tags == ["g"] * 2 + ["p"] * 2 + ["s"]
+    assert len(nfa.trans) == nH + nK + 5
     for s, row in enumerate(H.aut.delta):
         assert all(nfa.trans[s][x] >= {t} for x, t in row.items())
     for s, row in enumerate(K.aut.delta):
         assert all(nfa.trans[nH + s][x] >= {nH + t} for x, t in row.items())
-    assert nfa.start == nH + nK + 2 and nfa.accepts == {len(nfa.trans) - 1}
+    g1, g2, p1, p2, s1 = range(nH + nK, nH + nK + 5)
+    assert nfa.path_out == {0: (1, g1), g1: (2, g2), g2: (1, nH),
+                            p1: (2, p2), p2: (2, 0), nH: (-1, s1)}
+    assert nfa.path_in == {g1: (0, 1), g2: (g1, 2), nH: (g2, 1),
+                           p2: (p1, 2), 0: (p2, 2), s1: (nH, -1)}
+    assert nfa.start == p1 and nfa.accepts == {s1}
 
 
 def test_factor_of_a_long_cancellation():
@@ -223,3 +239,335 @@ def test_power_pattern_against_direct_membership(inputs, data):
     for n in range(-30, 31):
         inside = H.contains(wmul(winv(prefix), wpow(c, n), winv(suffix), winv(g)))
         assert pattern.accepted(n) == inside, n
+
+
+# ---------------------------------------------------------------------------
+# the in-place automaton against its full-layout predecessor
+# ---------------------------------------------------------------------------
+
+
+class FullLayoutNFA:
+    """The coset automaton as it was built before it read H and K in place:
+    their rows copied into a table of set-valued rows, H's at offset 0 and
+    K's at nH, followed by the path states, and saturated from every
+    reflexive pair."""
+
+    def __init__(self, H, g, K, prefix=(), suffix=()):
+        g = wreduce(g)
+        nH = H.aut.n_states
+        self.trans = trans = [{x: {t} for x, t in row.items()} for row in H.aut.delta]
+        trans += [{x: {t + nH} for x, t in row.items()} for row in K.aut.delta]
+        self.tags = tags = ["H"] * nH + ["K"] * K.aut.n_states
+        hbase, kbase = 0, nH
+
+        def new(tag):
+            trans.append({})
+            tags.append(tag)
+            return len(trans) - 1
+
+        def path(src, word, dst, tag):
+            """Arcs spelling word from src to dst through new states tagged
+            tag (the last one new too when dst is None); returns the end."""
+            for i, x in enumerate(word):
+                nxt = dst if dst is not None and i == len(word) - 1 else new(tag)
+                trans[src].setdefault(x, set()).add(nxt)
+                src = nxt
+            return src
+
+        self._primitive_eps = []
+        if g:
+            path(hbase, g, kbase, "g")
+        else:
+            self._primitive_eps.append((hbase, kbase))
+        self.start = hbase
+        if prefix:
+            self.start = new("p")
+            path(self.start, prefix, hbase, "p")
+        self.accepts = {path(kbase, suffix, None, "s")}
+        self._saturate()
+
+    # --- saturation ---
+
+    def _saturate(self):
+        """Least set E of pairs (p, r) joined by a walk whose label freely
+        reduces to the empty word, each with the recipe of one such walk.
+
+        Worklist: every pair enters the FIFO queue once, when it joins E.
+        Popping (a, b) fires the cancellation rule with (a, b) in the middle
+        (p --x--> a, b --x^-1--> r gives (p, r)) and composes (a, b) with the
+        pairs already in E on both sides.  A recipe names only pairs that are
+        already in E, so the expansion of a pair is well founded.
+        """
+        trans = self.trans
+        n = len(trans)
+        into = [[] for _ in range(n)]      # a -> [(p, x)] with p --x--> a
+        for p, row in enumerate(trans):
+            for x, ts in row.items():
+                for a in ts:
+                    into[a].append((p, x))
+        E = {}
+        eps_of = [{p} for p in range(n)]
+        eps_into = {}                      # r -> [p] with (p, r) in E, p != r
+        queue = deque()
+        for p in range(n):
+            pair = (p, p)
+            E[pair] = ("refl",)
+            queue.append(pair)
+
+        def add(p, r, recipe):
+            pair = (p, r)
+            if pair not in E:
+                E[pair] = recipe
+                eps_of[p].add(r)
+                eps_into.setdefault(r, []).append(p)
+                queue.append(pair)
+
+        for p, q in self._primitive_eps:
+            add(p, q, ("arc",))
+        while queue:
+            a, b = queue.popleft()
+            for p, x in into[a]:
+                for r in trans[b].get(-x, ()):
+                    add(p, r, ("rule", x, a, b))
+            if a != b:
+                for p in eps_into.get(a, ()):
+                    add(p, b, ("trans", a))
+                for r in eps_of[b]:
+                    add(a, r, ("trans", b))
+        self.E = E
+        self.eps_of = eps_of
+
+    def closure(self, states):
+        out = set()
+        for s in states:
+            out |= self.eps_of[s]
+        return out
+
+    def read(self, states, word):
+        cur = self.closure(states)
+        for x in word:
+            nxt = set()
+            for s in cur:
+                nxt |= self.trans[s].get(x, set())
+            cur = self.closure(nxt)
+        return cur
+
+    def member(self, word):
+        """Membership of a freely reduced word in the recognized subset."""
+        return bool(self.read({self.start}, wreduce(word)) & self.accepts)
+
+    def shortest_reduced(self):
+        """Shortest, then lexicographically least, accepted reduced word."""
+        if self.eps_of[self.start] & self.accepts:
+            return ()
+        level = [((), s, 0) for s in sorted(self.eps_of[self.start])]
+        visited = {(s, 0) for s in self.eps_of[self.start]}
+        while level:
+            nxt_level = []
+            for word, s, last in level:
+                letters = sorted(self.trans[s], key=letter_key)
+                for x in letters:
+                    if last and x == -last:
+                        continue
+                    for t0 in self.trans[s][x]:
+                        for t in self.eps_of[t0]:
+                            if (t, x) in visited:
+                                continue
+                            visited.add((t, x))
+                            w = word + (x,)
+                            if t in self.accepts:
+                                return w
+                            nxt_level.append((w, t, x))
+            nxt_level.sort(key=lambda item: tuple(letter_key(x) for x in item[0]))
+            level = nxt_level
+        raise ValueError("empty rational set")
+
+    # --- factor extraction ---
+
+    def _expand(self, p, q, memo):
+        """Arcs (s, letter or None, t) of a walk p -> q whose label freely
+        reduces to the empty word, by the recipes of E; memo maps the pairs
+        expanded so far to their arcs.  An explicit stack, since recipes
+        nest as deep as the longest cancellation."""
+        stack = [(p, q)]
+        while stack:
+            pair = stack[-1]
+            if pair in memo:
+                stack.pop()
+                continue
+            a, b = pair
+            recipe = self.E[pair]
+            kind = recipe[0]
+            if kind == "rule":
+                parts = (recipe[2:],)
+            elif kind == "trans":
+                parts = ((a, recipe[1]), (recipe[1], b))
+            else:
+                parts = ()
+            todo = [part for part in parts if part not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if kind == "refl":
+                memo[pair] = []
+            elif kind == "arc":
+                memo[pair] = [(a, None, b)]
+            elif kind == "rule":
+                _, x, q1, q2 = recipe
+                memo[pair] = [(a, x, q1)] + memo[parts[0]] + [(q2, -x, b)]
+            else:
+                memo[pair] = memo[parts[0]] + memo[parts[1]]
+        return memo[(p, q)]
+
+    def factor(self, target):
+        """(h, k) with target == h * g * k (reduced words); target must belong."""
+        target = wreduce(target)
+        n = len(target)
+        start_key = (self.start, 0)
+        prev = {start_key: None}
+        queue = [start_key]
+        goal = None
+        qi = 0
+        while qi < len(queue):
+            s, pos = queue[qi]
+            qi += 1
+            if pos == n and s in self.accepts:
+                goal = (s, pos)
+                break
+            # epsilon moves
+            for t in self.eps_of[s]:
+                key = (t, pos)
+                if key not in prev:
+                    prev[key] = ((s, pos), ("eps", s, t))
+                    queue.append(key)
+            if pos < n:
+                x = target[pos]
+                for t in self.trans[s].get(x, ()):
+                    key = (t, pos + 1)
+                    if key not in prev:
+                        prev[key] = ((s, pos), ("letter", s, x, t))
+                        queue.append(key)
+        if goal is None:
+            raise ValueError("target not in the rational set")
+        moves = []
+        key = goal
+        while prev[key] is not None:
+            key, move = prev[key]
+            moves.append(move)
+        moves.reverse()
+        memo = {}
+        arcs = []
+        for move in moves:
+            if move[0] == "letter":
+                _, s, x, t = move
+                arcs.append((s, x, t))
+            else:
+                _, s, t = move
+                arcs.extend(self._expand(s, t, memo))
+        h_letters = []
+        k_letters = []
+        phase = 0  # 0 = in H, 1 = crossing g, 2 = in K
+        for s, x, t in arcs:
+            ts = self.tags[t]
+            if phase == 0:
+                if ts == "H":
+                    if x is not None:
+                        h_letters.append(x)
+                else:
+                    phase = 1 if ts == "g" else 2
+            elif phase == 1:
+                if ts == "K":
+                    phase = 2
+            else:
+                if x is not None:
+                    k_letters.append(x)
+        return wreduce(h_letters), wreduce(k_letters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coset_inputs(), st.data())
+def test_in_place_automaton_matches_the_full_layout(inputs, data):
+    F, H, g, K, prefix, suffix = inputs
+    # paths that turn back on themselves fire the rule inside a path
+    letters = st.sampled_from([x for i in range(1, F.rank + 1) for x in (i, -i)])
+    prefix += tuple(data.draw(st.lists(letters, max_size=3)))
+    suffix = tuple(data.draw(st.lists(letters, max_size=3))) + suffix
+    nfa = CosetNFA(H, g, K, prefix=prefix, suffix=suffix)
+    ref = FullLayoutNFA(H, g, K, prefix=prefix, suffix=suffix)
+    assert nfa.shortest_reduced() == ref.shortest_reduced()
+
+    def product(S):
+        picks = data.draw(st.lists(st.tuples(st.sampled_from(S.gens), st.booleans()), max_size=3)
+                          if S.gens else st.just([]))
+        return wmul(*[w if keep else winv(w) for w, keep in picks])
+
+    h, k = product(H), product(K)
+    member = wmul(prefix, h, g, k, suffix)
+    words = [member, wmul(member, (1,))] + data.draw(st.lists(word_over(F.rank, 8), max_size=6))
+    for w in words:
+        assert nfa.member(w) == ref.member(w)
+    assert nfa.member(member)
+    c = data.draw(word_over(F.rank, 4).filter(bool))
+    pattern, ref_pattern = PowerPattern(nfa, c), PowerPattern(ref, c)
+    assert pattern.sides == ref_pattern.sides
+    assert pattern.zero_accepted == ref_pattern.zero_accepted
+    # factor reads the automaton without prefix or suffix
+    nfa = CosetNFA(H, g, K)
+    target = wmul(h, g, k)
+    h2, k2 = nfa.factor(target)
+    assert H.contains(h2) and K.contains(k2)
+    assert wmul(h2, g, k2) == target
+
+
+# ---------------------------------------------------------------------------
+# one breadth-first search per subgroup against the three passes
+# ---------------------------------------------------------------------------
+
+
+def three_pass_subgroup(gens):
+    """(delta, gens, tree_word, crossing) of <gens> as the three passes
+    gave them: fold and number, core and renumber, then a spanning tree by
+    a breadth-first search that sorted each row, its non-tree arcs in state
+    then letter order."""
+    delta = StallingsAutomaton.from_words(gens).cored().delta
+    order, tree = [0], {0: None}
+    for v in order:
+        for x in sorted(delta[v], key=letter_key):
+            if delta[v][x] not in tree:
+                tree[delta[v][x]] = (v, x)
+                order.append(delta[v][x])
+    tree_word = {0: ()}
+    for t in order[1:]:
+        v, x = tree[t]
+        tree_word[t] = tree_word[v] + (x,)
+    nontree = []
+    for v in range(len(delta)):
+        for x in sorted(delta[v], key=letter_key):
+            t = delta[v][x]
+            if x > 0 and tree.get(t) != (v, x) and tree.get(v) != (t, -x):
+                nontree.append((v, x, t))
+    basis = tuple(wmul(tree_word[v], (x,), winv(tree_word[t])) for v, x, t in nontree)
+    crossing = {}
+    for i, (v, x, t) in enumerate(nontree):
+        crossing[(v, x)] = (i, 1)
+        crossing[(t, -x)] = (i, -1)
+    return delta, basis, tree_word, crossing
+
+
+@st.composite
+def generator_lists(draw):
+    """A rank from 1 to 3 and up to four generators, some of them proper
+    powers."""
+    rank = draw(st.integers(1, 3))
+    word = word_over(rank, 6)
+    gen = st.one_of(word, st.tuples(word, st.integers(2, 3)).map(lambda wk: wpow(*wk)))
+    return rank, draw(st.lists(gen, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_lists())
+def test_one_bfs_numbering_matches_the_three_passes(case):
+    rank, gens = case
+    S = FreeGroup(rank).subgroup(gens)
+    assert (S.aut.delta, S.gens, S.tree_word, S.crossing) == three_pass_subgroup(gens)
