@@ -85,28 +85,33 @@ def _fold(gen_words, annotate=False):
     an arc leaving it gets c.a and one entering it a.c^-1, so the
     annotations along any closed walk at the base still multiply to a
     preimage of its label.  With annotate the last arc of petal i
-    carries (i + 1,); otherwise every annotation is ()."""
+    carries (i + 1,); otherwise every annotation is (), and the word
+    arithmetic on annotations is bound to a function returning ()."""
     rows = [{}]
     moved = {}          # identified state -> (state it moved onto, shift)
     pending = []        # (p, q, c): make q one with p, q's shift c
+    if annotate:
+        mul, inv = wmul, winv
+    else:
+        mul = inv = lambda *words: ()
 
     def link(s, x, t, a):
         hit = rows[s].get(x)
         if hit is not None:
-            pending.append((hit[0], t, wmul(winv(hit[1]), a)))
+            pending.append((hit[0], t, mul(inv(hit[1]), a)))
             return
         hit = rows[t].get(-x)
         if hit is not None:
-            pending.append((hit[0], s, wmul(winv(hit[1]), winv(a))))
+            pending.append((hit[0], s, mul(inv(hit[1]), inv(a))))
             return
         rows[s][x] = (t, a)
-        rows[t][-x] = (s, winv(a))
+        rows[t][-x] = (s, inv(a))
 
     def find(v):
         c = ()
         while v in moved:
             v, d = moved[v]
-            c = wmul(d, c)
+            c = mul(d, c)
         return v, c
 
     for i, w in enumerate(gen_words):
@@ -126,17 +131,17 @@ def _fold(gen_words, annotate=False):
         q, d = find(q)
         if p == q:
             continue
-        c = wmul(e, c, winv(d))
+        c = mul(e, c, inv(d))
         if q == 0 or (p != 0 and len(rows[p]) < len(rows[q])):
-            p, q, c = q, p, winv(c)
+            p, q, c = q, p, inv(c)
         row, rows[q] = rows[q], None
         moved[q] = (p, c)
         for x, (t, a) in row.items():
             if t != q:
                 del rows[t][-x]
-                link(p, x, t, wmul(c, a))
+                link(p, x, t, mul(c, a))
             elif x > 0:
-                link(p, x, p, wmul(c, a, winv(c)))
+                link(p, x, p, mul(c, a, inv(c)))
     return [row and {x: t for x, (t, _) in row.items()} for row in rows], rows
 
 

@@ -9,6 +9,8 @@ finitely generated subgroup as a pointed immersion by iterated folding.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .backends import Mono, SubgroupBackend
 from .gog import APath, GraphOfGroups
 from .graphs import Graph, einv
@@ -269,6 +271,15 @@ class _Builder:
     checking the dirty vertices in ascending id finds the same fold as a scan
     of every vertex in id order.
 
+    `queue` is a min-heap of vertex ids holding every id in `dirty`: mark(v)
+    pushes v when it enters the set, and an id leaves the heap only when
+    find_fold pops it, after finding v collision-free (and discarding it)
+    or finding it no longer dirty.  The only id that leaves `dirty` any
+    other way is one a merge folds away, which stays queued until popped.
+    So the least dirty entry of the heap is min(dirty), find_fold visits
+    the dirty vertices in the ascending order a sorted scan would, and the
+    pops of a whole run are at most its pushes, one per entry into `dirty`.
+
     `verts[v]["keys"]` holds the fold key of each star view of v already
     computed, and `verts[v]["dc"]` v's double-coset handles (one per target
     edge, shared by find_fold and merge).  A key changes only when H_v
@@ -289,7 +300,14 @@ class _Builder:
     twists and the folded vertex's subgroup by the same delta, so only a
     growing edge group (the merge join, or saturate_edge's own growth, which
     pushes at once) can break it; saturate_edge skips the push while it
-    holds."""
+    holds.
+
+    `trivial[p]` records, once per target edge pair p, whether A's edge
+    group of p has order 1.  saturate_edge returns False at once on an edge
+    mapped to such a pair: its esub is trivial and cannot grow, and its push
+    adds only the identity, so the full call would change nothing and count
+    no step.  It leaves `pushed` False after a merge, but on such an edge
+    nothing else reads it."""
 
     def __init__(self, A, u0):
         self.A = A
@@ -298,7 +316,9 @@ class _Builder:
         self.edges = []           # {img (directed), src, dst, ta, tw, esub, pushed, alive}
         self.inc = []             # vertex -> {(edge index, forward?)}
         self.dirty = set()
+        self.queue = []           # min-heap: every dirty id, plus ids folded away
         self.dirty_edges = set()
+        self.trivial = [G.order() == 1 for G in A.egroups]
         self.base = self.new_vertex(u0)
 
     def new_vertex(self, img):
@@ -307,8 +327,14 @@ class _Builder:
                            "alive": True, "keys": {}, "dc": {}})
         self.inc.append(set())
         v = len(self.verts) - 1
-        self.dirty.add(v)
+        self.mark(v)
         return v
+
+    def mark(self, v):
+        """Put v in `dirty`, pushing it on the queue when it was not there."""
+        if v not in self.dirty:
+            self.dirty.add(v)
+            heappush(self.queue, v)
 
     def add_generator(self, p):
         if p.base != self.u0 or not p.is_closed():
@@ -337,7 +363,8 @@ class _Builder:
             })
             self.inc[prev].add((j, True))
             self.inc[nxt].add((j, False))
-            self.dirty.update((prev, nxt))
+            self.mark(prev)
+            self.mark(nxt)
             self.dirty_edges.add(j)
             prev = nxt
 
@@ -350,7 +377,7 @@ class _Builder:
         and the saturation inputs of its edges may have changed."""
         self.verts[v]["keys"].clear()
         self.verts[v]["dc"].clear()
-        self.dirty.add(v)
+        self.mark(v)
         self.dirty_edges.update(i for i, _ in self.inc[v])
 
     def kill_edge(self, i):
@@ -378,18 +405,22 @@ class _Builder:
     def find_fold(self):
         """(v, first view, colliding view) at the lowest-id vertex with two
         star views of equal fold key, or None."""
-        for v in sorted(self.dirty):
-            keys = self.verts[v]["keys"]
-            seen = {}
-            for view in self.star(v):
-                key = keys.get(view)
-                if key is None:
-                    e, _, _, ta, _ = self.view(*view)
-                    key = keys[view] = (e, self.double_cosets(v, e).canon(ta))
-                if key in seen:
-                    return v, seen[key], view
-                seen[key] = view
-            self.dirty.discard(v)
+        queue = self.queue
+        while queue:
+            v = queue[0]
+            if v in self.dirty:
+                keys = self.verts[v]["keys"]
+                seen = {}
+                for view in self.star(v):
+                    key = keys.get(view)
+                    if key is None:
+                        e, _, _, ta, _ = self.view(*view)
+                        key = keys[view] = (e, self.double_cosets(v, e).canon(ta))
+                    if key in seen:
+                        return v, seen[key], view
+                    seen[key] = view
+                self.dirty.discard(v)
+            heappop(queue)
         return None
 
     def merge(self, v, primary, secondary):
@@ -446,6 +477,8 @@ class _Builder:
         A = self.A
         d = self.edges[i]
         self.dirty_edges.discard(i)
+        if self.trivial[d["img"] >> 1]:
+            return False
         changed = False
         e = d["img"]
         alpha, omega = A.alpha(e), A.omega(e)
@@ -542,10 +575,13 @@ def realize_subgroup(A, u0, generators, budget=2000):
 
     generators: closed A-paths at u0.  Folds condition-(1) violations and
     grows edge/vertex groups until condition (2) stabilizes; deterministic
-    (first violating pair in scan order).  Each saturation sweep visits the
-    edges in ascending index and skips those outside the builder's
-    dirty_edges, on which saturate_edge would change nothing; an edge
-    dirtied behind the sweep waits for the next round.  Raises
+    (first violating pair in scan order: find_fold takes the lowest-id dirty
+    vertex off the builder's heap, never sorting).  Each saturation sweep
+    visits the edges in ascending index and skips those outside the
+    builder's dirty_edges, on which saturate_edge would change nothing; an
+    edge dirtied behind the sweep waits for the next round, and an edge
+    mapped to a trivial edge group of A returns at once.  Each merge and
+    each saturation that changes something is one step; raises
     BudgetExceeded with the partial morphism when the step budget runs out."""
     from .gog import reduce_apath
     b = _Builder(A, u0)

@@ -3,6 +3,7 @@ from random import Random
 from hypothesis import given, settings, strategies as st
 
 from gogroups.backends import AbelianGroup, Mono
+from gogroups.backends.base import evaluate_word
 
 
 def test_z_arithmetic_identities():
@@ -136,3 +137,82 @@ def test_element_operations_match_canon(shape, data):
     assert G.inv(x) == G.canon(tuple(-a for a in x))
     assert G.pow(x, n) == G.canon(tuple(n * a for a in x))
     assert all(type(z) is tuple for z in (G.mul(x, y), G.inv(x), G.pow(x, n)))
+
+
+# --- brute force: intersect, index_in and express against enumeration ---
+#
+# Every subgroup below contains N Z^2 x 0, so it is the full preimage of its
+# image in the finite quotient (Z/N)^2 x Z/k, which is listed by closure.
+# Each claim is checked on the box [-B, B]^2 x Z/k of G = Z^2 x Z/k.
+
+N, B = 4, 3
+
+
+def reduce_mod(k, x):
+    return (x[0] % N, x[1] % N, x[2] % k)
+
+
+def quotient_closure(k, gens):
+    elts = {(0, 0, 0)}
+    images = [reduce_mod(k, g) for g in gens]
+    while True:
+        grown = elts | {reduce_mod(k, tuple(a + b for a, b in zip(x, g)))
+                        for x in elts for g in images}
+        if grown == elts:
+            return elts
+        elts = grown
+
+
+def box(k):
+    return [(x, y, t) for x in range(-B, B + 1) for y in range(-B, B + 1) for t in range(k)]
+
+
+@st.composite
+def box_subgroups(draw, lists=2):
+    """k and generator lists, each with N e1 and N e2 appended."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    vec = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, k - 1))
+    return (k, *[draw(st.lists(vec, max_size=2)) + [(N, 0, 0), (0, N, 0)]
+                 for _ in range(lists)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_subgroups())
+def test_abelian_intersect_against_enumeration(case):
+    k, h, kk = case
+    G = AbelianGroup(2, [k])
+    meet = G.subgroup(h).intersect(G.subgroup(kk))
+    both = quotient_closure(k, h) & quotient_closure(k, kk)
+    for x in box(k):
+        assert meet.contains(x) == (reduce_mod(k, x) in both)
+    assert meet.index() == N * N * k // len(both)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_subgroups(lists=1), st.data())
+def test_abelian_index_in_against_enumeration(case, data):
+    """T is generated by N Z^2 and sums of S's generators, so T <= S and
+    [S : T] is the ratio of their images in the quotient; a T of rank 1
+    has infinite index."""
+    k, s_gens = case
+    G = AbelianGroup(2, [k])
+    S = G.subgroup(s_gens)
+    sums = st.lists(st.sampled_from(s_gens), min_size=1, max_size=3).map(
+        lambda picks: G.canon(tuple(sum(c) for c in zip(*picks))))
+    t_gens = data.draw(st.lists(sums, max_size=2)) + [(N, 0, 0), (0, N, 0)]
+    T = G.subgroup(t_gens)
+    assert T.index_in(S) == len(quotient_closure(k, s_gens)) // len(quotient_closure(k, t_gens))
+    assert G.subgroup([(N, 0, 0)]).index_in(S) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_subgroups(lists=1))
+def test_abelian_express_against_enumeration(case):
+    k, gens = case
+    G = AbelianGroup(2, [k])
+    inside = quotient_closure(k, gens)
+    for x in box(k):
+        word = G.express(x, gens)
+        assert (word is not None) == (reduce_mod(k, x) in inside)
+        if word is not None:
+            assert evaluate_word(G, gens, word) == x

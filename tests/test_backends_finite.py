@@ -1,7 +1,10 @@
 import pytest
 from random import Random
 
+from hypothesis import given, settings, strategies as st
+
 from gogroups.backends import FiniteGroup, Mono
+from gogroups.backends.base import evaluate_word
 
 
 def sym3():
@@ -111,3 +114,67 @@ def test_subgroup_backend_elements():
         g = S.generators()[i] if e > 0 else S.inv(S.generators()[i])
         acc = S.mul(acc, g)
     assert acc == 2
+
+
+# --- brute force: intersect, index_in and express against enumeration ---
+
+def closure(G, gens):
+    """The subgroup generated by gens, by multiplying out until nothing new
+    appears."""
+    elts = {G.identity()}
+    while True:
+        grown = elts | {G.mul(x, g) for x in elts for g in gens}
+        if grown == elts:
+            return elts
+        elts = grown
+
+
+small_groups = st.sampled_from([("Z/4", lambda: FiniteGroup.cyclic(4)),
+                                ("Z/6", lambda: FiniteGroup.cyclic(6)),
+                                ("S3", sym3)])
+
+
+@st.composite
+def group_and_gens(draw, lists=2):
+    G = draw(small_groups)[1]()
+    gens = st.lists(st.integers(0, G.order() - 1), max_size=3)
+    return (G, *[draw(gens) for _ in range(lists)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_and_gens())
+def test_finite_intersect_against_enumeration(case):
+    G, h, k = case
+    both = closure(G, h) & closure(G, k)
+    meet = G.subgroup(h).intersect(G.subgroup(k))
+    assert set(meet.elements()) == both
+    assert closure(G, meet.gens) == both
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_and_gens(lists=1), st.data())
+def test_finite_index_in_against_coset_enumeration(case, data):
+    """T is generated by products of S's generators, so T <= S; [S : T]
+    is the number of distinct right cosets T x with x in S."""
+    G, s_gens = case
+    S = G.subgroup(s_gens)
+    picks = st.lists(st.sampled_from(sorted(S.elts)), min_size=1, max_size=3)
+    t_gens = [evaluate_word(G, p, [(i, 1) for i in range(len(p))])
+              for p in data.draw(st.lists(picks, max_size=2))]
+    T = G.subgroup(t_gens)
+    T_elts = closure(G, t_gens)
+    cosets = {frozenset(G.mul(t, x) for t in T_elts) for x in closure(G, s_gens)}
+    assert T.index_in(S) == len(cosets)
+    assert T.index() == G.order() // len(T_elts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_and_gens(lists=1))
+def test_finite_express_against_enumeration(case):
+    G, gens = case
+    inside = closure(G, gens)
+    for target in range(G.order()):
+        word = G.express(target, gens)
+        assert (word is not None) == (target in inside)
+        if word is not None:
+            assert evaluate_word(G, gens, word) == target
