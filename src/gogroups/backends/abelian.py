@@ -8,6 +8,8 @@ handles unique per subgroup.
 
 from __future__ import annotations
 
+import functools
+
 from ..intlattice import Lattice, LinSolver, lin_solve, preimage_lattice
 from ..words import primitive_root, winv
 
@@ -108,6 +110,21 @@ class AbelianDoubleCosets:
         return {self.canon(rep) for rep in self.lat.transversal(self.full)}
 
 
+@functools.cache
+def _standard_lattices(rank, torsion):
+    """(L0, FULL) of Z^rank x Z/torsion: the torsion relations and all of
+    Z^n.  Lattices are immutable, so every group of one signature shares
+    them."""
+    n = rank + len(torsion)
+    rows = []
+    for i, d in enumerate(torsion):
+        row = [0] * n
+        row[rank + i] = d
+        rows.append(row)
+    return Lattice(n, rows), Lattice(n, [[1 if i == j else 0 for j in range(n)]
+                                         for i in range(n)])
+
+
 class AbelianGroup:
     kind = "abelian"
 
@@ -121,14 +138,7 @@ class AbelianGroup:
         self.rank = rank
         self.torsion = torsion
         self.n = rank + len(torsion)
-        rows = []
-        for i, d in enumerate(torsion):
-            row = [0] * self.n
-            row[rank + i] = d
-            rows.append(row)
-        self.L0 = Lattice(self.n, rows)
-        self.FULL = Lattice(self.n, [[1 if i == j else 0 for j in range(self.n)]
-                                     for i in range(self.n)])
+        self.L0, self.FULL = _standard_lattices(rank, tuple(torsion))
 
     @classmethod
     def Z(cls):

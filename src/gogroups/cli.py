@@ -7,6 +7,7 @@ positive verdict, 1 negative verdict, 2 unknown, 3 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -14,7 +15,7 @@ from . import gogio
 from .backends import FreeGroup
 from .fcip import fcip_abelian, fcip_bruteforce_sample, fcip_zero_check
 from .fgip import decide_components, fgip_certify, w_construction
-from .gog import gog_core, gog_core_at, reduce_gog, validate_gog
+from .gog import gog_core, gog_core_at, reduce_gog
 from .morphism import (BudgetExceeded, ImmersionFailure, is_covering, is_immersion,
                        realize_subgroup, validate_morphism)
 from .pullback import build_product
@@ -115,14 +116,11 @@ def _write_optional(path, payload):
 
 
 def cmd_validate(args):
-    A, base = _load_gog(args.input)
-    violations = validate_gog(A)
-    lines = [f"vertices: {A.graph.nv}", f"edge-pairs: {A.graph.n_pairs}"]
-    for v in violations:
-        lines.append("violation: " + " ".join(str(x) for x in v))
-    lines.append(f"VERDICT: {'ok' if not violations else 'invalid'}")
-    _emit(lines)
-    return 0 if not violations else 1
+    """parse_gog already rejects a graph of groups with violations (exit 3,
+    naming them), so a file that loads is valid."""
+    A, _ = _load_gog(args.input)
+    _emit([f"vertices: {A.graph.nv}", f"edge-pairs: {A.graph.n_pairs}", "VERDICT: ok"])
+    return 0
 
 
 def cmd_reduce(args):
@@ -305,7 +303,10 @@ def cmd_export_dot(args):
     return 0
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh namespace on every call."""
     ap = argparse.ArgumentParser(prog="gogroups",
                                  description="graphs of groups toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

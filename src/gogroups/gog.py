@@ -293,46 +293,59 @@ def reduce_gog(A, basepoint):
     Returns (reduced gog, transported basepoint).  The fundamental group is
     unchanged; each collapse composes the surviving edges' end maps through
     the inverted map.
+
+    Each step collapses the first directed edge, in edge order, that is not
+    a loop and whose alpha has image index 1: its origin u is merged into
+    its target u2, and every end at u is re-homed to u2 with its map
+    composed with through = omega . alpha^-1 : A_u -> A_u2.  through is
+    injective, so image indices only multiply, and an edge it turns into a
+    loop stays one: an edge the scan passed over never becomes collapsible,
+    and one forward scan finds every step (as in fgip.reduce_decorated).
+
+    Re-homing is a union-find on vertices: u hangs under u2 with the map
+    through, an end's current vertex is the root of its given one, and its
+    current map is its given map composed with the maps on the way to that
+    root.  Element arithmetic is canonical, so the order of composition
+    does not change any image.
     """
-    cur = A
-    base = basepoint
-    while True:
-        g = cur.graph
-        target_edge = None
-        for e in range(2 * g.n_pairs):
-            if g.o(e) == g.t(e):
-                continue
-            if cur.alpha(e).index_of_image() == 1:
-                target_edge = e
-                break
-        if target_edge is None:
-            return cur, base
-        e0 = target_edge
-        u = g.o(e0)
-        u2 = g.t(e0)
-        through = cur.omega(e0).compose(cur.alpha(e0).inverse())  # A_u -> A_{u2}
-        new_org = list(g.org)
-        new_tgt = list(g.tgt)
-        new_monos = [list(m) for m in cur.monos]
-        for p in range(g.n_pairs):
-            if p == e0 >> 1:
-                continue
-            # positive half 2p has omega at tgt[p]; negative half at org[p]
-            if new_tgt[p] == u:
-                new_monos[p][1] = through.compose(new_monos[p][1])
-                new_tgt[p] = u2
-            if new_org[p] == u:
-                new_monos[p][0] = through.compose(new_monos[p][0])
-                new_org[p] = u2
-        keep_pairs = [p for p in range(g.n_pairs) if p != e0 >> 1]
-        keep_verts = [v for v in range(g.nv) if v != u]
-        vmap = {v: i for i, v in enumerate(keep_verts)}
-        pairs = [(vmap[new_org[p]], vmap[new_tgt[p]]) for p in keep_pairs]
-        graph = Graph(len(keep_verts), pairs,
-                      vnames=[g.vnames[v] for v in keep_verts],
-                      enames=[g.enames[p] for p in keep_pairs])
-        cur = GraphOfGroups(graph,
-                            [cur.vgroups[v] for v in keep_verts],
-                            [cur.egroups[p] for p in keep_pairs],
-                            [tuple(new_monos[p]) for p in keep_pairs])
-        base = vmap[u2 if base == u else base]
+    g = A.graph
+    parent = list(range(g.nv))
+    link = [None] * g.nv        # map A_v -> A_parent[v]; None at a root
+
+    def find(v):
+        """(root of v, map from A_v to its group, None when v is the root)."""
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        acc = None
+        for x in reversed(path):
+            acc = link[x] if acc is None else acc.compose(link[x])
+            parent[x], link[x] = v, acc
+        return v, acc
+
+    def end(v, m):
+        """(current vertex, current map) of an end given at v with map m."""
+        r, f = find(v)
+        return r, (m if f is None else f.compose(m))
+
+    keep_p = []
+    for p in range(g.n_pairs):
+        (o, a), (t, w) = end(g.org[p], A.monos[p][0]), end(g.tgt[p], A.monos[p][1])
+        if o != t and a.index_of_image() == 1:        # half 2p: o into t
+            parent[o], link[o] = t, w.compose(a.inverse())
+        elif o != t and w.index_of_image() == 1:      # half 2p + 1: t into o
+            parent[t], link[t] = o, a.compose(w.inverse())
+        else:
+            keep_p.append(p)
+    if len(keep_p) == g.n_pairs:
+        return A, basepoint
+    keep_v = [v for v in range(g.nv) if parent[v] == v]
+    vmap = {v: i for i, v in enumerate(keep_v)}
+    kept = [end(g.org[p], A.monos[p][0]) + end(g.tgt[p], A.monos[p][1]) for p in keep_p]
+    graph = Graph(len(keep_v), [(vmap[o], vmap[t]) for o, _, t, _ in kept],
+                  vnames=[g.vnames[v] for v in keep_v],
+                  enames=[g.enames[p] for p in keep_p])
+    R = GraphOfGroups(graph, [A.vgroups[v] for v in keep_v],
+                      [A.egroups[p] for p in keep_p], [(a, w) for _, a, _, w in kept])
+    return R, vmap[find(basepoint)[0]]

@@ -1,9 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from gogroups import gogio
+from gogroups import cli, gogio
 from gogroups.cli import main
 from gogroups.gog import APath
 from gogroups.library import bs_gog, free_double_gog, nofgip_gog
@@ -520,6 +521,76 @@ def test_determinism(tmp_path, capsys):
     main(["pullback", gog, c_imm, b_imm, "--budget", "8"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# One parser per process: main() reuses the parser of its first call, so
+# nothing of one call may reach the next.
+
+GBS_COLLAPSE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "golden", "inputs", "gbs_collapse.json")
+
+
+def test_cached_parser_restores_the_default_budget(tmp_path, capsys, monkeypatch):
+    gog = write(tmp_path, "nofgip.json", NOFGIP)
+    c_imm = write(tmp_path, "C.json", C_IMM)
+    b_imm = write(tmp_path, "B.json", B_IMM)
+    budgets = []
+    build = cli.build_product
+    monkeypatch.setattr(cli, "build_product",
+                        lambda m1, m2, budget, *rest: budgets.append(budget) or
+                        build(m1, m2, budget, *rest))
+    assert main(["pullback", gog, c_imm, b_imm, "--budget", "5"]) == 0
+    assert main(["pullback", gog, c_imm, b_imm]) == 0
+    assert budgets == [5, 64]
+
+
+def test_cached_parser_restores_the_default_vertex(capsys, monkeypatch):
+    calls = []
+    core, core_at = cli.gog_core, cli.gog_core_at
+    monkeypatch.setattr(cli, "gog_core", lambda A: calls.append(None) or core(A))
+    monkeypatch.setattr(cli, "gog_core_at", lambda A, u: calls.append(u) or core_at(A, u))
+    assert main(["core", GBS_COLLAPSE, "--at", "u"]) == 0
+    assert main(["core", GBS_COLLAPSE]) == 0
+    assert calls == [0, None]
+
+
+@pytest.mark.parametrize("bad", [["pullback"], ["validate", GBS_COLLAPSE, "--budget", "3"],
+                                 ["no-such-command"]])
+def test_usage_error_leaves_the_cached_parser_working(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["validate", GBS_COLLAPSE]) == 0
+    assert capsys.readouterr().out == "vertices: 8\nedge-pairs: 8\nVERDICT: ok\n"
+
+
+@pytest.mark.parametrize("argv", [["validate", GBS_COLLAPSE], ["reduce", GBS_COLLAPSE],
+                                  ["decide-fgip", GBS_COLLAPSE], ["export-dot", GBS_COLLAPSE]])
+def test_repeated_call_prints_the_same_bytes(argv, capsys):
+    outputs = []
+    for _ in range(3):
+        code = main(argv)
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.fixture
+def fresh_parser():
+    cli.make_parser.cache_clear()
+    yield
+    cli.make_parser.cache_clear()
+
+
+def test_main_builds_the_parser_once(fresh_parser, capsys, monkeypatch):
+    built = []   # make_parser adds the subcommands to each parser it builds
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda self, **kw: built.append(self) or add_subparsers(self, **kw))
+    for argv in (["validate", GBS_COLLAPSE], ["reduce", GBS_COLLAPSE], ["core", GBS_COLLAPSE],
+                 ["validate", GBS_COLLAPSE], ["export-dot", GBS_COLLAPSE]):
+        assert main(argv) == 0
+    assert len(built) == 1
 
 
 def test_gog_roundtrip_through_files():

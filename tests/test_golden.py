@@ -1,7 +1,8 @@
 """Byte-level guard on CLI output.
 
 Every subcommand runs on every sample it applies to, plus a few extra
-immersion inputs under tests/golden/inputs/ whose folding takes many merges.
+inputs under tests/golden/inputs/: immersions whose folding takes many
+merges, and a graph of groups that reduce collapses.
 Stdout, the exit code and the `pullback --out/--dot` artifacts are compared
 byte for byte with the files stored under tests/golden/.
 
@@ -29,8 +30,10 @@ GOLDEN = os.path.join(HERE, "golden")
 SAMPLES = os.path.join(os.path.dirname(HERE), "samples")
 INPUTS = os.path.join(GOLDEN, "inputs")
 
+# inputs/gbs_collapse is the one graph of groups here that reduce changes:
+# a unit chain from the root u, leaves with non-unit multipliers and a loop
 GOGS = ["bs_1_2", "bs_2_3", "double_f2_cubes", "double_f2_squares",
-        "klein_amalgam", "rose2", "zsquared_hnn"]
+        "klein_amalgam", "rose2", "zsquared_hnn", "inputs/gbs_collapse"]
 FREE_GOGS = ["double_f2_cubes", "double_f2_squares"]   # w-construct's domain
 
 # (gog, first immersion, second immersion, budget); paths relative to the
@@ -71,8 +74,10 @@ def cases():
     out = []
     for g in GOGS:
         for cmd in ("validate", "reduce", "core", "decide-fgip", "export-dot"):
-            out.append((f"{cmd}.{g}", [cmd, _path(g)], ()))
-        out.append((f"core-at-u.{g}", ["core", _path(g), "--at", "u"], ()))
+            out.append((f"{cmd}.{_label(g)}", [cmd, _path(g)], ()))
+        out.append((f"core-at-u.{_label(g)}", ["core", _path(g), "--at", "u"], ()))
+    out.append(("reduce-out.gbs_collapse",
+                ["reduce", _path("inputs/gbs_collapse"), "--out", "{out}"], ("out.json",)))
     for g in FREE_GOGS:
         out.append((f"w-construct.{g}", ["w-construct", _path(g)], ()))
     out.append(("decide-fgip.decorated_two_loops",

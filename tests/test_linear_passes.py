@@ -2,12 +2,14 @@
 
 Each pass is compared with the algorithm it replaced, kept here as the
 reference: `graphs.core` with one turn closure per directed edge,
-`fgip.reduce_decorated` with the rescan for the first collapsible pair after
-every collapse, and `realize_subgroup` with a saturation sweep that calls the
+`fgip.reduce_decorated` and `gog.reduce_gog` with the rescan for the first
+collapsible pair after every collapse, and `realize_subgroup` with a saturation sweep that calls the
 full `saturate_edge` on every live edge in every round.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from gogroups import gogio
 from gogroups.backends import AbelianGroup, FiniteGroup, Mono
 from gogroups.fgip import DecoratedGraph, reduce_decorated
-from gogroups.gog import APath, GraphOfGroups, gog_core, gog_core_at, reduce_apath
+from gogroups.gog import (APath, GraphOfGroups, gog_core, gog_core_at, reduce_apath,
+                          reduce_gog)
 from gogroups.graphs import Graph, _subgraph, core, einv
 from gogroups.library import (bs_gog, free_product_of_finite_gog, rose_gog,
                               segment_z_gog)
@@ -188,6 +191,142 @@ def test_reduce_decorated_long_unit_chain():
     assert decorated_key(red) == decorated_key(reduce_by_rescan(d))
     assert red.graph.nv == 1 and red.graph.vnames == [f"v{n}"]
     assert (red.idx_alpha, red.idx_omega) == ([3 * 2 ** n], [5 * 2 ** n])
+
+
+# ---------------------------------------------------------------------------
+# gog.reduce_gog
+# ---------------------------------------------------------------------------
+
+
+def reduce_gog_by_rescan(A, basepoint):
+    """Collapse the first collapsible directed edge, rebuild the graph of
+    groups with every end at the dying vertex re-homed, and scan again from
+    the first edge."""
+    cur = A
+    base = basepoint
+    while True:
+        g = cur.graph
+        target_edge = None
+        for e in range(2 * g.n_pairs):
+            if g.o(e) == g.t(e):
+                continue
+            if cur.alpha(e).index_of_image() == 1:
+                target_edge = e
+                break
+        if target_edge is None:
+            return cur, base
+        e0 = target_edge
+        u = g.o(e0)
+        u2 = g.t(e0)
+        through = cur.omega(e0).compose(cur.alpha(e0).inverse())  # A_u -> A_{u2}
+        new_org = list(g.org)
+        new_tgt = list(g.tgt)
+        new_monos = [list(m) for m in cur.monos]
+        for p in range(g.n_pairs):
+            if p == e0 >> 1:
+                continue
+            # positive half 2p has omega at tgt[p]; negative half at org[p]
+            if new_tgt[p] == u:
+                new_monos[p][1] = through.compose(new_monos[p][1])
+                new_tgt[p] = u2
+            if new_org[p] == u:
+                new_monos[p][0] = through.compose(new_monos[p][0])
+                new_org[p] = u2
+        keep_pairs = [p for p in range(g.n_pairs) if p != e0 >> 1]
+        keep_verts = [v for v in range(g.nv) if v != u]
+        vmap = {v: i for i, v in enumerate(keep_verts)}
+        pairs = [(vmap[new_org[p]], vmap[new_tgt[p]]) for p in keep_pairs]
+        graph = Graph(len(keep_verts), pairs,
+                      vnames=[g.vnames[v] for v in keep_verts],
+                      enames=[g.enames[p] for p in keep_pairs])
+        cur = GraphOfGroups(graph,
+                            [cur.vgroups[v] for v in keep_verts],
+                            [cur.egroups[p] for p in keep_pairs],
+                            [tuple(new_monos[p]) for p in keep_pairs])
+        base = vmap[u2 if base == u else base]
+
+
+Z2 = {"abelian": {"rank": 2, "torsion": []}}
+# Z multipliers, units drawn often so that collapses chain; Z^2 -> Z^2 maps
+# by row images, unimodular (index 1) or of determinant +-2 or 3
+multiplier = st.sampled_from([1, -1, 1, -1, 2, -2, 3])
+square = st.sampled_from([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]],
+                          [[-1, 0], [0, 1]], [[1, 0], [2, -1]], [[2, 0], [0, 1]],
+                          [[1, 1], [-1, 1]], [[1, 0], [0, 3]]])
+vector = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any).map(list)
+
+
+@st.composite
+def z_and_z2_gogs(draw):
+    """Graph-of-groups files over Z and Z^2 vertex groups, loops and
+    multi-edges included.  An edge between two Z^2 vertices has group Z^2
+    or Z; every other edge has group Z, of infinite index in a Z^2 end."""
+    nv = draw(st.integers(1, 7))
+    ranks = draw(st.lists(st.sampled_from([1, 1, 2]), min_size=nv, max_size=nv))
+    vertex = st.integers(0, nv - 1)
+    edges = []
+    for i, (o, t) in enumerate(draw(st.lists(st.tuples(vertex, vertex), max_size=10))):
+        square_edge = ranks[o] == ranks[t] == 2 and draw(st.booleans())
+
+        def images(r):
+            if square_edge:
+                return draw(square)
+            return [draw(multiplier) if r == 1 else draw(vector)]
+
+        edges.append({"name": f"e{i}", "from": f"v{o}", "to": f"v{t}",
+                      "group": Z2 if square_edge else {"Z": True},
+                      "alpha": images(ranks[o]), "omega": images(ranks[t])})
+    return {"vertices": {f"v{i}": {"Z": True} if r == 1 else Z2 for i, r in enumerate(ranks)},
+            "edges": edges, "basepoint": f"v{draw(vertex)}"}
+
+
+def reduced_file(R, base):
+    return json.dumps(gogio.serialize_gog(R, basepoint=base), sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z_and_z2_gogs())
+def test_reduce_gog_matches_rescan(data):
+    A, base = gogio.parse_gog(data)
+    R, b = reduce_gog(A, base)
+    R0, b0 = reduce_gog_by_rescan(A, base)
+    assert reduced_file(R, b) == reduced_file(R0, b0)
+    assert b == b0
+
+
+def broom(k, chain, leaves_first):
+    """A root u with k leaves by (2, 2) edges and a unit chain u -> c1 -> ...
+    -> c_chain: each chain edge collapses its origin into its target, so the
+    root and its leaf ends move down the whole chain."""
+    chain_edges = [{"name": f"s{i}", "from": "u" if i == 1 else f"c{i - 1}", "to": f"c{i}",
+                    "group": {"Z": True}, "alpha": [1], "omega": [-1 if i % 2 else 1]}
+                   for i in range(1, chain + 1)]
+    leaf_edges = [{"name": f"l{i}", "from": "u", "to": f"x{i}", "group": {"Z": True},
+                   "alpha": [2], "omega": [2]} for i in range(k)]
+    names = ["u"] + [f"c{i}" for i in range(1, chain + 1)] + [f"x{i}" for i in range(k)]
+    return {"vertices": {n: {"Z": True} for n in names},
+            "edges": leaf_edges + chain_edges if leaves_first else chain_edges + leaf_edges,
+            "basepoint": "u"}
+
+
+@pytest.mark.parametrize("leaves_first", [True, False], ids=["leaves-first", "chain-first"])
+def test_reduce_gog_broom_is_linear(leaves_first, monkeypatch):
+    k = chain = 60
+    A, base = gogio.parse_gog(broom(k, chain, leaves_first))
+    counts = {"compose": 0, "index_of_image": 0}
+    for name in counts:
+        def counted(self, *args, _f=getattr(Mono, name), _name=name):
+            counts[_name] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(Mono, name, counted)
+    R, b = reduce_gog(A, base)
+    monkeypatch.undo()
+    assert (R.graph.nv, R.graph.n_pairs, R.graph.vnames[b]) == (k + 1, k, f"c{chain}")
+    # the rescan composes k leaf ends per collapse, or passes k leaf edges
+    # per rescan: k * chain calls, 3600 here
+    assert counts["compose"] <= 4 * (k + chain)
+    assert counts["index_of_image"] <= 4 * (k + chain)
+    assert reduced_file(R, b) == reduced_file(*reduce_gog_by_rescan(A, base))
 
 
 # ---------------------------------------------------------------------------
