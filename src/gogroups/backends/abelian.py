@@ -12,6 +12,7 @@ import functools
 
 from ..intlattice import Lattice, LinSolver, lin_solve, preimage_lattice
 from ..words import primitive_root, winv
+from .base import UnsupportedExpansion, evaluate_word
 
 
 class AbelianSubgroup:
@@ -108,6 +109,52 @@ class AbelianDoubleCosets:
         if self.lat.index_in(self.full) is None:
             raise ValueError("infinitely many double cosets")
         return {self.canon(rep) for rep in self.lat.transversal(self.full)}
+
+    def edge_fan(self, alpha, edge_dc, f_a, g_a):
+        return AbelianEdgeFan(self, alpha, edge_dc, f_a, g_a)
+
+
+class AbelianEdgeFan:
+    """The witness-independent work done once.  Elements of the edge group
+    Ge are coordinate vectors over its generators, as evaluate_word reads
+    them: Ge's own coordinates when it is abelian, the exponent n of a^n
+    when it is free of rank 1.  The solver works over the rows of M =
+    alpha(gens) plus H + K; reps is the transversal of E1 + E2 in P =
+    {a : alpha(a) in H + K}, or error says why the fan cannot be listed."""
+
+    def __init__(self, dc, alpha, edge_dc, f_a, g_a):
+        Ge = alpha.domain
+        gens = Ge.generators()
+        if Ge.kind == "abelian":
+            n, Se = Ge.n, edge_dc.lat
+        elif Ge.kind == "free" and len(gens) <= 1:
+            n = len(gens)
+            Se = Lattice(n, [[sum(c for _, c in Ge.decompose(h))]
+                             for h in edge_dc.H.gens + edge_dc.K.gens])
+        else:
+            raise UnsupportedExpansion("abelian vertex with non-abelian edge group")
+        M = [list(alpha.apply(gen)) for gen in gens]
+        P = preimage_lattice(M, n, dc.lat)
+        self.Ge, self.gens, self.reps, self.error = Ge, gens, [], None
+        self.shift = [ga - fa for fa, ga in zip(f_a, g_a)]
+        self.solver = LinSolver(M + [list(r) for r in dc.lat.rows])
+        if not Se.is_sublattice_of(P):
+            self.error = "edge-group cosets do not refine the fan"
+        elif Se.index_in(P) is None:
+            self.error = "infinite-edge-fan"
+        else:
+            self.reps = [evaluate_word(Ge, gens, enumerate(rep)) for rep in Se.transversal(P)]
+
+    def solve(self, witness):
+        # alpha(a) must fall in witness - f_a + g_a + (H + K)
+        sol = self.solver.solve([x + d for x, d in zip(witness, self.shift)])
+        if sol is None:
+            return []
+        if self.error:
+            raise UnsupportedExpansion(self.error)
+        n = len(self.gens)
+        a0 = evaluate_word(self.Ge, self.gens, [(i, c) for i, c in enumerate(sol[:n]) if c])
+        return [self.Ge.mul(a0, rep) for rep in self.reps]
 
 
 @functools.cache

@@ -22,7 +22,14 @@ H, K subgroup handles):
                                with target == h * w * k; reps(), the canon()
                                of every double coset inside S (all of G by
                                default; ValueError when infinitely many, None
-                               when unknown)
+                               when unknown); edge_fan(alpha, edge_dc, f_a,
+                               g_a), the fan of a pullback vertex along one
+                               edge: alpha maps an edge group A_e into G and
+                               edge_dc is its handle E1\\A_e/E2; fan.solve(w)
+                               lists, in a fixed order, one a per double coset
+                               E1 a E2 with f_a alpha(a) g_a^-1 in H w K;
+                               edge_fan or solve raises UnsupportedExpansion
+                               when the fan cannot be listed, saying why
   G.serialize(x) / G.parse(obj)
 
 Subgroup handles expose: .group, .gens, contains, is_trivial, order, index
@@ -31,6 +38,10 @@ equals, decompose (word over .gens).
 """
 
 from __future__ import annotations
+
+
+class UnsupportedExpansion(Exception):
+    """An edge fan that cannot be listed; the message says why."""
 
 
 def evaluate_word(backend, items, word):

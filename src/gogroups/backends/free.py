@@ -12,10 +12,12 @@ along any surviving closed walk multiply to a preimage of the walk's label.
 
 from __future__ import annotations
 
+from math import gcd
+
 from ..words import (wreduce, wmul, winv, wpow, cyc_reduce, primitive_root,
                      format_word, parse_word, word_key, letter_key)
-from .base import evaluate_word
-from .rational import CosetNFA
+from .base import UnsupportedExpansion, evaluate_word
+from .rational import CosetNFA, PowerPattern
 
 
 def _bfs(delta, alive=None):
@@ -421,6 +423,39 @@ class FreeDoubleCosets:
         else:
             return None
         return {self.canon(evaluate_word(self.group, S.gens, Fs.decompose(w))) for w in words}
+
+    def edge_fan(self, alpha, edge_dc, f_a, g_a):
+        return FreeEdgeFan(self, alpha, edge_dc, f_a, g_a)
+
+
+class FreeEdgeFan:
+    """For a cyclic edge group <z>: the powers z^n with c^n in f_a^-1 H w K g_a,
+    c = alpha(z), one per residue of n modulo d0 where E1 E2 = <z^d0>, or
+    each n when d0 = 0 and they are finitely many.  Each witness builds its
+    own automaton and none is kept: one per product vertex would live as
+    long as the pullback."""
+
+    def __init__(self, dc, alpha, edge_dc, f_a, g_a):
+        Ge = alpha.domain
+        gens = Ge.generators()
+        if len(gens) != 1:
+            raise UnsupportedExpansion("free vertex group with non-cyclic edge group")
+        self.z, self.c = gens[0], alpha.apply(gens[0])
+        if not self.c:
+            raise UnsupportedExpansion("edge map with trivial image")
+        self.d0 = gcd(*(sum(e for _, e in Ge.decompose(h))
+                        for h in edge_dc.H.gens + edge_dc.K.gens))
+        self.dc, self.Ge, self.prefix, self.suffix = dc, Ge, winv(f_a), g_a
+
+    def solve(self, witness):
+        pattern = PowerPattern(self.dc.nfa(witness, self.prefix, self.suffix), self.c)
+        if self.d0:
+            ns = [n for _, n in sorted(pattern.solutions_mod(self.d0).items())]
+        elif pattern.infinite():
+            raise UnsupportedExpansion("infinite-edge-fan")
+        else:
+            ns = pattern.finite_solutions()
+        return [self.Ge.pow(self.z, n) for n in ns]
 
 
 def _orbit_reps(H, K):

@@ -303,12 +303,21 @@ def cmd_export_dot(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: usage, an `error:` line on stderr and
+    exit 3, since argparse's own exit 2 is the code of an unknown verdict.
+    add_subparsers makes the subcommand parsers of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"error: {message}\n")
+
+
 @functools.cache
 def make_parser():
     """The argument parser, built once per process: parse_args leaves it
     unchanged and returns a fresh namespace on every call."""
-    ap = argparse.ArgumentParser(prog="gogroups",
-                                 description="graphs of groups toolkit")
+    ap = _Parser(prog="gogroups", description="graphs of groups toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a graph-of-groups file")

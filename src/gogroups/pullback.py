@@ -20,34 +20,23 @@ it is reduced from the seam on (gog.reduce_concat), as are the generator
 paths built from anchors.
 
 The fragment keeps, for its lifetime, every piece of work that does not
-depend on a witness.  Besides the double-coset handles per vertex pair and
-per edge pair, an abelian expansion keeps one fan per (v, w, f, g): the
-matrix M of alpha-images of the edge group's generators, a LinSolver over M
-plus H + K, the preimage lattice P of H + K under M, and the transversal of
-E1 + E2 in P (or why it cannot be listed).  Each vertex then costs one
-back-substitution for its own target.  Vertex and edge groups are computed
-once each, on first request, and shared by to_json, the intersection
-generators and the ray certificate.
+depend on a witness: the double-coset handles per vertex pair and per edge
+pair, and one edge fan per (v, w, f, g), made by the vertex pair's handle
+(edge_fan in the backend contract, backends/base.py).  The fan lists the
+edge double cosets E1 a E2 whose transport f_alpha alpha(a) g_alpha^-1
+lands in the vertex's double coset H w K; how it finds them is the
+backend's business, so expanding a vertex is one fan.solve per edge pair.
+Vertex and edge groups are computed once each, on first request, and shared
+by to_json, the intersection generators and the ray certificate.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from math import gcd
 
-from .backends.base import evaluate_word
+from .backends.base import UnsupportedExpansion
 from .gog import APath, apath_concat, apath_inverse, reduce_concat
 from .graphs import einv
-from .intlattice import Lattice, LinSolver, preimage_lattice
-
-
-class UnsupportedExpansion(Exception):
-    pass
-
-
-def _element(G, gens, vec):
-    """The element of G with coordinate vector vec over gens."""
-    return evaluate_word(G, gens, [(i, c) for i, c in enumerate(vec) if c])
 
 
 class ProductVertex:
@@ -76,7 +65,7 @@ class ProductEdge:
     def __init__(self, f, g, rep, witness, src, dst, tree, bc0, cc0, bc1, cc1):
         self.f = f
         self.g = g
-        self.rep = rep          # solver representative in the edge group
+        self.rep = rep          # edge fan representative in the edge group
         self.witness = witness  # canonical double-coset witness (dedup key)
         self.src = src
         self.dst = dst
@@ -106,7 +95,7 @@ class AProductFragment:
         # double-coset handles, kept for the fragment's lifetime:
         self.vertex_dcs = {}      # (v, w) -> mu1(B_v) \ A_u / mu2(C_w)
         self.edge_dcs = {}        # (f, g) pair indices -> E1 \ A_e / E2
-        self.fans = {}            # (v, w, f, g) -> _abelian_fan of the four
+        self.fans = {}            # (v, w, f, g) -> the vertex handle's edge fan
         self.vertex_groups = {}   # vertex index -> its vertex group
         self.edge_groups = {}     # edge index -> its edge group
 
@@ -256,20 +245,36 @@ class AProductFragment:
                     self._add_edge(idx, f, g, e_f, rep, bc0, cc0)
         x.expanded = True
 
+    def _solve_edges(self, x, f, g, e):
+        """The fan's representatives at x, each with the factors (b0, c0) of
+        its transport f_alpha alpha(rep) g_alpha^-1 = b0 . witness . c0."""
+        dc = self._vertex_dc(x.v, x.w)
+        fan = self.fans.get((x.v, x.w, f, g))
+        if fan is None:
+            fan = self.fans[(x.v, x.w, f, g)] = dc.edge_fan(
+                self.A.alpha(e), self._edge_dc(f, g),
+                self.m1.twist_alpha(f), self.m2.twist_alpha(g))
+        return [(rep, *dc.factor(x.witness, self._transport(f, g, e, rep, 0)))
+                for rep in fan.solve(x.witness)]
+
     def _edge_key(self, f, g, src, dst, witness):
         a = (f, g, src, dst)
         b = (einv(f), einv(g), dst, src)
         return (min(a, b), witness)
 
+    def _transport(self, f, g, e, rep, end):
+        """twist_alpha(f) . alpha(rep) . twist_alpha(g)^-1 at the origin of e
+        (end 0), or at its terminus (end 1), the origin of the reversed edges."""
+        if end:
+            f, g, e = einv(f), einv(g), einv(e)
+        G = self.A.vgroups[self.A.graph.o(e)]
+        return G.mul(G.mul(self.m1.twist_alpha(f), self.A.alpha(e).apply(rep)),
+                     G.inv(self.m2.twist_alpha(g)))
+
     def _add_edge(self, idx, f, g, e, rep, bc0, cc0):
-        A = self.A
         x = self.vertices[idx]
         ewitness = self._edge_dc(f, g).canon(rep)
-        u2 = A.graph.t(e)
-        Au2 = A.vgroups[u2]
-        f_w = self.m1.twist_omega(f)
-        g_w = self.m2.twist_omega(g)
-        t_raw = Au2.mul(Au2.mul(f_w, A.omega(e).apply(rep)), Au2.inv(g_w))
+        t_raw = self._transport(f, g, e, rep, 1)
         v2 = self.m1.source.graph.t(f)
         w2 = self.m2.source.graph.t(g)
         dst, created, bc1, cc1 = self._intern(v2, w2, t_raw, x.component)
@@ -283,115 +288,6 @@ class AProductFragment:
             bc1, cc1 = self._vertex_dc(v2, w2).factor(self.vertices[dst].witness, t_raw)
         self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created,
                                       bc0, cc0, bc1, cc1))
-
-    # --- expansion solvers ---
-
-    def _solve_edges(self, x, f, g, e):
-        """Representatives (one per edge double coset) with origin x, plus
-        factors (b0, c0) with f_alpha alpha(rep) g_alpha^-1 = b0 . witness . c0."""
-        A = self.A
-        u = A.graph.o(e)
-        Au = A.vgroups[u]
-        Ge = A.egroup(e)
-        dc = self._vertex_dc(x.v, x.w)
-        edc = self._edge_dc(f, g)
-        f_a = self.m1.twist_alpha(f)
-        g_a = self.m2.twist_alpha(g)
-        alpha = A.alpha(e)
-        kind = getattr(Au, "kind", None)
-
-        def o_raw(rep):
-            return Au.mul(Au.mul(f_a, alpha.apply(rep)), Au.inv(g_a))
-
-        if kind == "finite":
-            # raw(b a c) lies in H raw(a) K for b in E1 and c in E2, so one
-            # test per edge double coset, at its least element, decides it
-            raws = [(a, o_raw(a)) for a in sorted(edc.reps())]
-            raws = [(a, raw) for a, raw in raws if dc.eq(x.witness, raw)]
-        elif kind == "abelian":
-            raws = [(rep, o_raw(rep)) for rep in
-                    self._solve_abelian(x, f, g, Ge, dc, edc, f_a, g_a, alpha)]
-        elif kind == "free":
-            raws = [(rep, o_raw(rep)) for rep in
-                    self._solve_free_cyclic(x, Ge, dc, edc, f_a, g_a, alpha)]
-        else:
-            raise UnsupportedExpansion(f"no expansion solver for vertex backend {kind}")
-        return [(rep, *dc.factor(x.witness, raw)) for rep, raw in raws]
-
-    def _solve_abelian(self, x, f, g, Ge, dc, edc, f_a, g_a, alpha):
-        gens, solver, reps, error = self._abelian_fan(x.v, x.w, f, g, Ge, dc, edc, alpha)
-        # alpha(a) must fall in witness - f_a + g_a + (H + K)
-        sol = solver.solve([xw - fa + ga for xw, fa, ga in zip(x.witness, f_a, g_a)])
-        if sol is None:
-            return []
-        if error:
-            raise UnsupportedExpansion(error)
-        a0 = _element(Ge, gens, sol[:len(gens)])
-        return [Ge.mul(a0, rep) for rep in reps]
-
-    def _abelian_fan(self, v, w, f, g, Ge, dc, edc, alpha):
-        """The part of _solve_abelian that does not depend on the witness,
-        made once per (v, w, f, g): (gens, solver, reps, error).  Elements
-        of Ge are read as coordinate vectors over gens: its own coordinates
-        when Ge is abelian, the exponent n of a^n when Ge is free of rank 1.
-        The solver works over the rows of M = alpha(gens) plus H + K; reps
-        is the transversal of E1 + E2 in P = {a : alpha(a) in H + K}, or
-        error says why the fan cannot be listed."""
-        fan = self.fans.get((v, w, f, g))
-        if fan is None:
-            gens = Ge.generators()
-            kind = getattr(Ge, "kind", None)
-            if kind == "abelian":
-                n, Se = Ge.n, edc.lat
-            elif kind == "free" and len(gens) <= 1:
-                n = len(gens)
-                Se = Lattice(n, [[sum(c for _, c in Ge.decompose(h))]
-                                 for h in edc.H.gens + edc.K.gens])
-            else:
-                raise UnsupportedExpansion("abelian vertex with non-abelian edge group")
-            M = [list(alpha.apply(gen)) for gen in gens]
-            solver = LinSolver(M + [list(r) for r in dc.lat.rows])
-            P = preimage_lattice(M, n, dc.lat)
-            reps, error = [], None
-            if not Se.is_sublattice_of(P):
-                error = "edge-group cosets do not refine the fan"
-            elif Se.index_in(P) is None:
-                error = "infinite-edge-fan"
-            else:
-                reps = [_element(Ge, gens, rep) for rep in Se.transversal(P)]
-            fan = self.fans[(v, w, f, g)] = (gens, solver, reps, error)
-        return fan
-
-    def _solve_free_cyclic(self, x, Ge, dc, edc, f_a, g_a, alpha):
-        from .backends.rational import PowerPattern
-        from .words import winv
-        gens = Ge.generators()
-        if len(gens) != 1:
-            raise UnsupportedExpansion("free vertex group with non-cyclic edge group")
-        z = gens[0]
-        c = alpha.apply(z)
-        if not c:
-            raise UnsupportedExpansion("edge map with trivial image")
-
-        # E1 E2 = <z^d0>, d0 = 0 when both are trivial
-        if getattr(Ge, "kind", None) == "abelian":
-            d0 = abs(edc.lat.rows[0][0]) if edc.lat.rows else 0
-        else:
-            d0 = gcd(edc.H.index() or 0, edc.K.index() or 0)
-        pattern = PowerPattern(dc.nfa(x.witness, winv(f_a), g_a), c)
-
-        def rep_of(n):
-            if getattr(Ge, "kind", None) == "abelian":
-                return Ge.canon((n,) + (0,) * (Ge.n - 1))
-            letter = z[0]
-            return tuple([letter] * n) if n >= 0 else tuple([-letter] * (-n))
-
-        if d0 == 0:
-            if pattern.infinite():
-                raise UnsupportedExpansion("infinite-edge-fan")
-            return [rep_of(n) for n in pattern.finite_solutions()]
-        sols = pattern.solutions_mod(d0)
-        return [rep_of(n) for r, n in sorted(sols.items())]
 
     # --- reports ---
 

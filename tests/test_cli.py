@@ -559,10 +559,18 @@ def test_cached_parser_restores_the_default_vertex(capsys, monkeypatch):
 def test_usage_error_leaves_the_cached_parser_working(bad, capsys):
     with pytest.raises(SystemExit) as exc:
         main(bad)
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
     assert main(["validate", GBS_COLLAPSE]) == 0
     assert capsys.readouterr().out == "vertices: 8\nedge-pairs: 8\nVERDICT: ok\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["pullback", "--help"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gogroups")
 
 
 @pytest.mark.parametrize("argv", [["validate", GBS_COLLAPSE], ["reduce", GBS_COLLAPSE],

@@ -1,8 +1,10 @@
+import json
 from random import Random
 
 import pytest
 
 from gogroups.backends import FiniteGroup, FreeGroup
+from gogroups.cli import main
 from gogroups.gog import APath, apaths_equal, reduce_apath
 from gogroups.library import (bs_gog, nofgip_gog, rose_gog, word_apath)
 from gogroups.morphism import identity_morphism, is_immersion, realize_subgroup
@@ -235,3 +237,54 @@ def test_expand_empty_star_no_edges():
     assert frag.complete
     assert frag.edges == []
     assert len(frag.vertices) == 1
+
+
+# --- the reasons recorded in `unexpandable`, one per reachable cause ---
+
+def loop_gog(vertex, edge, alpha, omega):
+    return {"vertices": {"u": vertex}, "edges": [
+        {"name": "e", "from": "u", "to": "u", "group": edge, "alpha": alpha, "omega": omega}]}
+
+
+def loop_morphism(vertex_subgroup, edge_subgroup):
+    return {"vertices": {"x": {"over": "u", "subgroup": vertex_subgroup}},
+            "edges": [{"name": "f", "over": "e", "from": "x", "to": "x",
+                       "subgroup": edge_subgroup}]}
+
+
+Z2 = {"finite": {"table": [[0, 1], [1, 0]]}}
+
+# (gog, morphism paired with itself, reason recorded for the base vertex)
+UNEXPANDABLE = {
+    # identity x identity: the edge group F2 is not cyclic
+    "free-rank-2-edge": (loop_gog({"free": 2}, {"free": 2}, ["a", "b"], ["a", "bb"]),
+                         loop_morphism(["a", "b"], ["a", "b"]),
+                         "free vertex group with non-cyclic edge group"),
+    "free-trivial-edge": (loop_gog({"free": 2}, {"free": 0}, [], []),
+                          loop_morphism(["a", "b"], []),
+                          "free vertex group with non-cyclic edge group"),
+    # E1 = E2 = 1 while every a^n lies in H 1 K = <a>
+    "free-Z-edge-infinite": (loop_gog({"free": 1}, {"Z": True}, ["a"], ["a"]),
+                             loop_morphism(["a"], []), "infinite-edge-fan"),
+    "free-F1-edge-infinite": (loop_gog({"free": 1}, {"free": 1}, ["a"], ["a"]),
+                              loop_morphism(["a"], []), "infinite-edge-fan"),
+    # E1 + E2 = 0 has infinite index in P = {a : alpha(a) in H + K} = Z
+    "abelian-infinite": (loop_gog({"Z": True}, {"Z": True}, [1], [1]),
+                         loop_morphism([1], []), "infinite-edge-fan"),
+    "abelian-finite-edge": (loop_gog({"abelian": {"rank": 0, "torsion": [2]}}, Z2, [[1]], [[1]]),
+                            loop_morphism([[1]], [1]),
+                            "abelian vertex with non-abelian edge group"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNEXPANDABLE))
+def test_unexpandable_reasons_are_pinned(case, tmp_path, capsys):
+    gog, morphism, reason = UNEXPANDABLE[case]
+    g, m, out = tmp_path / "gog.json", tmp_path / "m.json", tmp_path / "out.json"
+    g.write_text(json.dumps(gog))
+    m.write_text(json.dumps(morphism))
+    assert main(["pullback", str(g), str(m), str(m), "--budget", "4", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["complete: False", f"unexpandable 0: {reason}",
+                          "VERDICT: budget-exhausted"]
+    assert json.loads(out.read_text())["unexpandable"] == {"0": reason}
