@@ -12,7 +12,7 @@ import functools
 
 from ..intlattice import Lattice, LinSolver, lin_solve, preimage_lattice
 from ..words import primitive_root, winv
-from .base import UnsupportedExpansion, evaluate_word
+from .base import FiniteEdgeFan, UnsupportedExpansion, evaluate_word
 
 
 class AbelianSubgroup:
@@ -56,15 +56,10 @@ class AbelianSubgroup:
         return self.lat == other.lat
 
     def decompose(self, x):
-        if not self.gens:
-            if any(x):
-                raise ValueError("element not in subgroup")
-            return []
-        rows = [list(g) for g in self.gens] + [list(r) for r in self.group.L0.rows]
-        sol = lin_solve(rows, list(x))
-        if sol is None:
+        word = self.group.express(x, self.gens)
+        if word is None:
             raise ValueError("element not in subgroup")
-        return [(i, sol[i]) for i in range(len(self.gens)) if sol[i]]
+        return word
 
     def invariants(self):
         """(free_rank, [torsion divisors]) of the subgroup as a group."""
@@ -111,6 +106,8 @@ class AbelianDoubleCosets:
         return {self.canon(rep) for rep in self.lat.transversal(self.full)}
 
     def edge_fan(self, alpha, edge_dc, f_a, g_a):
+        if alpha.domain.kind == "finite":
+            return FiniteEdgeFan(self, alpha, edge_dc, f_a, g_a)
         return AbelianEdgeFan(self, alpha, edge_dc, f_a, g_a)
 
 
@@ -132,6 +129,9 @@ class AbelianEdgeFan:
             Se = Lattice(n, [[sum(c for _, c in Ge.decompose(h))]
                              for h in edge_dc.H.gens + edge_dc.K.gens])
         else:
+            # finite edge groups take FiniteEdgeFan, and no other group maps
+            # injectively into an abelian one: only a map that was never
+            # validated gets here
             raise UnsupportedExpansion("abelian vertex with non-abelian edge group")
         M = [list(alpha.apply(gen)) for gen in gens]
         P = preimage_lattice(M, n, dc.lat)

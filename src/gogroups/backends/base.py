@@ -29,7 +29,9 @@ H, K subgroup handles):
                                lists, in a fixed order, one a per double coset
                                E1 a E2 with f_a alpha(a) g_a^-1 in H w K;
                                edge_fan or solve raises UnsupportedExpansion
-                               when the fan cannot be listed, saying why
+                               when the fan cannot be listed, saying why;
+                               every backend lists the fan of a finite edge
+                               group with FiniteEdgeFan
   G.serialize(x) / G.parse(obj)
 
 Subgroup handles expose: .group, .gens, contains, is_trivial, order, index
@@ -42,6 +44,23 @@ from __future__ import annotations
 
 class UnsupportedExpansion(Exception):
     """An edge fan that cannot be listed; the message says why."""
+
+
+class FiniteEdgeFan:
+    """The fan of a finite edge group, over any vertex backend: f_a alpha(b a
+    c) g_a^-1 lies in H (f_a alpha(a) g_a^-1) K for b in E1 and c in E2, so
+    one dc.eq test per edge double coset, at its least canon() value,
+    decides it; those values and their transports are listed once.  The
+    finite backend's own fan, and the free and abelian ones' whenever the
+    edge group is finite and their own fan cannot list it."""
+
+    def __init__(self, dc, alpha, edge_dc, f_a, g_a):
+        mul, g_inv = dc.group.mul, dc.group.inv(g_a)
+        self.eq = dc.eq
+        self.raws = [(a, mul(mul(f_a, alpha.apply(a)), g_inv)) for a in sorted(edge_dc.reps())]
+
+    def solve(self, witness):
+        return [a for a, raw in self.raws if self.eq(witness, raw)]
 
 
 def evaluate_word(backend, items, word):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from .base import FiniteEdgeFan
+
 
 class FiniteSubgroup:
     __slots__ = ("group", "gens", "elts")
@@ -90,20 +92,6 @@ class FiniteDoubleCosets:
 
     def edge_fan(self, alpha, edge_dc, f_a, g_a):
         return FiniteEdgeFan(self, alpha, edge_dc, f_a, g_a)
-
-
-class FiniteEdgeFan:
-    """f_a alpha(b a c) g_a^-1 lies in H (f_a alpha(a) g_a^-1) K for b in E1
-    and c in E2, so one test per edge double coset, at its least element,
-    decides it; those elements and their transports are listed once."""
-
-    def __init__(self, dc, alpha, edge_dc, f_a, g_a):
-        mul, g_inv = dc.group.mul, dc.group.inv(g_a)
-        self.eq = dc.eq
-        self.raws = [(a, mul(mul(f_a, alpha.apply(a)), g_inv)) for a in sorted(edge_dc.reps())]
-
-    def solve(self, witness):
-        return [a for a, raw in self.raws if self.eq(witness, raw)]
 
 
 class FiniteGroup:

@@ -16,7 +16,7 @@ from math import gcd
 
 from ..words import (wreduce, wmul, winv, wpow, cyc_reduce, primitive_root,
                      format_word, parse_word, word_key, letter_key)
-from .base import UnsupportedExpansion, evaluate_word
+from .base import FiniteEdgeFan, UnsupportedExpansion, evaluate_word
 from .rational import CosetNFA, PowerPattern
 
 
@@ -425,6 +425,10 @@ class FreeDoubleCosets:
         return {self.canon(evaluate_word(self.group, S.gens, Fs.decompose(w))) for w in words}
 
     def edge_fan(self, alpha, edge_dc, f_a, g_a):
+        # a finite edge group maps injectively only onto the trivial subgroup,
+        # which FreeEdgeFan does not list
+        if alpha.domain.order() is not None:
+            return FiniteEdgeFan(self, alpha, edge_dc, f_a, g_a)
         return FreeEdgeFan(self, alpha, edge_dc, f_a, g_a)
 
 

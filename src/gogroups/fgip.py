@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .backends import AbelianGroup, FreeGroup, Mono
 from .gog import GraphOfGroups
-from .graphs import Graph, einv
+from .graphs import Graph, einv, subgraph
 from .words import cyclic_conjugate, format_word, primitive_root, wconj, winv
 
 
@@ -63,9 +63,7 @@ def extract_decoration(A):
             raise ValueError("degenerate edge map")
         ia.append(a)
         io.append(o)
-    return DecoratedGraph(Graph(g.nv, list(zip(g.org, g.tgt)),
-                                vnames=list(g.vnames), enames=list(g.enames)),
-                          ia, io)
+    return DecoratedGraph(g, ia, io)
 
 
 def _mul_index(a, b):
@@ -117,12 +115,9 @@ def reduce_decorated(d):
             parent[t], weight[t] = o, a
         else:
             keep_p.append(p)
-    keep_v = [v for v in range(g.nv) if parent[v] == v]
-    vmap = {v: i for i, v in enumerate(keep_v)}
     kept = [ends(p) for p in keep_p]
-    graph = Graph(len(keep_v), [(vmap[o], vmap[t]) for o, t, _, _ in kept],
-                  vnames=[g.vnames[v] for v in keep_v],
-                  enames=[g.enames[p] for p in keep_p])
+    graph, _ = subgraph(g, [v for v in range(g.nv) if parent[v] == v],
+                        [(p, o, t) for p, (o, t, _, _) in zip(keep_p, kept)])
     return DecoratedGraph(graph, [a for _, _, a, _ in kept], [w for _, _, _, w in kept])
 
 
@@ -200,26 +195,22 @@ def decide_fgip_vz(d):
 
 
 def decide_components(d):
-    """Reduce, split into components, decide each; conjunction of answers."""
+    """Reduce, split into components, decide each; conjunction of answers.
+    The empty graph counts as one empty component."""
     red = reduce_decorated(d)
-    n, comp = red.graph.connected_components()
+    g = red.graph
+    n, comp = g.connected_components()
+    verts = [[] for _ in range(max(n, 1))]
+    pairs = [[] for _ in range(max(n, 1))]
+    for v in range(g.nv):
+        verts[comp[v]].append(v)
+    for p in range(g.n_pairs):
+        pairs[comp[g.org[p]]].append((p, g.org[p], g.tgt[p]))
     verdicts = []
-    for c in range(max(n, 1)):
-        keep_v = [v for v in range(red.graph.nv) if comp and comp[v] == c]
-        if not comp:
-            keep_v = list(range(red.graph.nv))
-        vset = set(keep_v)
-        keep_p = [p for p in range(red.graph.n_pairs) if red.graph.org[p] in vset]
-        vmap = {v: i for i, v in enumerate(keep_v)}
-        sub = Graph(len(keep_v),
-                    [(vmap[red.graph.org[p]], vmap[red.graph.tgt[p]]) for p in keep_p],
-                    vnames=[red.graph.vnames[v] for v in keep_v],
-                    enames=[red.graph.enames[p] for p in keep_p])
-        dd = DecoratedGraph(sub, [red.idx_alpha[p] for p in keep_p],
-                            [red.idx_omega[p] for p in keep_p])
-        verdicts.append(decide_fgip_vz(dd))
-        if n == 0:
-            break
+    for vs, ps in zip(verts, pairs):
+        sub, _ = subgraph(g, vs, ps)
+        verdicts.append(decide_fgip_vz(DecoratedGraph(
+            sub, [red.idx_alpha[p] for p, _, _ in ps], [red.idx_omega[p] for p, _, _ in ps])))
     answer = "yes" if all(v.answer == "yes" for v in verdicts) else "no"
     cert = "; ".join(v.certificate for v in verdicts)
     return FgipVerdict(answer, cert, components=[v.certificate for v in verdicts])
@@ -267,12 +258,7 @@ def w_construction(A):
     exponents = {}
     images = {}
     for e in g.edges():
-        G = A.vgroups[g.o(e)]
-        z = A.egroup(e).generators()[0]
-        w = A.alpha(e).apply(z)
-        if isinstance(w, tuple) and not isinstance(G, FreeGroup):
-            raise ValueError("unexpected image type")
-        word = w
+        word = A.alpha(e).apply(A.egroup(e).generators()[0])
         if not word:
             raise ValueError("edge map has trivial image")
         root, k = primitive_root(word)
@@ -283,9 +269,9 @@ def w_construction(A):
     # conjugate-commensurable classes at each origin, with rebasing conjugators
     class_of = {}
     class_data = []   # {rep_edge, vertex, root, members: {edge: conjugator}}
+    out = g.out_edges()
     for v in range(g.nv):
-        star = [e for e in g.edges() if g.o(e) == v]
-        for e in sorted(star, key=lambda e: (g.enames[e >> 1], e & 1)):
+        for e in sorted(out[v], key=lambda e: (g.enames[e >> 1], e & 1)):
             placed = False
             for ci, data in enumerate(class_data):
                 if data["vertex"] != v:
@@ -354,8 +340,7 @@ def _root_sign(word, class_root, class_of, e, class_data):
 def decide_fgip_free_cyclic(A):
     """Free vertex groups with cyclic edge groups: decide via the graph of
     commensurators, componentwise."""
-    W, deco, book = w_construction(A)
-    return decide_components(deco)
+    return decide_components(w_construction(A)[1])
 
 
 def fgip_certify(A, vertex_fgip_flags=None):
@@ -382,11 +367,7 @@ def fgip_certify(A, vertex_fgip_flags=None):
             return FgipVerdict("yes", "finite-edge-groups-with-fgip-vertices")
         return FgipVerdict("unknown", "finite edge groups but unknown vertex status")
 
-    def z_like(G):
-        return (isinstance(G, AbelianGroup) and G.rank == 1 and not G.torsion) or \
-               (isinstance(G, FreeGroup) and G.rank == 1)
-
-    if all(z_like(A.vgroups[v]) for v in range(g.nv)) and \
+    if all(_is_cyclic_edge_group(A.vgroups[v]) for v in range(g.nv)) and \
             all(_is_cyclic_edge_group(A.egroups[p]) for p in range(g.n_pairs)):
         try:
             return decide_fgip_gbs(A)

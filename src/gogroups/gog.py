@@ -15,7 +15,7 @@ scan before it only meets pinch-free positions of p.
 
 from __future__ import annotations
 
-from .graphs import Graph, core, core_at, einv, validate_graph
+from .graphs import core, core_at, einv, subgraph, validate_graph
 
 
 class GraphOfGroups:
@@ -255,36 +255,24 @@ def cyclically_reduce(p):
     return conj, cur
 
 
+def _sub_gog(A, kept):
+    """The sub-graph-of-groups on a (sub-graph, vmap, old pair ids) triple of
+    graphs.core or graphs.core_at: every group and map carried over by id."""
+    sub, vmap, pairs = kept
+    return GraphOfGroups(sub, [A.vgroups[v] for v in vmap], [A.egroups[p] for p in pairs],
+                         [A.monos[p] for p in pairs])
+
+
 def gog_core(A):
     """Sub-graph-of-groups on cyclically reduced closed A-paths."""
-    return _restrict(A, core(A.graph, allow_backtrack=lambda e: not A.omega_surjective(e)))
+    return _sub_gog(A, core(A.graph, allow_backtrack=lambda e: not A.omega_surjective(e)))
 
 
 def gog_core_at(A, u):
     """Sub-graph-of-groups on reduced closed A-paths at u; returns
     (sub-gog, new basepoint)."""
-    sub = core_at(A.graph, u, allow_backtrack=lambda e: not A.omega_surjective(e))
-    B, vmap, pmap = _restrict_with_maps(A, sub)
-    return B, vmap[u]
-
-
-def _restrict_with_maps(A, sub):
-    old_vid = {name: i for i, name in enumerate(A.graph.vnames)}
-    old_pid = {name: i for i, name in enumerate(A.graph.enames)}
-    vmap = {}
-    for new_i, name in enumerate(sub.vnames):
-        vmap[old_vid[name]] = new_i
-    pmap = {}
-    for new_p, name in enumerate(sub.enames):
-        pmap[old_pid[name]] = new_p
-    vgroups = [A.vgroups[v] for v in sorted(vmap, key=vmap.get)]
-    egroups = [A.egroups[p] for p in sorted(pmap, key=pmap.get)]
-    monos = [A.monos[p] for p in sorted(pmap, key=pmap.get)]
-    return GraphOfGroups(sub, vgroups, egroups, monos), vmap, pmap
-
-
-def _restrict(A, sub):
-    return _restrict_with_maps(A, sub)[0]
+    kept = core_at(A.graph, u, allow_backtrack=lambda e: not A.omega_surjective(e))
+    return _sub_gog(A, kept), kept[1][u]
 
 
 def reduce_gog(A, basepoint):
@@ -341,11 +329,8 @@ def reduce_gog(A, basepoint):
     if len(keep_p) == g.n_pairs:
         return A, basepoint
     keep_v = [v for v in range(g.nv) if parent[v] == v]
-    vmap = {v: i for i, v in enumerate(keep_v)}
     kept = [end(g.org[p], A.monos[p][0]) + end(g.tgt[p], A.monos[p][1]) for p in keep_p]
-    graph = Graph(len(keep_v), [(vmap[o], vmap[t]) for o, _, t, _ in kept],
-                  vnames=[g.vnames[v] for v in keep_v],
-                  enames=[g.enames[p] for p in keep_p])
+    graph, vmap = subgraph(g, keep_v, [(p, o, t) for p, (o, _, t, _) in zip(keep_p, kept)])
     R = GraphOfGroups(graph, [A.vgroups[v] for v in keep_v],
                       [A.egroups[p] for p in keep_p], [(a, w) for _, a, _, w in kept])
     return R, vmap[find(basepoint)[0]]

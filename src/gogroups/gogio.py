@@ -217,7 +217,7 @@ def _edge_by_name(A, name):
     raise ParseError(f"unknown target edge {name!r}")
 
 
-def parse_morphism(data, target, target_base=None):
+def parse_morphism(data, target):
     """(GoGMorphism, source basepoint index or None)."""
     if isinstance(data, str):
         data = json.loads(data)

@@ -20,6 +20,7 @@ class Graph:
         self.tgt = [p[1] for p in pairs]
         self.vnames = list(vnames) if vnames else [f"v{i}" for i in range(n_vertices)]
         self.enames = list(enames) if enames else [f"e{i}" for i in range(len(pairs))]
+        self._out = None
         for o, t in pairs:
             if not (0 <= o < n_vertices and 0 <= t < n_vertices):
                 raise ValueError("edge endpoint out of range")
@@ -38,11 +39,13 @@ class Graph:
         return self.tgt[e >> 1] if e & 1 == 0 else self.org[e >> 1]
 
     def out_edges(self):
-        """Per vertex, the directed edges with that origin in ascending order."""
-        out = [[] for _ in range(self.nv)]
-        for e in self.edges():
-            out[self.o(e)].append(e)
-        return out
+        """Per vertex, the directed edges with that origin in ascending order;
+        built once, as a Graph is never changed, so callers must not edit it."""
+        if self._out is None:
+            self._out = [[] for _ in range(self.nv)]
+            for e in self.edges():
+                self._out[self.o(e)].append(e)
+        return self._out
 
     def edge_name(self, e):
         base = self.enames[e >> 1]
@@ -52,6 +55,8 @@ class Graph:
         return f"Graph(V={self.nv}, E={self.n_pairs} pairs)"
 
     def connected_components(self):
+        """(number of components, component of each vertex), in one pass."""
+        out = self.out_edges()
         comp = [None] * self.nv
         n = 0
         for v0 in range(self.nv):
@@ -60,11 +65,11 @@ class Graph:
             comp[v0] = n
             stack = [v0]
             while stack:
-                v = stack.pop()
-                for e in self.edges():
-                    if self.o(e) == v and comp[self.t(e)] is None:
-                        comp[self.t(e)] = n
-                        stack.append(self.t(e))
+                for e in out[stack.pop()]:
+                    w = self.t(e)
+                    if comp[w] is None:
+                        comp[w] = n
+                        stack.append(w)
             n += 1
         return n, comp
 
@@ -188,19 +193,27 @@ def _strong_components(succ):
     return comps
 
 
-def _subgraph(g, keep_edges, extra_vertices=()):
-    keep_pairs = sorted({e >> 1 for e in keep_edges})
+def subgraph(g, verts, pairs):
+    """The graph on old vertex ids verts with one pair per (old pair, origin,
+    target) triple of pairs, both kept in order and named as in g; returns
+    (graph, vmap), vmap[old vertex id] = new id, its keys in verts order."""
+    vmap = {v: i for i, v in enumerate(verts)}
+    sub = Graph(len(vmap), [(vmap[o], vmap[t]) for _, o, t in pairs],
+                vnames=[g.vnames[v] for v in verts],
+                enames=[g.enames[p] for p, _, _ in pairs])
+    return sub, vmap
+
+
+def _kept(g, keep_edges, extra_vertices=()):
+    """(sub-graph, vmap, old pair ids) spanned by the pairs of keep_edges and
+    extra_vertices, both in ascending old order."""
+    pairs = sorted({e >> 1 for e in keep_edges})
     verts = set(extra_vertices)
-    for p in keep_pairs:
+    for p in pairs:
         verts.add(g.org[p])
         verts.add(g.tgt[p])
-    vlist = sorted(verts)
-    vmap = {v: i for i, v in enumerate(vlist)}
-    pairs = [(vmap[g.org[p]], vmap[g.tgt[p]]) for p in keep_pairs]
-    sub = Graph(len(vlist), pairs,
-                vnames=[g.vnames[v] for v in vlist],
-                enames=[g.enames[p] for p in keep_pairs])
-    return sub, vmap, {p: i for i, p in enumerate(keep_pairs)}
+    sub, vmap = subgraph(g, sorted(verts), [(p, g.org[p], g.tgt[p]) for p in pairs])
+    return sub, vmap, pairs
 
 
 def core(g, allow_backtrack=None):
@@ -208,7 +221,8 @@ def core(g, allow_backtrack=None):
 
     allow_backtrack(e): whether the turn (e, e^-1) is permitted (False for
     plain graphs; group-aware callers pass the surjectivity test).  It is
-    called once per directed edge.
+    called once per directed edge.  Returns the _kept triple, by which
+    callers carry their own data over.
 
     A circuit is a cycle of the turn graph (wrap-around turn included), so
     e lies on one iff its strongly connected component there has more than
@@ -218,21 +232,21 @@ def core(g, allow_backtrack=None):
     turns = _turns(g, _allowed(g, allow_backtrack))
     keep = [e for comp in _strong_components(turns) for e in comp
             if len(comp) > 1 or e in turns[e]]
-    return _subgraph(g, keep)[0]
+    return _kept(g, keep)
 
 
 def core_at(g, u, allow_backtrack=None):
     """Union of all reduced closed walks at u (always contains u);
-    allow_backtrack as for core, called once per directed edge."""
+    allow_backtrack and the result as for core."""
     turns = _turns(g, _allowed(g, allow_backtrack))
-    fwd = _turn_reach(turns, [e for e in g.edges() if g.o(e) == u])
+    fwd = _turn_reach(turns, g.out_edges()[u])
     # backward reachability: edges from which u is reachable = forward
     # reachability in the reversed turn graph; equivalently e contributes a
     # walk ending at u iff inv(e) is forward-reachable from u in the graph
     # with inverted turn rule.  The turn rule is symmetric under inversion:
     # (e, e') allowed iff (e'^-1, e^-1) allowed, so inv-reachability works.
     keep = [e for e in fwd if einv(e) in fwd]
-    return _subgraph(g, keep, extra_vertices=[u])[0]
+    return _kept(g, keep, extra_vertices=[u])
 
 
 def fiber_product(g1, g2, f1, f2):

@@ -144,12 +144,12 @@ def is_immersion(m):
     """ImmersionCertificate, or raises ImmersionFailure with the offending
     pair (condition 1) or edge (condition 2)."""
     S, T = m.source, m.target
-    gs, gt = S.graph, T.graph
+    gs = S.graph
     vertex_blocks = {}
+    out = gs.out_edges()
     for v in range(gs.nv):
-        star = [f for f in gs.edges() if gs.o(f) == v]
         by_image = {}
-        for f in star:
+        for f in out[v]:
             by_image.setdefault(m.edge_image(f), []).append(f)
         u = m.vmap[v]
         Au = T.vgroups[u]
@@ -189,12 +189,10 @@ def is_covering(m, certificate=None):
     if certificate is None:
         certificate = is_immersion(m)
     S, T = m.source, m.target
-    gs, gt = S.graph, T.graph
+    gs, out = S.graph, T.graph.out_edges()
     for v in range(gs.nv):
         u = m.vmap[v]
-        for e in gt.edges():
-            if gt.o(e) != u:
-                continue
+        for e in out[u]:
             witnesses = {w for _, w in certificate.vertex_blocks.get((v, e), ())}
             dc = T.vgroups[u].double_cosets(m.vertex_image_handle(v), T.alpha(e).image())
             try:
@@ -220,14 +218,15 @@ def trace_apath(m, p, start=None):
         if len(candidates) != 1:
             raise ValueError("ambiguous start vertex; pass start=")
         start = candidates[0]
+    out = gs.out_edges()
     v = start
     carry = p.elems[0]
     for i, e in enumerate(p.edges):
         Au = T.vgroups[gt.o(e)]
         dc = Au.double_cosets(m.vertex_image_handle(v), T.alpha(e).image())
         lifted = None
-        for f in gs.edges():
-            if gs.o(f) != v or m.edge_image(f) != e:
+        for f in out[v]:
+            if m.edge_image(f) != e:
                 continue
             if dc.eq(m.twist_alpha(f), carry):
                 lifted = f

@@ -1,4 +1,7 @@
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gogroups.backends import AbelianGroup, FreeGroup, Mono
 from gogroups.fgip import (DecoratedGraph, FgipVerdict, decide_components,
@@ -223,3 +226,96 @@ def test_decide_rejects_unreduced():
         decide_fgip_vz(deco([(0, 1)], [(1, 2)], nv=2))
     with pytest.raises(ValueError):
         decide_fgip_vz(deco([], [], nv=2))
+
+
+# ---------------------------------------------------------------------------
+# decide_components: one grouping pass against the per-component rescan
+# ---------------------------------------------------------------------------
+
+
+def decide_components_by_rescan(d):
+    """The per-component loop decide_components had before it grouped the
+    vertices and pairs in one pass: one scan of the graph per component."""
+    red = reduce_decorated(d)
+    n, comp = red.graph.connected_components()
+    verdicts = []
+    for c in range(max(n, 1)):
+        keep_v = [v for v in range(red.graph.nv) if comp and comp[v] == c]
+        if not comp:
+            keep_v = list(range(red.graph.nv))
+        vset = set(keep_v)
+        keep_p = [p for p in range(red.graph.n_pairs) if red.graph.org[p] in vset]
+        vmap = {v: i for i, v in enumerate(keep_v)}
+        sub = Graph(len(keep_v),
+                    [(vmap[red.graph.org[p]], vmap[red.graph.tgt[p]]) for p in keep_p],
+                    vnames=[red.graph.vnames[v] for v in keep_v],
+                    enames=[red.graph.enames[p] for p in keep_p])
+        dd = DecoratedGraph(sub, [red.idx_alpha[p] for p in keep_p],
+                            [red.idx_omega[p] for p in keep_p])
+        verdicts.append(decide_fgip_vz(dd))
+        if n == 0:
+            break
+    answer = "yes" if all(v.answer == "yes" for v in verdicts) else "no"
+    cert = "; ".join(v.certificate for v in verdicts)
+    return FgipVerdict(answer, cert, components=[v.certificate for v in verdicts])
+
+
+@st.composite
+def decorated_multi_component(draw):
+    """Several small components, interleaved by a random vertex order, with
+    named vertices and edges and indices 1, 2, 3 or infinite."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    order = draw(st.permutations(range(sum(sizes))))
+    index = st.sampled_from([1, 2, 2, 3, None])
+    pairs, halves, first = [], [], 0
+    for n in sizes:
+        vertex = st.integers(first, first + n - 1).map(order.__getitem__)
+        for _ in range(draw(st.integers(0, 3))):
+            pairs.append((draw(vertex), draw(vertex)))
+            halves.append((draw(index), draw(index)))
+        first += n
+    g = Graph(first, pairs, vnames=[f"x{v}" for v in range(first)],
+              enames=[f"p{p}" for p in range(len(pairs))])
+    return DecoratedGraph(g, [a for a, _ in halves], [w for _, w in halves])
+
+
+@settings(max_examples=200, deadline=None)
+@given(decorated_multi_component())
+def test_decide_components_matches_the_rescan(d):
+    assert decide_components(d) == decide_components_by_rescan(d)
+
+
+def test_decide_components_of_the_empty_graph():
+    got = decide_components(deco([], [], nv=0))
+    assert got == decide_components_by_rescan(deco([], [], nv=0))
+    assert (got.answer, got.components) == ("yes", ["single-vertex"])
+
+
+def line_events(fn, *args):
+    """Lines of gogroups code run by fn(*args), a count of its work that does
+    not depend on the machine."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    sys.settrace(lambda frame, event, arg:
+                 local if "gogroups" in frame.f_code.co_filename else None)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_decide_components_is_linear_on_a_forest():
+    # n disjoint (2,2) edges: n components, each decided "yes"
+    def forest(n):
+        return deco([(2 * i, 2 * i + 1) for i in range(n)], [(2, 2)] * n)
+
+    assert decide_components(forest(3)).components == ["single-2-2-edge"] * 3
+    w100, w200, w400 = (line_events(decide_components, forest(n)) for n in (100, 200, 400))
+    # the work is affine in n: each component adds the same number of lines
+    assert w400 - w200 == 2 * (w200 - w100)

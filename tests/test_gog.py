@@ -173,6 +173,36 @@ def test_gog_core_at_pendant():
     assert C2.graph.n_pairs == 0 and C2.graph.nv == 1
 
 
+def repeated_names_gog():
+    """Two vertices both named u: two loops at the first (BS(1,2) and
+    BS(2,3) ends) and a pendant edge to the second, all three named e.  The
+    pendant's end at the leaf is onto, so no reduced circuit uses it."""
+    Z = [AbelianGroup.Z(), AbelianGroup.Z()]
+    ends = [(0, 0, 1, 2), (0, 0, 2, 3), (0, 1, 2, 1)]
+    egroups, monos = [], []
+    for o, t, m, n in ends:
+        Ze = AbelianGroup.Z()
+        egroups.append(Ze)
+        monos.append((Mono(Ze, Z[o], [(m,)]), Mono(Ze, Z[t], [(n,)])))
+    graph = Graph(2, [(o, t) for o, t, _, _ in ends], vnames=["u", "u"], enames=["e"] * 3)
+    return GraphOfGroups(graph, Z, egroups, monos)
+
+
+def test_gog_core_carries_groups_by_id_under_repeated_names():
+    A = repeated_names_gog()
+    C = gog_core(A)
+    assert (C.graph.nv, C.graph.org, C.graph.tgt) == (1, [0, 0], [0, 0])
+    assert C.vgroups == A.vgroups[:1]
+    assert C.egroups == A.egroups[:2] and C.monos == A.monos[:2]
+    assert validate_gog(C) == []
+    # at the leaf every edge lies on a reduced closed walk
+    D, base = gog_core_at(A, 1)
+    assert base == 1 and (D.graph.nv, D.graph.n_pairs) == (2, 3)
+    assert D.vgroups == A.vgroups and D.monos == A.monos
+    E, base = gog_core_at(A, 0)
+    assert base == 0 and E.egroups == A.egroups[:2]
+
+
 def test_reduce_gog_segment():
     # Z --(alpha iso, omega x2)-- Z collapses to a single vertex
     A = segment_z_gog(1, 2)

@@ -30,10 +30,16 @@ GOLDEN = os.path.join(HERE, "golden")
 SAMPLES = os.path.join(os.path.dirname(HERE), "samples")
 INPUTS = os.path.join(GOLDEN, "inputs")
 
-# inputs/gbs_collapse is the one graph of groups here that reduce changes:
-# a unit chain from the root u, leaves with non-unit multipliers and a loop
+# inputs/gbs_collapse is a graph of groups that reduce changes: a unit chain
+# from the root u, leaves with non-unit multipliers and a loop.
+# inputs/gbs_pendant has pendant edges and a pendant chain, onto at their
+# far ends, that core and core --at u prune around two circuits at u
 GOGS = ["bs_1_2", "bs_2_3", "double_f2_cubes", "double_f2_squares",
-        "klein_amalgam", "rose2", "zsquared_hnn", "inputs/gbs_collapse"]
+        "klein_amalgam", "rose2", "zsquared_hnn", "inputs/gbs_collapse",
+        "inputs/gbs_pendant"]
+# decide-fgip on decorated graphs; inputs/decorated_components reduces to
+# five components, interleaved in vertex order, with five different verdicts
+DECORATED = ["decorated_two_loops", "inputs/decorated_components"]
 FREE_GOGS = ["double_f2_cubes", "double_f2_squares"]   # w-construct's domain
 
 # (gog, first immersion, second immersion, budget); paths relative to the
@@ -80,8 +86,8 @@ def cases():
                 ["reduce", _path("inputs/gbs_collapse"), "--out", "{out}"], ("out.json",)))
     for g in FREE_GOGS:
         out.append((f"w-construct.{g}", ["w-construct", _path(g)], ()))
-    out.append(("decide-fgip.decorated_two_loops",
-                ["decide-fgip", _path("decorated_two_loops")], ()))
+    for d in DECORATED:
+        out.append((f"decide-fgip.{_label(d)}", ["decide-fgip", _path(d)], ()))
     immersions = []
     for g, first, second, budget in PAIRS:
         for imm in (first, second):

@@ -61,19 +61,20 @@ def test_involution_is_fixpoint_free_by_construction():
 
 
 def test_core_tree_empty():
-    assert core(segment(3)).nv == 0
+    assert core(segment(3))[0].nv == 0
 
 
 def test_core_circle_with_pendant():
     # circle 0-1-2-0 plus pendant 0-3
     g = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-    c = core(g)
+    c, vmap, pairs = core(g)
     assert c.nv == 3 and c.n_pairs == 3
+    assert list(vmap) == [0, 1, 2] and pairs == [0, 1, 2]
 
 
 def test_core_wedge():
     g = rose(2)
-    c = core(g)
+    c = core(g)[0]
     assert c.nv == 1 and c.n_pairs == 2
 
 
@@ -86,8 +87,8 @@ def test_core_idempotent_and_oracle():
         rose(2),
     ]
     for g in graphs:
-        c = core(g)
-        again = core(c)
+        c = core(g)[0]
+        again = core(c)[0]
         assert (again.nv, again.n_pairs) == (c.nv, c.n_pairs)
         kept = {c.enames[p] for p in range(c.n_pairs)}
         oracle = {g.enames[p] for p in exhaustive_core_edges(g)}
@@ -97,12 +98,13 @@ def test_core_idempotent_and_oracle():
 def test_core_at_examples():
     # circle 0-1-2-0 with pendant segment 0-3
     g = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-    on_circle = core_at(g, 0)
+    on_circle = core_at(g, 0)[0]
     assert on_circle.n_pairs == 3 and on_circle.nv == 3
-    at_tip = core_at(g, 3)
+    at_tip = core_at(g, 3)[0]
     assert at_tip.n_pairs == 4 and at_tip.nv == 4
-    tree = core_at(segment(2), 1)
+    tree, vmap, pairs = core_at(segment(2), 1)
     assert tree.nv == 1 and tree.n_pairs == 0
+    assert vmap == {1: 0} and pairs == []
 
 
 def test_fiber_product_diagonal():
@@ -155,3 +157,28 @@ def test_dot_export():
     g = circle(2)
     out = g.dot()
     assert out.count("--") == 2
+
+
+def count_calls(monkeypatch, name):
+    """Counter of the calls to Graph.<name> from now on."""
+    calls = [0]
+    fn = getattr(Graph, name)
+
+    def counted(self, e):
+        calls[0] += 1
+        return fn(self, e)
+
+    monkeypatch.setattr(Graph, name, counted)
+    return calls
+
+
+def test_stars_are_built_once_and_components_look_at_each_edge_once(monkeypatch):
+    g = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 3), (4, 5), (0, 0), (5, 4)])
+    o_calls, t_calls = count_calls(monkeypatch, "o"), count_calls(monkeypatch, "t")
+    out = g.out_edges()
+    assert o_calls == [14]
+    assert g.out_edges() is out and o_calls == [14]
+    n, comp = g.connected_components()
+    assert (n, comp) == (4, [0, 0, 0, 1, 2, 2, 3])
+    assert o_calls == [14] and t_calls == [14]
+    assert not g.is_connected()

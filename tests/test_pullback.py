@@ -2,10 +2,13 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gogroups.backends import FiniteGroup, FreeGroup
+from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
+from gogroups.backends.base import UnsupportedExpansion
 from gogroups.cli import main
-from gogroups.gog import APath, apaths_equal, reduce_apath
+from gogroups.gog import APath, GraphOfGroups, apaths_equal, reduce_apath
+from gogroups.graphs import Graph
 from gogroups.library import (bs_gog, nofgip_gog, rose_gog, word_apath)
 from gogroups.morphism import identity_morphism, is_immersion, realize_subgroup
 from gogroups.pullback import AProductFragment, build_product
@@ -260,9 +263,6 @@ UNEXPANDABLE = {
     "free-rank-2-edge": (loop_gog({"free": 2}, {"free": 2}, ["a", "b"], ["a", "bb"]),
                          loop_morphism(["a", "b"], ["a", "b"]),
                          "free vertex group with non-cyclic edge group"),
-    "free-trivial-edge": (loop_gog({"free": 2}, {"free": 0}, [], []),
-                          loop_morphism(["a", "b"], []),
-                          "free vertex group with non-cyclic edge group"),
     # E1 = E2 = 1 while every a^n lies in H 1 K = <a>
     "free-Z-edge-infinite": (loop_gog({"free": 1}, {"Z": True}, ["a"], ["a"]),
                              loop_morphism(["a"], []), "infinite-edge-fan"),
@@ -271,9 +271,6 @@ UNEXPANDABLE = {
     # E1 + E2 = 0 has infinite index in P = {a : alpha(a) in H + K} = Z
     "abelian-infinite": (loop_gog({"Z": True}, {"Z": True}, [1], [1]),
                          loop_morphism([1], []), "infinite-edge-fan"),
-    "abelian-finite-edge": (loop_gog({"abelian": {"rank": 0, "torsion": [2]}}, Z2, [[1]], [[1]]),
-                            loop_morphism([[1]], [1]),
-                            "abelian vertex with non-abelian edge group"),
 }
 
 
@@ -288,3 +285,92 @@ def test_unexpandable_reasons_are_pinned(case, tmp_path, capsys):
     assert lines[-3:] == ["complete: False", f"unexpandable 0: {reason}",
                           "VERDICT: budget-exhausted"]
     assert json.loads(out.read_text())["unexpandable"] == {"0": reason}
+
+
+# --- finite edge groups expand over every vertex backend (FiniteEdgeFan) ---
+
+# (gog, morphism paired with itself, the intersection's generators): each is
+# the whole group, F2 * Z and Z/2 x Z
+FINITE_EDGE = {
+    "free-trivial-edge": (loop_gog({"free": 2}, {"free": 0}, [], []),
+                          loop_morphism(["a", "b"], []),
+                          ["APath['a']", "APath['b']", "APath['', e, '']"]),
+    "abelian-finite-edge": (loop_gog({"abelian": {"rank": 0, "torsion": [2]}}, Z2, [[1]], [[1]]),
+                            loop_morphism([[1]], [1]),
+                            ["APath[1]", "APath[0, e, 0]"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINITE_EDGE))
+def test_finite_edge_groups_expand(case, tmp_path, capsys):
+    gog, morphism, gens = FINITE_EDGE[case]
+    g, m = tmp_path / "gog.json", tmp_path / "m.json"
+    g.write_text(json.dumps(gog))
+    m.write_text(json.dumps(morphism))
+    assert main(["intersect", str(g), str(m), str(m), "--budget", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"generator {i}: {x}" for i, x in enumerate(gens)] + \
+        ["flag: exact", "VERDICT: exact"]
+
+
+def test_abelian_fan_guards_a_non_abelian_edge_group():
+    # no validated graph of groups reaches this: F2 does not embed in Z
+    F2, Z = FreeGroup(2), AbelianGroup.Z()
+    alpha = Mono(F2, Z, [(1,), (1,)])
+    full = Z.full_subgroup()
+    with pytest.raises(UnsupportedExpansion,
+                       match="^abelian vertex with non-abelian edge group$"):
+        Z.double_cosets(full, full).edge_fan(
+            alpha, F2.double_cosets(F2.trivial_subgroup(), F2.trivial_subgroup()),
+            Z.identity(), Z.identity())
+
+
+def free_product_f2_f2():
+    """F2 * F2 = F4 as two free vertices u, v joined by a trivial edge group."""
+    F0, Fu, Fv = FreeGroup(0), FreeGroup(2), FreeGroup(2)
+    return GraphOfGroups(Graph(2, [(0, 1)], vnames=["u", "v"], enames=["e"]), [Fu, Fv], [F0],
+                         [(Mono(F0, Fu, []), Mono(F0, Fv, []))])
+
+
+def f4_apath(A, word):
+    """The closed A-path at u spelling a word of F4: letters 1, 2 in A_u, and
+    3, 4 in A_v as its letters 1, 2, crossing e between syllables."""
+    elems, edges, at_v, syllable = [], [], False, []
+    for x in word + (1,):     # a closing letter of A_u brings the path home
+        if (abs(x) > 2) != at_v:
+            elems.append(tuple(syllable))
+            edges.append(1 if at_v else 0)
+            at_v, syllable = not at_v, []
+        syllable.append(x - 2 if x > 2 else x + 2 if x < -2 else x)
+    elems.append(tuple(syllable[:-1]))
+    return APath(A, 0, elems, edges)
+
+
+def f4_word(p):
+    """The word of F4 spelled by an A-path over free_product_f2_f2."""
+    word, at_v = [], False
+    for i, x in enumerate(p.elems):
+        word += [y + 2 if y > 0 else y - 2 for y in x] if at_v else list(x)
+        at_v = i < len(p.edges) and p.edges[i] == 0
+    return wreduce(tuple(word))
+
+
+f4_words = st.lists(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]),
+                             min_size=1, max_size=4).map(lambda w: wreduce(tuple(w)))
+                    .filter(bool), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f4_words, f4_words)
+def test_free_product_intersection_matches_f4(words_h, words_k):
+    # the trivial edge group takes FiniteEdgeFan at both free vertices
+    A, F4 = free_product_f2_f2(), FreeGroup(4)
+    assert [f4_word(f4_apath(A, w)) for w in words_h] == words_h
+    mH, bH = realize_subgroup(A, 0, [f4_apath(A, w) for w in words_h])
+    mK, bK = realize_subgroup(A, 0, [f4_apath(A, w) for w in words_k])
+    frag = build_product(mH, mK, 400, bH, bK)
+    assert frag.complete
+    gens, exact = frag.intersection_generators()
+    assert exact
+    got = F4.subgroup([f4_word(p) for p in gens])
+    assert got.equals(F4.subgroup(words_h).intersect(F4.subgroup(words_k)))
