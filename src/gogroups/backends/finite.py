@@ -61,16 +61,22 @@ class FiniteSubgroup:
 
 class FiniteDoubleCosets:
     """H\\S/K for subgroups H, K of S (all of G when S is None), by running
-    through H x K on each query; nothing is computed up front."""
+    through H x K on each query; nothing is computed up front.  canon()
+    remembers its answer for each element it was asked about, so the memo
+    holds at most |G| entries and lives as long as the handle."""
 
-    __slots__ = ("group", "H", "K", "S")
+    __slots__ = ("group", "H", "K", "S", "memo")
 
     def __init__(self, group, H, K, S=None):
         self.group, self.H, self.K, self.S = group, H, K, S
+        self.memo = {}
 
     def canon(self, g):
-        mul = self.group.mul
-        return min(mul(mul(h, g), k) for h in self.H.elts for k in self.K.elts)
+        c = self.memo.get(g)
+        if c is None:
+            mul = self.group.mul
+            c = self.memo[g] = min(mul(mul(h, g), k) for h in self.H.elts for k in self.K.elts)
+        return c
 
     def eq(self, g, g2):
         mul = self.group.mul

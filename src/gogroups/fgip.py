@@ -271,18 +271,16 @@ def w_construction(A):
     class_data = []   # {rep_edge, vertex, root, members: {edge: conjugator}}
     out = g.out_edges()
     for v in range(g.nv):
+        first = len(class_data)   # the classes made at v are class_data[first:]
         for e in sorted(out[v], key=lambda e: (g.enames[e >> 1], e & 1)):
-            placed = False
-            for ci, data in enumerate(class_data):
-                if data["vertex"] != v:
-                    continue
+            for ci in range(first, len(class_data)):
+                data = class_data[ci]
                 x = cyclic_conjugate(roots[e], data["root"])
                 if x is not None:
                     class_of[e] = ci
                     data["members"][e] = x
-                    placed = True
                     break
-            if not placed:
+            else:
                 class_of[e] = len(class_data)
                 class_data.append({"rep_edge": e, "vertex": v,
                                    "root": roots[e], "members": {e: None}})

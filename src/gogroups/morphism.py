@@ -285,6 +285,14 @@ class _Builder:
     changes or the view is re-homed onto v, and both are followed by
     touch(v), which drops keys and handles.
 
+    `fresh[u]` is the one trivial subgroup of A_u and the one handle dict
+    that every vertex over u starts with, and `trivial_esub[p]` the one
+    trivial subgroup every new edge over pair p starts with: handles are
+    immutable, so vertices and edges may share them.  A vertex's `dc` dict
+    may therefore be shared, and touch(v) rebinds it rather than clearing
+    it in place; every assignment to a vertex's `sub` is followed by
+    touch, so a vertex never keeps a shared dict past a change of H_v.
+
     `dirty_edges` holds the live edges whose saturation inputs (twists, edge
     group, endpoint subgroups) may have changed since saturate_edge last
     left them unchanged.  An edge joins it when it is created, when its
@@ -318,12 +326,13 @@ class _Builder:
         self.queue = []           # min-heap: every dirty id, plus ids folded away
         self.dirty_edges = set()
         self.trivial = [G.order() == 1 for G in A.egroups]
+        self.trivial_esub = [G.trivial_subgroup() for G in A.egroups]
+        self.fresh = [(G.trivial_subgroup(), {}) for G in A.vgroups]
         self.base = self.new_vertex(u0)
 
     def new_vertex(self, img):
-        self.verts.append({"img": img,
-                           "sub": self.A.vgroups[img].trivial_subgroup(),
-                           "alive": True, "keys": {}, "dc": {}})
+        sub, dcs = self.fresh[img]
+        self.verts.append({"img": img, "sub": sub, "alive": True, "keys": {}, "dc": dcs})
         self.inc.append(set())
         v = len(self.verts) - 1
         self.mark(v)
@@ -356,7 +365,7 @@ class _Builder:
                 "img": e, "src": prev, "dst": nxt,
                 "ta": p.elems[i],
                 "tw": Gt.inv(p.elems[k]) if last else Gt.identity(),
-                "esub": A.egroup(e).trivial_subgroup(),
+                "esub": self.trivial_esub[e >> 1],
                 "pushed": True,
                 "alive": True,
             })
@@ -373,9 +382,11 @@ class _Builder:
 
     def touch(self, v):
         """v's subgroup grew or edges were re-homed onto it: its fold keys
-        and the saturation inputs of its edges may have changed."""
+        and the saturation inputs of its edges may have changed.  Its handle
+        dict may be shared with other vertices, so it is replaced, not
+        cleared."""
         self.verts[v]["keys"].clear()
-        self.verts[v]["dc"].clear()
+        self.verts[v]["dc"] = {}
         self.mark(v)
         self.dirty_edges.update(i for i, _ in self.inc[v])
 
@@ -536,7 +547,30 @@ class _Builder:
                         changed = True
 
     def to_morphism(self):
+        """The morphism of the folded graph.  Vertices and edges holding the
+        same subgroup handle share one SubgroupBackend and one inclusion
+        Mono, and edge maps with equal domain, codomain and images share one
+        Mono; the memos are keyed by id and live for this call only, and
+        are only looked up, never iterated."""
         A = self.A
+        backends, maps = {}, {}
+
+        def backend(G, sub):
+            """(SubgroupBackend of sub in G, its inclusion into G)."""
+            key = (id(G), id(sub))
+            got = backends.get(key)
+            if got is None:
+                S = SubgroupBackend(G, sub)
+                got = backends[key] = (S, Mono(S, G, S.generators()))
+            return got
+
+        def edge_map(dom, cod, images):
+            key = (id(dom), id(cod), tuple(images))
+            got = maps.get(key)
+            if got is None:
+                got = maps[key] = Mono(dom, cod, images)
+            return got
+
         vids = [i for i, v in enumerate(self.verts) if v["alive"]]
         vmapping = {old: new for new, old in enumerate(vids)}
         eids = [i for i, d in enumerate(self.edges) if d["alive"]]
@@ -545,28 +579,26 @@ class _Builder:
         graph = Graph(len(vids), pairs,
                       vnames=[f"b{v}" for v in vids],
                       enames=[f"f{i}" for i in eids])
-        vgroups = [SubgroupBackend(A.vgroups[self.verts[v]["img"]], self.verts[v]["sub"])
-                   for v in vids]
-        egroups = [SubgroupBackend(A.egroup(self.edges[i]["img"]), self.edges[i]["esub"])
-                   for i in eids]
+        vmap = [self.verts[v]["img"] for v in vids]
+        emap = [self.edges[i]["img"] for i in eids]
+        vparts = [backend(A.vgroups[u], self.verts[v]["sub"]) for u, v in zip(vmap, vids)]
+        eparts = [backend(A.egroup(e), self.edges[i]["esub"]) for e, i in zip(emap, eids)]
+        vgroups = [S for S, _ in vparts]
+        egroups = [S for S, _ in eparts]
         monos = []
         for new_p, i in enumerate(eids):
             d = self.edges[i]
-            e, gens = d["img"], egroups[new_p].generators()
-            af = Mono(egroups[new_p], vgroups[vmapping[d["src"]]],
-                      A.alpha(e).twisted_images(d["ta"], gens))
-            wf = Mono(egroups[new_p], vgroups[vmapping[d["dst"]]],
-                      A.omega(e).twisted_images(d["tw"], gens))
-            monos.append((af, wf))
+            e, E = d["img"], egroups[new_p]
+            gens = E.generators()
+            monos.append((edge_map(E, vgroups[vmapping[d["src"]]],
+                                   A.alpha(e).twisted_images(d["ta"], gens)),
+                          edge_map(E, vgroups[vmapping[d["dst"]]],
+                                   A.omega(e).twisted_images(d["tw"], gens))))
         B = GraphOfGroups(graph, vgroups, egroups, monos)
-        vmap = [self.verts[v]["img"] for v in vids]
-        emap = [self.edges[i]["img"] for i in eids]
-        vmonos = [Mono(vgroups[n], A.vgroups[vmap[n]], vgroups[n].generators())
-                  for n in range(len(vids))]
-        emonos = [Mono(egroups[n], A.egroup(emap[n]), egroups[n].generators())
-                  for n in range(len(eids))]
         twists = [(self.edges[i]["ta"], self.edges[i]["tw"]) for i in eids]
-        return GoGMorphism(B, A, vmap, emap, vmonos, emonos, twists), vmapping[self.base]
+        return (GoGMorphism(B, A, vmap, emap, [inc for _, inc in vparts],
+                            [inc for _, inc in eparts], twists),
+                vmapping[self.base])
 
 
 def realize_subgroup(A, u0, generators, budget=2000):

@@ -3,8 +3,10 @@
 Each pass is compared with the algorithm it replaced, kept here as the
 reference: `graphs.core` with one turn closure per directed edge,
 `fgip.reduce_decorated` and `gog.reduce_gog` with the rescan for the first
-collapsible pair after every collapse, and `realize_subgroup` with a saturation sweep that calls the
-full `saturate_edge` on every live edge in every round.
+collapsible pair after every collapse, `fgip.w_construction` with the search
+for an edge's class among every class made so far, and `realize_subgroup`
+with a saturation sweep that calls the full `saturate_edge` on every live
+edge in every round.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gogroups import gogio
-from gogroups.backends import AbelianGroup, FiniteGroup, Mono
-from gogroups.fgip import DecoratedGraph, reduce_decorated
+from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
+from gogroups.fgip import DecoratedGraph, reduce_decorated, w_construction
 from gogroups.gog import (APath, GraphOfGroups, gog_core, gog_core_at, reduce_apath,
                           reduce_gog)
 from gogroups.graphs import Graph, core, einv, subgraph
 from gogroups.library import (bs_gog, free_product_of_finite_gog, rose_gog,
                               segment_z_gog)
 from gogroups.morphism import BudgetExceeded, _Builder, realize_subgroup
+from gogroups.words import cyclic_conjugate
 
 from test_golden import _path
 
@@ -329,6 +332,67 @@ def test_reduce_gog_broom_is_linear(leaves_first, monkeypatch):
     assert counts["compose"] <= 4 * (k + chain)
     assert counts["index_of_image"] <= 4 * (k + chain)
     assert reduced_file(R, b) == reduced_file(*reduce_gog_by_rescan(A, base))
+
+
+# ---------------------------------------------------------------------------
+# fgip.w_construction
+# ---------------------------------------------------------------------------
+
+
+def w_classes_by_full_scan(A, roots):
+    """Commensurator classes as w_construction used to find them: each edge
+    is tried against every class made so far, skipping those at other
+    vertices."""
+    g = A.graph
+    class_of, class_data = {}, []
+    out = g.out_edges()
+    for v in range(g.nv):
+        for e in sorted(out[v], key=lambda e: (g.enames[e >> 1], e & 1)):
+            placed = False
+            for ci, data in enumerate(class_data):
+                if data["vertex"] != v:
+                    continue
+                x = cyclic_conjugate(roots[e], data["root"])
+                if x is not None:
+                    class_of[e] = ci
+                    data["members"][e] = x
+                    placed = True
+                    break
+            if not placed:
+                class_of[e] = len(class_data)
+                class_data.append({"rep_edge": e, "vertex": v,
+                                   "root": roots[e], "members": {e: None}})
+    return class_of, class_data
+
+
+# few short words, so that roots are often conjugate or equal up to inversion
+edge_word = st.sampled_from(["a", "A", "aa", "aaa", "b", "bb", "ab", "ba", "BA", "aB",
+                             "abab", "baba", "aab", "aba", "baa"])
+
+
+@st.composite
+def free_cyclic_gogs(draw):
+    """F2 vertices joined by cyclic edge groups (encoded as Z or as F1),
+    loops, multi-edges and repeated edge names included."""
+    nv = draw(st.integers(1, 5))
+    vertex = st.integers(0, nv - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=9))
+    vgroups = [FreeGroup(2) for _ in range(nv)]
+    egroups, monos = [], []
+    for o, t in pairs:
+        E = AbelianGroup.Z() if draw(st.booleans()) else FreeGroup(1)
+        egroups.append(E)
+        monos.append((Mono(E, vgroups[o], [draw(edge_word)]),
+                      Mono(E, vgroups[t], [draw(edge_word)])))
+    enames = draw(st.lists(st.sampled_from("efg"), min_size=len(pairs), max_size=len(pairs)))
+    return GraphOfGroups(Graph(nv, pairs, enames=enames), vgroups, egroups, monos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(free_cyclic_gogs())
+def test_w_construction_matches_full_scan(A):
+    W, d, book = w_construction(A)
+    assert (book["class_of"], book["classes"]) == w_classes_by_full_scan(A, book["roots"])
 
 
 # ---------------------------------------------------------------------------

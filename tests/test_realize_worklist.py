@@ -1,20 +1,25 @@
-"""realize_subgroup's fold worklist against the sorted scan it replaced.
+"""realize_subgroup's fold worklist against the sorted scan it replaced, and
+its shared handles against a builder that shares nothing.
 
 `SortedScanBuilder` is a test-local reference: its find_fold sorts the
 whole dirty set on every call, and its saturate_edge runs in full on every
-edge, trivial edge group or not.  The builder in `gogroups.morphism` must
-give the same immersion, and run out of budget at the same step, on every
-input.  The counting tests bound the worklist's work on a rose without
-timing it.
+edge, trivial edge group or not.  `UnsharedBuilder` is another: every vertex
+and edge gets its own trivial subgroup and handle dict, and to_morphism
+builds a backend and a Mono per item.  The builder in `gogroups.morphism`
+must give the same immersion, and run out of budget at the same step, as
+each of them on every input.  The counting tests bound the worklist's work
+and the objects it builds on a rose without timing it.
 """
 
 from contextlib import contextmanager
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import gogroups.morphism as morphism
-from gogroups.backends import FiniteGroup, FreeGroup, Mono
+from gogroups.backends import FiniteGroup, FreeGroup, Mono, SubgroupBackend
+from gogroups.backends.finite import FiniteDoubleCosets
 from gogroups.gog import APath, GraphOfGroups
 from gogroups.graphs import Graph
 from gogroups.library import bs_gog, klein_amalgam_gog, rose_gog, word_apath
@@ -75,6 +80,71 @@ class SortedScanBuilder(morphism._Builder):
         return changed
 
 
+class FreshTrivial:
+    """Indexed like `_Builder.trivial_esub`, but a new handle per lookup."""
+
+    def __init__(self, groups):
+        self.groups = groups
+
+    def __getitem__(self, p):
+        return self.groups[p].trivial_subgroup()
+
+
+class UnsharedBuilder(morphism._Builder):
+
+    def __init__(self, A, u0):
+        super().__init__(A, u0)
+        self.trivial_esub = FreshTrivial(A.egroups)
+
+    def new_vertex(self, img):
+        self.verts.append({"img": img,
+                           "sub": self.A.vgroups[img].trivial_subgroup(),
+                           "alive": True, "keys": {}, "dc": {}})
+        self.inc.append(set())
+        v = len(self.verts) - 1
+        self.mark(v)
+        return v
+
+    def touch(self, v):
+        self.verts[v]["keys"].clear()
+        self.verts[v]["dc"].clear()
+        self.mark(v)
+        self.dirty_edges.update(i for i, _ in self.inc[v])
+
+    def to_morphism(self):
+        A = self.A
+        vids = [i for i, v in enumerate(self.verts) if v["alive"]]
+        vmapping = {old: new for new, old in enumerate(vids)}
+        eids = [i for i, d in enumerate(self.edges) if d["alive"]]
+        pairs = [(vmapping[self.edges[i]["src"]], vmapping[self.edges[i]["dst"]])
+                 for i in eids]
+        graph = Graph(len(vids), pairs,
+                      vnames=[f"b{v}" for v in vids],
+                      enames=[f"f{i}" for i in eids])
+        vgroups = [SubgroupBackend(A.vgroups[self.verts[v]["img"]], self.verts[v]["sub"])
+                   for v in vids]
+        egroups = [SubgroupBackend(A.egroup(self.edges[i]["img"]), self.edges[i]["esub"])
+                   for i in eids]
+        monos = []
+        for new_p, i in enumerate(eids):
+            d = self.edges[i]
+            e, gens = d["img"], egroups[new_p].generators()
+            af = Mono(egroups[new_p], vgroups[vmapping[d["src"]]],
+                      A.alpha(e).twisted_images(d["ta"], gens))
+            wf = Mono(egroups[new_p], vgroups[vmapping[d["dst"]]],
+                      A.omega(e).twisted_images(d["tw"], gens))
+            monos.append((af, wf))
+        B = GraphOfGroups(graph, vgroups, egroups, monos)
+        vmap = [self.verts[v]["img"] for v in vids]
+        emap = [self.edges[i]["img"] for i in eids]
+        vmonos = [Mono(vgroups[n], A.vgroups[vmap[n]], vgroups[n].generators())
+                  for n in range(len(vids))]
+        emonos = [Mono(egroups[n], A.egroup(emap[n]), egroups[n].generators())
+                  for n in range(len(eids))]
+        twists = [(self.edges[i]["ta"], self.edges[i]["tw"]) for i in eids]
+        return morphism.GoGMorphism(B, A, vmap, emap, vmonos, emonos, twists), vmapping[self.base]
+
+
 @contextmanager
 def builder(cls):
     saved = morphism._Builder
@@ -90,7 +160,9 @@ def summary(m, base):
     return (base, list(g.vnames), list(g.enames), [(g.o(2 * p), g.t(2 * p)) for p in range(g.n_pairs)],
             m.vmap, m.emap, m.twists,
             [list(G.generators()) for G in B.vgroups],
-            [list(G.generators()) for G in B.egroups])
+            [list(G.generators()) for G in B.egroups],
+            [(B.alpha(2 * p).images, B.omega(2 * p).images) for p in range(g.n_pairs)],
+            [f.images for f in m.vmonos], [f.images for f in m.emonos])
 
 
 def outcome(A, gens, budget):
@@ -100,10 +172,13 @@ def outcome(A, gens, budget):
         return "budget", summary(*exc.partial)
 
 
-def assert_same_as_sorted_scan(A, gens, budgets=(0, 1, 2, 3, 5, 8, 13, 2000)):
+BUDGETS = (0, 1, 2, 3, 5, 8, 13, 2000)
+
+
+def assert_same_as(reference, A, gens, budgets=BUDGETS):
     for budget in budgets:
         got = outcome(A, gens, budget)
-        with builder(SortedScanBuilder):
+        with builder(reference):
             want = outcome(A, gens, budget)
         assert got == want, budget
         if got[0] == "done":
@@ -128,44 +203,77 @@ letters = st.sampled_from([1, -1, 2, -2])
 rose_words = st.lists(st.lists(letters, max_size=10).map(wreduce), min_size=1, max_size=6)
 
 
-@settings(max_examples=60, deadline=None)
-@given(rose_words)
-def test_rose_matches_sorted_scan(words):
-    A = rose_gog(2)
-    assert_same_as_sorted_scan(A, [word_apath(A, w) for w in words])
+def rose_gens(A):
+    return rose_words.map(lambda words: [word_apath(A, w) for w in words])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.data())
-def test_finite_free_product_matches_sorted_scan(crossings, data):
-    A = z2_star_z3()
+@st.composite
+def z2_star_z3_gens(draw, A):
     gens = []
-    for n in crossings:
+    for n in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)):
         # 2n edges close the path at u; u's elements lie in Z/2, v's in Z/3
-        elems = [data.draw(st.integers(0, 1 if i % 2 == 0 else 2)) for i in range(2 * n + 1)]
+        elems = [draw(st.integers(0, 1 if i % 2 == 0 else 2)) for i in range(2 * n + 1)]
         gens.append(segment_path(A, elems))
-    assert_same_as_sorted_scan(A, gens)
+    return gens
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=5).filter(lambda k: len(k) % 2),
-                min_size=1, max_size=3))
-def test_klein_amalgam_matches_sorted_scan(paths):
-    A = klein_amalgam_gog()
-    assert_same_as_sorted_scan(A, [segment_path(A, [(a,) for a in k]) for k in paths])
+def klein_amalgam_gens(A):
+    odd_lists = st.lists(st.integers(-3, 3), min_size=1, max_size=5).filter(lambda k: len(k) % 2)
+    return st.lists(odd_lists, min_size=1, max_size=3).map(
+        lambda paths: [segment_path(A, [(a,) for a in k]) for k in paths])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
-                          st.lists(st.sampled_from([0, 1]), max_size=3)),
-                min_size=1, max_size=3))
-def test_bs_1_2_matches_sorted_scan(paths):
-    A = bs_gog(1, 2)
-    gens = []
-    for elems, edges in paths:
+def bs_1_2_gens(A):
+    def path(elems, edges):
         elems = (elems + [0] * len(edges))[:len(edges) + 1]
-        gens.append(APath(A, 0, [(a,) for a in elems], edges))
-    assert_same_as_sorted_scan(A, gens, budgets=(0, 1, 2, 3, 5, 8, 13, 60))
+        return APath(A, 0, [(a,) for a in elems], edges)
+    return st.lists(st.builds(path, st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+                              st.lists(st.sampled_from([0, 1]), max_size=3)),
+                    min_size=1, max_size=3)
+
+
+ROSE, Z2_Z3, KLEIN, BS_1_2 = rose_gog(2), z2_star_z3(), klein_amalgam_gog(), bs_gog(1, 2)
+BS_BUDGETS = (0, 1, 2, 3, 5, 8, 13, 60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rose_gens(ROSE))
+def test_rose_matches_sorted_scan(gens):
+    assert_same_as(SortedScanBuilder, ROSE, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(z2_star_z3_gens(Z2_Z3))
+def test_finite_free_product_matches_sorted_scan(gens):
+    assert_same_as(SortedScanBuilder, Z2_Z3, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(klein_amalgam_gens(KLEIN))
+def test_klein_amalgam_matches_sorted_scan(gens):
+    assert_same_as(SortedScanBuilder, KLEIN, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bs_1_2_gens(BS_1_2))
+def test_bs_1_2_matches_sorted_scan(gens):
+    assert_same_as(SortedScanBuilder, BS_1_2, gens, BS_BUDGETS)
+
+
+SHARING_FAMILIES = {
+    "rose": (ROSE, rose_gens, BUDGETS),
+    "z2_z3": (Z2_Z3, z2_star_z3_gens, BUDGETS),
+    "klein": (KLEIN, klein_amalgam_gens, BUDGETS),
+    "bs12": (BS_1_2, bs_1_2_gens, BS_BUDGETS),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SHARING_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_handles_match_unshared_builder(family, data):
+    A, gens, budgets = SHARING_FAMILIES[family]
+    assert_same_as(UnsharedBuilder, A, data.draw(gens(A)), budgets)
 
 
 # --- counting: the worklist's work is linear in vertices and merges ---
@@ -219,9 +327,13 @@ class Counts:
         return sum(len(b.verts) + b.merges for b in self.builders)
 
 
-def test_worklist_work_is_linear_on_a_rose(monkeypatch):
+def fixed_rose_words(n):
     rng = Random(1207)
-    words = [wreduce(rng.choice([1, -1, 2, -2]) for _ in range(16)) for _ in range(80)]
+    return [wreduce(rng.choice([1, -1, 2, -2]) for _ in range(16)) for _ in range(n)]
+
+
+def test_worklist_work_is_linear_on_a_rose(monkeypatch):
+    words = fixed_rose_words(80)
     counts = Counts(monkeypatch)
     A = rose_gog(2)
     m, base = realize_subgroup(A, 0, [word_apath(A, w) for w in words])
@@ -246,3 +358,61 @@ def test_vertex_folded_away_while_queued(monkeypatch):
     assert counts.pushes <= counts.work()
     assert counts.visits <= 2 * counts.work()
     assert not counts.builders[0].queue
+
+
+# --- shared objects: handles and backends built once per subgroup handle ---
+
+
+def test_objects_built_on_a_rose(monkeypatch):
+    built = {"FiniteDoubleCosets": 0, "SubgroupBackend": 0}
+    for cls in (FiniteDoubleCosets, SubgroupBackend):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    builders = []
+
+    class TouchCounting(morphism._Builder):
+        def __init__(self, A, u0):
+            builders.append(self)
+            self.touches = 0
+            super().__init__(A, u0)
+
+        def touch(self, v):
+            self.touches += 1
+            super().touch(v)
+
+    monkeypatch.setattr(morphism, "_Builder", TouchCounting)
+    A = rose_gog(2)
+    realize_subgroup(A, 0, [word_apath(A, w) for w in fixed_rose_words(80)])
+    b = builders[0]
+    # a handle dict is one per image vertex or one per touch, and holds at
+    # most one handle per target edge at its image
+    assert built["FiniteDoubleCosets"] <= (A.graph.nv + b.touches) * len(A.graph.out_edges()[0])
+    handles = ({id(v["sub"]) for v in b.verts if v["alive"]}
+               | {id(d["esub"]) for d in b.edges if d["alive"]})
+    assert built["SubgroupBackend"] <= len(handles)
+
+
+def test_equal_handles_share_backends_and_maps():
+    # ten words fold little, so most vertices keep the subgroup they were
+    # made with, and most edges theirs
+    A = rose_gog(2)
+    m, base = realize_subgroup(A, 0, [word_apath(A, w) for w in fixed_rose_words(10)])
+    B = m.source
+    assert len({id(G) for G in B.vgroups}) < B.graph.nv
+    assert len({id(E) for E in B.egroups}) < B.graph.n_pairs
+    for groups, incs in ((B.vgroups, m.vmonos), (B.egroups, m.emonos)):
+        by_handle = {}
+        for G, inc in zip(groups, incs):
+            assert inc.domain is G
+            assert by_handle.setdefault(id(G.handle), (G, inc)) == (G, inc)
+    by_key = {}
+    for p in range(B.graph.n_pairs):
+        alpha, omega = B.monos[p]
+        assert alpha.domain is omega.domain is B.egroups[p]
+        assert alpha.codomain is B.vgroups[B.graph.org[p]]
+        assert omega.codomain is B.vgroups[B.graph.tgt[p]]
+        for f in (alpha, omega):
+            key = (id(f.domain), id(f.codomain), tuple(f.images))
+            assert by_key.setdefault(key, f) is f
