@@ -9,8 +9,11 @@ Only the public APath constructor checks that a path's edges are
 consecutive: it is how paths from files and user code come in.  The
 operations here build their results from paths already checked, whose end
 vertex they know, through the unchecked _apath.  Britton reduction of a
-concatenation p . q of a reduced p starts at the seam (reduce_concat): the
-scan before it only meets pinch-free positions of p.
+concatenation p . q of reduced paths p and q starts at the seam and stops
+there (reduce_concat): the positions before it only see p, those after it
+only q, and neither has a pinch.  The pullback's q is always reduced, a
+single-edge step or an inverted reduced anchor, because the inverse of a
+reduced path is reduced: its pinch conditions mirror the original's.
 """
 
 from __future__ import annotations
@@ -103,13 +106,6 @@ class APath:
     def is_closed(self):
         return self.base == self.end
 
-    def vertex_at(self, i):
-        """Vertex before element i."""
-        v = self.base
-        for e in self.edges[:i]:
-            v = self.gog.graph.t(e)
-        return v
-
     def __repr__(self):
         vgroups, t, name = self.gog.vgroups, self.gog.graph.t, self.gog.graph.edge_name
         elems = self.elems
@@ -166,13 +162,21 @@ def apath_inverse(p):
     return _apath(gog, p.end, elems, edges, p.base)
 
 
-def _reduce_from(p, i):
+def _reduce_from(p, i, stop=None):
     """Britton reduction of p, scanning for pinches from position i on; p
-    must have no pinch at a position before i."""
+    must have no pinch at a position before i.
+
+    stop, when given, is the index of p's seam element, with i >= stop - 1,
+    and p has no pinch after the seam: only position stop - 1, the one that
+    reads the seam element, can pinch.  A pinch there merges the seam
+    element with its two neighbours into index stop - 1, the new seam, so
+    stop falls by one per pinch and the scan ends once i reaches stop."""
     gog = p.gog
     elems = list(p.elems)
     edges = list(p.edges)
-    while i < len(edges) - 1:
+    if stop is None:
+        stop = len(edges)
+    while i < min(stop, len(edges) - 1):
         e = edges[i]
         if edges[i + 1] == einv(e):
             om = gog.omega(e)
@@ -184,6 +188,7 @@ def _reduce_from(p, i):
                 merged = Gv.mul(Gv.mul(elems[i], carried), elems[i + 2])
                 elems[i:i + 3] = [merged]
                 edges[i:i + 2] = []
+                stop -= 1
                 i = max(i - 1, 0)
                 continue
         i += 1
@@ -196,17 +201,21 @@ def reduce_apath(p):
 
 
 def reduce_concat(p, q):
-    """reduce_apath(apath_concat(p, q)) for a reduced p.
+    """reduce_apath(apath_concat(p, q)) for reduced p and q.
 
-    The scan starts at the seam, position len(p) - 1: every earlier position
-    only sees edges and inner elements of p, which has no pinch, so the
-    left-to-right scan of the whole concatenation passes them unchanged and
-    reaches the seam in the same state (Britton 1963; the same fact is
-    behind the A-path foldings of Kapovich-Weidmann-Miasnikov 2005).  For
-    any p, reduce_concat(reduce_apath(p), q) is reduce_apath(p . q) too:
-    the scan of p . q reaches the seam of reduce_apath(p) in the state where
-    the scan of p alone ends."""
-    return _reduce_from(apath_concat(p, q), max(len(p.edges) - 1, 0))
+    Only the seam, the element where p ends and q starts, can pinch: every
+    position before it sees only edges and inner elements of p, every one
+    after it only those of q (Britton 1963; the same fact is behind the
+    A-path foldings of Kapovich-Weidmann-Miasnikov 2005).  So the scan
+    starts at position len(p) - 1 and stops at the seam.  Every caller's q
+    is reduced: a single-edge step, or the inverse of a reduced anchor.
+    (e, a, e^-1) with a in omega_e(E) reads backwards as (e, a^-1, e^-1)
+    with a^-1 in the same image, so an inverse pinches only where its path
+    does.  For any p and a reduced q, reduce_concat(reduce_apath(p), q) is
+    reduce_apath(p . q) too: the scan of p . q reaches the seam of
+    reduce_apath(p) in the state where the scan of p alone ends."""
+    m = len(p.edges)
+    return _reduce_from(apath_concat(p, q), max(m - 1, 0), m)
 
 
 def is_reduced(p):
@@ -223,36 +232,6 @@ def apaths_equal(p, q):
         raise ValueError("paths are not coterminal")
     r = reduce_apath(apath_concat(p, apath_inverse(q)))
     return len(r.edges) == 0 and r.elems[0] == p.gog.vgroups[p.base].identity()
-
-
-def is_cyclically_reduced(p):
-    if not p.is_closed():
-        raise ValueError("path is not closed")
-    if len(p.edges) == 0:
-        return False
-    if not is_reduced(p):
-        return False
-    e_last = p.edges[-1]
-    if p.edges[0] != einv(e_last):
-        return True
-    G = p.gog.vgroups[p.base]
-    wrap = G.mul(p.elems[-1], p.elems[0])
-    return not p.gog.omega(e_last).image().contains(wrap)
-
-
-def cyclically_reduce(p):
-    """(conjugator, core) with p =A conjugator . core . conjugator^-1."""
-    if not p.is_closed():
-        raise ValueError("path is not closed")
-    gog = p.gog
-    conj = gog.trivial_path(p.base)
-    cur = reduce_apath(p)
-    while len(cur.edges) > 0 and not is_cyclically_reduced(cur):
-        e1 = cur.edges[0]
-        s = APath(gog, cur.base, [cur.elems[0], gog.vgroups[gog.graph.t(e1)].identity()], [e1])
-        cur = reduce_apath(apath_concat(apath_concat(apath_inverse(s), cur), s))
-        conj = apath_concat(conj, s)
-    return conj, cur
 
 
 def _sub_gog(A, kept):

@@ -338,7 +338,12 @@ class AProductFragment:
         The pattern: the explored base component is a simple outbound path,
         every step repeats a fixed signature (source vertices, edge pair and
         the two transport indices), and each period multiplies the vertex
-        group index gap by at least 2 (an ascending union)."""
+        group index gap by at least 2 (an ascending union).  Only the last
+        min_periods periods are compared, and the shape (source vertices and
+        edge pair) is a prefix of the signature, so the transport indices,
+        the costly part, are computed only for a window whose shapes repeat,
+        once per chain position: min_periods of them on a ray of period 1,
+        however long it is."""
         idxs = self.base_component_indices()
         if len(idxs) < 4 or self.base_component_exact():
             return None
@@ -350,23 +355,26 @@ class AProductFragment:
             if not h.tree or h.src in succ:
                 return None
             succ[h.src] = j
-        chain = []
+        chain, shapes = [], []
         cur = idxs[0]
         while cur in succ:
+            h = self.edges[succ[cur]]
+            xs = self.vertices[cur]
             chain.append(succ[cur])
-            cur = self.edges[succ[cur]].dst
+            shapes.append((xs.v, xs.w, h.f, h.g))
+            cur = h.dst
         if len(chain) + 1 != len(idxs):
             return None
-        sigs = []
-        for j in chain:
-            h = self.edges[j]
-            a_idx, w_idx = self._transport_indices(j)
-            xs = self.vertices[h.src]
-            sigs.append((xs.v, xs.w, h.f, h.g, a_idx, w_idx))
-        for period in range(1, len(sigs) // min_periods + 1):
-            window = sigs[-min_periods * period:]
-            if len(window) < min_periods * period:
+        indices = {}    # chain position -> its two transport indices
+        for period in range(1, len(chain) // min_periods + 1):
+            start = len(chain) - min_periods * period
+            window = shapes[start:]
+            if any(window[i] != window[i % period] for i in range(len(window))):
                 continue
+            for k in range(start, len(chain)):
+                if k not in indices:
+                    indices[k] = self._transport_indices(chain[k])
+            window = [shapes[k] + indices[k] for k in range(start, len(chain))]
             if any(window[i] != window[i % period] for i in range(len(window))):
                 continue
             ascent = 1
@@ -401,12 +409,6 @@ class AProductFragment:
         a_idx = tr_a.index_in(self.vertex_group(h.src))
         tr_w = A.omega(e).apply_subgroup(Eh).conjugate(Au2.inv(c1))
         return a_idx, tr_w.index_in(self.vertex_group(h.dst))
-
-    def degree_stats(self):
-        out = {}
-        for h in self.edges:
-            out[h.src] = out.get(h.src, 0) + 1
-        return out
 
     def to_json(self):
         """Machine-readable report: the gog file shape extended with witness,

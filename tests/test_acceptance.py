@@ -21,6 +21,8 @@ from gogroups.library import (bs_gog, free_double_gog,
 from gogroups.morphism import realize_subgroup
 from gogroups.pullback import build_product
 from gogroups.words import wreduce
+from test_gog import vertex_at
+from test_pullback import degree_stats
 
 
 def report(n, text):
@@ -97,7 +99,7 @@ def test_criterion_04_counterexample_ray():
     idxs = frag.base_component_indices()
     assert len(idxs) >= 8
     # a single path component
-    deg = frag.degree_stats()
+    deg = degree_stats(frag)
     assert all(d == 1 for d in deg.values())
     wits = [frag.vertices[i].witness for i in idxs[:4]]
     assert wits == [(0, 0), (0, 1), (0, 3), (0, 7)]
@@ -333,7 +335,7 @@ def test_criterion_09_britton_confluence():
         A = gogs[total % 2]
         p = random_reduced_path(rng, A, rng.randint(0, 4))
         i = rng.randint(0, len(p.edges))
-        v = p.vertex_at(i)
+        v = vertex_at(p, i)
         options = [e for e in A.graph.edges() if A.graph.o(e) == v]
         e = rng.choice(options)
         tv = A.graph.t(e)

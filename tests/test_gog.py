@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
 from gogroups.backends.base import evaluate_word
 from gogroups.gog import (APath, GraphOfGroups, apath_concat, apath_inverse,
-                          apaths_equal, cyclically_reduce, gog_core,
-                          gog_core_at, is_cyclically_reduced, is_reduced,
+                          apaths_equal, gog_core, gog_core_at, is_reduced,
                           reduce_apath, reduce_concat, reduce_gog, validate_gog)
 from gogroups.gogio import parse_gog
-from gogroups.graphs import Graph
+from gogroups.graphs import Graph, einv
 from gogroups.library import bs_gog, klein_amalgam_gog, nofgip_gog, segment_z_gog
+from test_fgip import line_events
 
 
 def test_validate_bs12():
@@ -121,6 +121,41 @@ def test_britton_confluence_random():
         back = APath(A, 0, [(0,), (0,), (0,)], [edge, edge ^ 1])
         glued = apath_concat(apath_concat(left, back), right)
         assert apaths_equal(glued, p)
+
+
+def vertex_at(p, i):
+    """The vertex of the A-path p before its element i."""
+    return p.base if i == 0 else p.gog.graph.t(p.edges[i - 1])
+
+
+def is_cyclically_reduced(p):
+    if not p.is_closed():
+        raise ValueError("path is not closed")
+    if len(p.edges) == 0:
+        return False
+    if not is_reduced(p):
+        return False
+    e_last = p.edges[-1]
+    if p.edges[0] != einv(e_last):
+        return True
+    G = p.gog.vgroups[p.base]
+    wrap = G.mul(p.elems[-1], p.elems[0])
+    return not p.gog.omega(e_last).image().contains(wrap)
+
+
+def cyclically_reduce(p):
+    """(conjugator, core) with p =A conjugator . core . conjugator^-1."""
+    if not p.is_closed():
+        raise ValueError("path is not closed")
+    gog = p.gog
+    conj = gog.trivial_path(p.base)
+    cur = reduce_apath(p)
+    while len(cur.edges) > 0 and not is_cyclically_reduced(cur):
+        e1 = cur.edges[0]
+        s = APath(gog, cur.base, [cur.elems[0], gog.vgroups[gog.graph.t(e1)].identity()], [e1])
+        cur = reduce_apath(apath_concat(apath_concat(apath_inverse(s), cur), s))
+        conj = apath_concat(conj, s)
+    return conj, cur
 
 
 def test_cyclically_reduce():
@@ -311,7 +346,7 @@ def seam_pair(A, rng):
     elems = list(back.elems[:k + 1])
     for i in range(len(elems)):
         if rng.random() < 0.3:
-            G = A.vgroups[back.vertex_at(i)]
+            G = A.vgroups[vertex_at(back, i)]
             elems[i] = G.mul(elems[i], random_elem(G, rng))
     retrace = APath(A, back.base, elems, back.edges[:k])
     tail = random_apath(A, rng, retrace.end, rng.randint(0, 4))
@@ -332,6 +367,20 @@ def test_reduce_concat_is_the_reduction_of_the_concatenation(name, seed):
     assert got.end == APath(A, got.base, got.elems, got.edges).end
     # reducing a prefix first and the rest from its seam is one full scan
     assert fields(got) == fields(reduce_apath(apath_concat(p_raw, q)))
+
+
+def test_reduce_concat_stops_at_the_seam():
+    # p . q has no pinch at the seam, and q (a run of e) has none of its
+    # own: the reduction does the same work for any length of q
+    A = sample_gog("bs_1_2")
+    p = APath(A, 0, [(1,), (1,), (1,)], [0, 0])
+
+    def run(n):
+        q = APath(A, 0, [(1,)] * (n + 1), [0] * n)
+        assert fields(reduce_concat(p, q)) == fields(reduce_apath(apath_concat(p, q)))
+        return line_events(reduce_concat, p, q)
+
+    assert run(10) == run(1000)
 
 
 def test_apath_constructor_rejects_non_consecutive_edges():

@@ -2,14 +2,15 @@ import json
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
-from gogroups.backends.base import UnsupportedExpansion
+from gogroups.backends.base import UnsupportedExpansion, evaluate_word
 from gogroups.cli import main
 from gogroups.gog import APath, GraphOfGroups, apaths_equal, reduce_apath
-from gogroups.graphs import Graph
-from gogroups.library import (bs_gog, nofgip_gog, rose_gog, word_apath)
+from gogroups.graphs import Graph, einv
+from gogroups.library import (bs_gog, nofgip_gog, rose_gog, segment_z_gog,
+                              word_apath)
 from gogroups.morphism import identity_morphism, is_immersion, realize_subgroup
 from gogroups.pullback import AProductFragment, build_product
 from gogroups.words import parse_word, winv, wmul, wreduce
@@ -23,6 +24,14 @@ def nofgip_immersions():
     mC, _ = realize_subgroup(A, 0, [a1, ehat])
     mB, _ = realize_subgroup(A, 0, [a1, ehat_a2])
     return A, mB, mC
+
+
+def degree_stats(frag):
+    """Out-degree of each product vertex that has an out-edge."""
+    out = {}
+    for h in frag.edges:
+        out[h.src] = out.get(h.src, 0) + 1
+    return out
 
 
 def test_base_vertex_trivial_groups():
@@ -80,6 +89,166 @@ def test_nofgip_ray_certificate_fires():
     assert cert is not None
     assert cert["verdict"] == "provably infinite ascending union"
     assert cert["ascent"] >= 2
+
+
+def eager_ray_certificate(frag, min_periods=3):
+    """The ray certificate as first written: the full signature, with both
+    transport indices, of every chain edge before any period is tried."""
+    idxs = frag.base_component_indices()
+    if len(idxs) < 4 or frag.base_component_exact():
+        return None
+    comp = set(idxs)
+    succ = {}
+    for j, h in enumerate(frag.edges):
+        if h.src not in comp:
+            continue
+        if not h.tree or h.src in succ:
+            return None
+        succ[h.src] = j
+    chain = []
+    cur = idxs[0]
+    while cur in succ:
+        chain.append(succ[cur])
+        cur = frag.edges[succ[cur]].dst
+    if len(chain) + 1 != len(idxs):
+        return None
+    sigs = []
+    for j in chain:
+        h = frag.edges[j]
+        a_idx, w_idx = frag._transport_indices(j)
+        xs = frag.vertices[h.src]
+        sigs.append((xs.v, xs.w, h.f, h.g, a_idx, w_idx))
+    for period in range(1, len(sigs) // min_periods + 1):
+        window = sigs[-min_periods * period:]
+        if len(window) < min_periods * period:
+            continue
+        if any(window[i] != window[i % period] for i in range(len(window))):
+            continue
+        ascent = 1
+        ok = True
+        for sig in window[:period]:
+            a_idx, w_idx = sig[4], sig[5]
+            if a_idx != 1 or w_idx is None:
+                ok = False
+                break
+            ascent *= w_idx
+        if ok and ascent >= 2:
+            return {"verdict": "provably infinite ascending union",
+                    "period": period,
+                    "ascent": ascent,
+                    "ray_length": len(chain)}
+    return None
+
+
+def chain_shapes(frag):
+    """(v, w, f, g) of each edge along the product when it is one outbound
+    path of tree edges from the base vertex; None otherwise."""
+    succ = {h.src: h for h in frag.edges}
+    if len(succ) != len(frag.edges) or not all(h.tree for h in frag.edges):
+        return None
+    out, cur = [], 0
+    while cur in succ:
+        out.append((frag.vertices[cur].v, frag.vertices[cur].w, succ[cur].f, succ[cur].g))
+        cur = succ[cur].dst
+    return out if len(out) == len(frag.edges) else None
+
+
+def test_ray_certificate_matches_the_eager_scan_on_the_zsq_ray():
+    A, mB, mC = nofgip_immersions()
+    for budget in (4, 5, 6, 8, 13, 16, 32, 64):
+        frag = build_product(mC, mB, budget=budget)
+        want = eager_ray_certificate(frag)
+        assert want is not None
+        assert frag.ray_certificate() == want
+        for min_periods in (1, 2, 5):
+            assert frag.ray_certificate(min_periods) == eager_ray_certificate(frag, min_periods)
+
+
+def test_ray_certificate_matches_the_eager_scan_on_the_golden_pairs():
+    from types import SimpleNamespace
+    from gogroups.cli import _load_product
+    from test_golden import PAIRS, _path
+    for g, first, second, budget in PAIRS:
+        frag = _load_product(SimpleNamespace(gog=_path(g), first=_path(first),
+                                             second=_path(second), budget=budget))
+        assert frag.ray_certificate() == eager_ray_certificate(frag)
+
+
+def test_ray_certificate_checks_only_its_window(monkeypatch):
+    # the zsq ray at budget 256 repeats with period 1, so only the last
+    # min_periods chain edges need their transport indices
+    A, mB, mC = nofgip_immersions()
+    frag = build_product(mC, mB, budget=256)
+    calls = []
+    transport_indices = AProductFragment._transport_indices
+
+    def counted(self, eidx):
+        calls.append(eidx)
+        return transport_indices(self, eidx)
+
+    monkeypatch.setattr(AProductFragment, "_transport_indices", counted)
+    cert = frag.ray_certificate()
+    assert (cert["period"], cert["ascent"], cert["ray_length"]) == (1, 2, 256)
+    assert len(calls) <= 3
+    assert len(calls) == len(set(calls))
+
+
+RAY_FAMILIES = [nofgip_gog, lambda: bs_gog(1, 2), lambda: bs_gog(1, 1), lambda: bs_gog(2, 3),
+                lambda: bs_gog(-1, 2), lambda: segment_z_gog(1, 2), lambda: segment_z_gog(2, 3)]
+
+
+def random_generators(A, rng):
+    """Generators at vertex 0 with small random elements: often one vertex
+    element, then a closed walk of one or two edges, with the way back
+    when it ends elsewhere."""
+    def elem(v):
+        gens = A.vgroups[v].generators()
+        return evaluate_word(A.vgroups[v], gens, [(i, rng.randint(-1, 1)) for i in range(len(gens))])
+
+    out = A.graph.out_edges()
+    edges, v = [], 0
+    for _ in range(rng.randint(1, 2)):
+        edges.append(rng.choice(out[v]))
+        v = A.graph.t(edges[-1])
+    if v != 0:
+        edges += [einv(e) for e in reversed(edges)]
+    vs = [0] + [A.graph.t(e) for e in edges]
+    loop = APath(A, 0, [elem(u) for u in vs], edges)
+    return ([APath(A, 0, [elem(0)], [])] if rng.random() < 0.7 else []) + [loop]
+
+
+def random_ray_product(family, seed):
+    rng = Random(seed)
+    A = RAY_FAMILIES[family]()
+    m1, _ = realize_subgroup(A, 0, random_generators(A, rng))
+    m2, _ = realize_subgroup(A, 0, random_generators(A, rng))
+    return build_product(m1, m2, budget=rng.randint(4, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.integers(0, len(RAY_FAMILIES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_ray_certificate_matches_the_eager_scan_on_random_products(family, seed):
+    frag = random_ray_product(family, seed)
+    want = eager_ray_certificate(frag)
+    shapes = chain_shapes(frag)
+    event("certified" if want else "repeating chain, no certificate"
+          if shapes and len(shapes) >= 3 and len(set(shapes[-3:])) == 1 else "other")
+    assert frag.ray_certificate() == want
+
+
+def test_ray_certificate_of_a_repeating_chain_that_does_not_ascend():
+    # over the Z^2 HNN extension, <a1^-1 a2^-1 e^-1 a1 a2^-1> and
+    # <a1 a2^-2 e^-1 a1> meet along a ray whose steps all have the same
+    # shape, but whose transport indices are (1, 1): no ascent
+    A = nofgip_gog()
+    m1, _ = realize_subgroup(A, 0, [APath(A, 0, [(-1, -1), (1, -1)], [1])])
+    m2, _ = realize_subgroup(A, 0, [APath(A, 0, [(1, -2), (1, 0)], [1])])
+    frag = build_product(m1, m2, budget=12)
+    shapes = chain_shapes(frag)
+    assert shapes is not None and len(set(shapes[-3:])) == 1
+    assert {frag._transport_indices(j) for j in range(len(frag.edges))} == {(1, 1)}
+    assert frag.ray_certificate() is None
+    assert eager_ray_certificate(frag) is None
 
 
 def test_nofgip_generators_are_conjugated_roots():
@@ -210,7 +379,7 @@ def test_structural_local_finiteness():
     A, mB, mC = nofgip_immersions()
     for budget in (8, 24):
         frag = build_product(mC, mB, budget=budget)
-        deg = frag.degree_stats()
+        deg = degree_stats(frag)
         assert all(d <= 2 for d in deg.values())
         branch = [i for i, d in deg.items() if d >= 2]
         assert len(branch) <= 1
