@@ -70,15 +70,17 @@ class AbelianDoubleCosets:
     """H\\S/K for subgroups H, K of S (all of G when S is None).  In an
     abelian group a double coset H g K is the coset g + (H + K), so the
     handle computes the HNF of H + K once and reduces modulo it; factor()
-    solves over the rows of H and K with one LinSolver, made on first use."""
+    solves over the rows of H and K with one LinSolver, and meet() is H
+    meet K, each made on first use."""
 
-    __slots__ = ("group", "H", "K", "full", "lat", "_solver")
+    __slots__ = ("group", "H", "K", "full", "lat", "_solver", "_meet")
 
     def __init__(self, group, H, K, S=None):
         self.group, self.H, self.K = group, H, K
         self.full = group.FULL if S is None else S.lat
         self.lat = H.lat.sum(K.lat)
         self._solver = None
+        self._meet = None
 
     def canon(self, g):
         return self.lat.coset_canon(g)
@@ -97,6 +99,13 @@ class AbelianDoubleCosets:
             raise ValueError("target not in the double coset")
         h = [sum(c * r[j] for c, r in zip(sol, hrows)) for j in range(G.n)]
         return G.canon(tuple(h)), G.canon(tuple(d - a for d, a in zip(diff, h)))
+
+    def meet(self, g):
+        """H^g meet K, which is H meet K for every g: conjugation is the
+        identity."""
+        if self._meet is None:
+            self._meet = self.H.intersect(self.K)
+        return self._meet
 
     def reps(self):
         """The canon() values of the cosets of H + K in S; ValueError when

@@ -19,7 +19,9 @@ H, K subgroup handles):
                                caller (no backend keeps one): canon(g), a
                                witness of H g K (not canonical over free
                                groups); eq(g, g2); factor(w, target) -> (h, k)
-                               with target == h * w * k; reps(), the canon()
+                               with target == h * w * k; meet(g), the
+                               subgroup H^g meet K, i.e.
+                               H.conjugate(g).intersect(K); reps(), the canon()
                                of every double coset inside S (all of G by
                                default; ValueError when infinitely many, None
                                when unknown); edge_fan(alpha, edge_dc, f_a,

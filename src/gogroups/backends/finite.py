@@ -91,6 +91,10 @@ class FiniteDoubleCosets:
                     return h, k
         raise ValueError("target not in the double coset")
 
+    def meet(self, g):
+        """H^g meet K."""
+        return self.H.conjugate(g).intersect(self.K)
+
     def reps(self):
         """The canon() values of the double cosets inside S."""
         elts = range(self.group.n) if self.S is None else self.S.elts

@@ -347,30 +347,6 @@ class FreeSubgroup:
                 stack.append((t, letter, word + (letter,)))
         return sorted(out, key=word_key)
 
-    def cyclic_intersect(self, c):
-        """Smallest d >= 1 with c^d in the subgroup; None if no power lies in it."""
-        c = wreduce(c)
-        if not c:
-            raise ValueError("empty word")
-        u, core = cyc_reduce(c)
-        s0 = self.aut.trace(u)
-        if s0 is None:
-            return None
-        seen = {}
-        s = s0
-        d = 0
-        while True:
-            s_next = self.aut.trace(core, start=s)
-            if s_next is None:
-                return None
-            d += 1
-            if self.aut.trace(winv(u), start=s_next) == 0:
-                return d
-            if s_next in seen:
-                return None
-            seen[s_next] = d
-            s = s_next
-
 
 class FreeDoubleCosets:
     """H\\S/K for subgroups H, K of S (all of F when S is None), through
@@ -405,6 +381,10 @@ class FreeDoubleCosets:
     def factor(self, w, target):
         """(h, k) in H x K with target == h w k."""
         return self.nfa(w).factor(wreduce(target))
+
+    def meet(self, g):
+        """H^g meet K."""
+        return self.H.conjugate(g).intersect(self.K)
 
     def reps(self):
         """The canon() values of one word per double coset inside S, read

@@ -106,13 +106,19 @@ def _emit(lines, out=None):
 
 
 def _write_optional(path, payload):
-    if path:
+    """Write payload to path when one is given; a path that cannot be
+    written is an input error.  Every caller writes before it prints."""
+    if not path:
+        return
+    try:
         with open(path, "w") as fh:
             if isinstance(payload, str):
                 fh.write(payload)
             else:
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def cmd_validate(args):
@@ -303,6 +309,17 @@ def cmd_export_dot(args):
     return 0
 
 
+def _budget(text):
+    """A non-negative integer budget; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is an input error: usage, an `error:` line on stderr and
     exit 3, since argparse's own exit 2 is the code of an unknown verdict.
@@ -345,7 +362,7 @@ def make_parser():
     p.add_argument("gog")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=_budget, default=64)
     p.add_argument("--dot")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pullback)
@@ -354,7 +371,7 @@ def make_parser():
     p.add_argument("gog")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=_budget, default=64)
     p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser("fcip", help="coset interaction reports")

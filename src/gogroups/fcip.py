@@ -55,13 +55,6 @@ class QMapAbelian:
         """Order of the image of q_{0,0} = (A + B + C)/(B + C)."""
         return self.cod_sub.lat.index_in(self.A.join(self.cod_sub).lat)
 
-    def is_bijection(self):
-        d = self.domain_order()
-        if d is None:
-            return False
-        return self.codomain_order() == d and len(
-            {self.evaluate(x) for x in self.domain_classes()}) == d
-
 
 def q_map_z(i, j, k, m, n):
     """The G = Z specialization: domain iZ/gcd(lcm(i,j), lcm(i,k))Z maps to

@@ -97,26 +97,6 @@ def validate_graph(g):
     return violations
 
 
-class GraphPath:
-    def __init__(self, graph, base, edges=()):
-        self.graph = graph
-        self.base = base
-        self.edges = list(edges)
-        v = base
-        for e in self.edges:
-            if graph.o(e) != v:
-                raise ValueError("edges are not consecutive")
-            v = graph.t(e)
-        self.end = v
-
-    def is_closed(self):
-        return self.base == self.end
-
-    def is_reduced(self):
-        return all(self.edges[i + 1] != einv(self.edges[i])
-                   for i in range(len(self.edges) - 1))
-
-
 def _allowed(g, allow_backtrack):
     """allow_backtrack evaluated once per directed edge (None: never)."""
     if allow_backtrack is None:

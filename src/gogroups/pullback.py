@@ -26,8 +26,20 @@ pair, and one edge fan per (v, w, f, g), made by the vertex pair's handle
 edge double cosets E1 a E2 whose transport f_alpha alpha(a) g_alpha^-1
 lands in the vertex's double coset H w K; how it finds them is the
 backend's business, so expanding a vertex is one fan.solve per edge pair.
-Vertex and edge groups are computed once each, on first request, and shared
-by to_json, the intersection generators and the ray certificate.
+Vertex and edge groups are computed once each, on first request, by the
+pair's handle (meet in the backend contract), and shared by to_json, the
+intersection generators and the ray certificate.
+
+Each product edge is found twice, once from each end, and its work is done
+once.  edge_keys holds half-edge keys (f, g, src, edge witness), both of
+each edge added; a representative is canonicalized in its edge double coset
+and looked up before it is transported or factored.  The key is exact: a
+product edge is fixed by its origin vertex, its edge pair and its edge
+double coset (b a c, for b and c in the edge images, transports into the
+same vertex double coset as a), and the witness of that double coset does
+not depend on the end it is found from, since both ends share one edge
+handle.  Anchor inverses are built like the anchors, each from its tree
+parent's.
 """
 
 from __future__ import annotations
@@ -58,7 +70,8 @@ class ProductVertex:
 class ProductEdge:
     """A product edge and its transport record: rep moves the source witness
     to o_raw = bc0 . witness(src) . cc0 in A_o(e) and to
-    t_raw = bc1 . witness(dst) . cc1 in A_t(e)."""
+    t_raw = bc1 . witness(dst) . cc1 in A_t(e).  (f, g, src, witness) and
+    (f^-1, g^-1, dst, witness) are its dedup keys, one per end."""
     __slots__ = ("f", "g", "rep", "witness", "src", "dst", "tree",
                  "bc0", "cc0", "bc1", "cc1")
 
@@ -66,7 +79,7 @@ class ProductEdge:
         self.f = f
         self.g = g
         self.rep = rep          # edge fan representative in the edge group
-        self.witness = witness  # canonical double-coset witness (dedup key)
+        self.witness = witness  # canonical edge double-coset witness
         self.src = src
         self.dst = dst
         self.tree = tree
@@ -125,22 +138,20 @@ class AProductFragment:
         return dc
 
     def vertex_group(self, idx):
-        """mu1(B_v)^witness meet mu2(C_w), made once per vertex."""
+        """mu1(B_v)^witness meet mu2(C_w), made once per vertex by the
+        pair's double-coset handle."""
         D = self.vertex_groups.get(idx)
         if D is None:
             x = self.vertices[idx]
-            D = self.vertex_groups[idx] = (
-                self._sub1(x.v).conjugate(x.witness).intersect(self._sub2(x.w)))
+            D = self.vertex_groups[idx] = self._vertex_dc(x.v, x.w).meet(x.witness)
         return D
 
     def edge_group(self, eidx):
-        """E1^rep meet E2, made once per edge."""
+        """E1^rep meet E2, made once per edge by the edge pair's handle."""
         E = self.edge_groups.get(eidx)
         if E is None:
             h = self.edges[eidx]
-            E1 = self.m1.edge_image_handle(h.f >> 1)
-            E2 = self.m2.edge_image_handle(h.g >> 1)
-            E = self.edge_groups[eidx] = E1.conjugate(h.rep).intersect(E2)
+            E = self.edge_groups[eidx] = self._edge_dc(h.f, h.g).meet(h.rep)
         return E
 
     def component_label(self, idx):
@@ -151,28 +162,55 @@ class AProductFragment:
         return reduce_concat(apath_concat(self._anchor(idx, True, {}), middle),
                              apath_inverse(self._anchor(idx, False, {})))
 
-    def _anchor(self, idx, first, memo):
-        """anchor1 (first) or anchor2 of vertex idx, built along its tree
-        edges from the base vertex; memo maps vertex indices to the anchors
-        already built on the same side.
-
-        anchor(dst) = anchor(src) . pre . step . post with the crossing of
-        the tree edge, reduced from the seam of the step.  pre and post have
-        no edges, so anchor(src) . pre is reduced and post adds no pinch."""
+    def _along_tree(self, idx, memo, root, extend):
+        """memo[idx], built along the tree edges into idx: from the nearest
+        vertex on the way already in memo, or from root(base vertex), with
+        memo[dst] = extend(memo[src], h) for the tree edge h into dst.  Every
+        vertex on the way is memoised."""
         chain = []
         while idx not in memo and self.vertices[idx].tree_edge is not None:
             chain.append(idx)
             idx = self.edges[self.vertices[idx].tree_edge].src
         if idx not in memo:
-            u = self.m1.vmap[self.vertices[idx].v]
-            bc, cc = self.base_factors
-            memo[idx] = APath(self.A, u, [bc if first else self.A.vgroups[u].inv(cc)], [])
-        anchor = memo[idx]
+            memo[idx] = root(idx)
+        path = memo[idx]
         for i in reversed(chain):
-            pre, step, post = self._crossing(self.edges[self.vertices[i].tree_edge], first)
-            anchor = reduce_concat(apath_concat(anchor, pre), step)
-            memo[i] = anchor = apath_concat(anchor, post)
-        return anchor
+            memo[i] = path = extend(path, self.edges[self.vertices[i].tree_edge])
+        return path
+
+    def _anchor(self, idx, first, memo):
+        """anchor1 (first) or anchor2 of vertex idx; memo maps vertex
+        indices to the anchors already built on the same side.
+
+        anchor(dst) = anchor(src) . pre . step . post with the crossing of
+        the tree edge, reduced from the seam of the step.  pre and post have
+        no edges, so anchor(src) . pre is reduced and post adds no pinch."""
+        def root(i):
+            u = self.m1.vmap[self.vertices[i].v]
+            bc, cc = self.base_factors
+            return APath(self.A, u, [bc if first else self.A.vgroups[u].inv(cc)], [])
+
+        def extend(anchor, h):
+            pre, step, post = self._crossing(h, first)
+            return apath_concat(reduce_concat(apath_concat(anchor, pre), step), post)
+        return self._along_tree(idx, memo, root, extend)
+
+    def _anchor_inverse(self, idx, memo):
+        """anchor1(idx)^-1, built along the tree edges like the anchor; memo
+        maps vertex indices to the inverses already built.
+
+        anchor(dst)^-1 = (pre . step . post)^-1 . anchor(src)^-1, reduced
+        from the seam: inverting a path commutes with seam reduction, since
+        a pinch of p . q at its seam is one of q^-1 . p^-1 at its seam, with
+        the inverse elements.  Elements are canonical, so the result equals
+        apath_inverse(anchor(dst)) element by element, and apath_inverse
+        only sees the base anchor and single crossings."""
+        def extend(inverse, h):
+            pre, step, post = self._crossing(h, True)
+            return reduce_concat(apath_inverse(apath_concat(apath_concat(pre, step), post)),
+                                 inverse)
+        return self._along_tree(idx, memo, lambda i: apath_inverse(self._anchor(i, True, {})),
+                                extend)
 
     def _crossing(self, h, first):
         """(pre, step, post), the A-paths carrying anchor1 (first) or anchor2
@@ -237,30 +275,23 @@ class AProductFragment:
                 if self.m2.edge_image(g) != e_f:
                     continue
                 try:
-                    sols = self._solve_edges(x, f, g, e_f)
+                    reps = self._solve_edges(x, f, g, e_f)
                 except UnsupportedExpansion as exc:
                     self.unexpandable[idx] = str(exc)
                     return
-                for rep, bc0, cc0 in sols:
-                    self._add_edge(idx, f, g, e_f, rep, bc0, cc0)
+                for rep in reps:
+                    self._add_edge(idx, f, g, e_f, rep)
         x.expanded = True
 
     def _solve_edges(self, x, f, g, e):
-        """The fan's representatives at x, each with the factors (b0, c0) of
-        its transport f_alpha alpha(rep) g_alpha^-1 = b0 . witness . c0."""
-        dc = self._vertex_dc(x.v, x.w)
+        """The fan's representatives at x: one per edge double coset whose
+        transport f_alpha alpha(rep) g_alpha^-1 lies in x's double coset."""
         fan = self.fans.get((x.v, x.w, f, g))
         if fan is None:
-            fan = self.fans[(x.v, x.w, f, g)] = dc.edge_fan(
+            fan = self.fans[(x.v, x.w, f, g)] = self._vertex_dc(x.v, x.w).edge_fan(
                 self.A.alpha(e), self._edge_dc(f, g),
                 self.m1.twist_alpha(f), self.m2.twist_alpha(g))
-        return [(rep, *dc.factor(x.witness, self._transport(f, g, e, rep, 0)))
-                for rep in fan.solve(x.witness)]
-
-    def _edge_key(self, f, g, src, dst, witness):
-        a = (f, g, src, dst)
-        b = (einv(f), einv(g), dst, src)
-        return (min(a, b), witness)
+        return fan.solve(x.witness)
 
     def _transport(self, f, g, e, rep, end):
         """twist_alpha(f) . alpha(rep) . twist_alpha(g)^-1 at the origin of e
@@ -271,17 +302,21 @@ class AProductFragment:
         return G.mul(G.mul(self.m1.twist_alpha(f), self.A.alpha(e).apply(rep)),
                      G.inv(self.m2.twist_alpha(g)))
 
-    def _add_edge(self, idx, f, g, e, rep, bc0, cc0):
-        x = self.vertices[idx]
+    def _add_edge(self, idx, f, g, e, rep):
+        """The product edge from vertex idx over the edge pair (f, g) whose
+        edge double coset holds rep, unless it is already there, found from
+        either end: its half-edge key is looked up before any transport."""
         ewitness = self._edge_dc(f, g).canon(rep)
+        if (f, g, idx, ewitness) in self.edge_keys:
+            return
+        x = self.vertices[idx]
+        bc0, cc0 = self._vertex_dc(x.v, x.w).factor(x.witness, self._transport(f, g, e, rep, 0))
         t_raw = self._transport(f, g, e, rep, 1)
         v2 = self.m1.source.graph.t(f)
         w2 = self.m2.source.graph.t(g)
         dst, created, bc1, cc1 = self._intern(v2, w2, t_raw, x.component)
-        key = self._edge_key(f, g, idx, dst, ewitness)
-        if key in self.edge_keys:
-            return
-        self.edge_keys.add(key)
+        self.edge_keys.add((f, g, idx, ewitness))
+        self.edge_keys.add((einv(f), einv(g), dst, ewitness))
         if created:
             self.vertices[dst].tree_edge = len(self.edges)
         else:
@@ -306,7 +341,7 @@ class AProductFragment:
         generators conjugated by the anchors; exact when the base component
         is fully explored, a lower bound otherwise."""
         gens = []
-        anchor1 = {}
+        anchor1, inverse1 = {}, {}
         base_idxs = set(self.base_component_indices())
         for i in sorted(base_idxs):
             x = self.vertices[i]
@@ -319,7 +354,7 @@ class AProductFragment:
                 b_elt = Au.mul(Au.mul(x.witness, d), Au.inv(x.witness))
                 a = self._anchor(i, True, anchor1)
                 gens.append(reduce_concat(apath_concat(a, APath(self.A, u, [b_elt], [])),
-                                          apath_inverse(a)))
+                                          self._anchor_inverse(i, inverse1)))
         for h in self.edges:
             if h.tree or h.src not in base_idxs:
                 continue
@@ -328,7 +363,7 @@ class AProductFragment:
             pre, step, post = self._crossing(h, True)
             z = reduce_concat(apath_concat(self._anchor(h.src, True, anchor1), pre), step)
             gens.append(reduce_concat(apath_concat(z, post),
-                                      apath_inverse(self._anchor(h.dst, True, anchor1))))
+                                      self._anchor_inverse(h.dst, inverse1)))
         return gens, self.base_component_exact()
 
     def ray_certificate(self, min_periods=3):

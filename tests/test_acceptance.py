@@ -21,6 +21,7 @@ from gogroups.library import (bs_gog, free_double_gog,
 from gogroups.morphism import realize_subgroup
 from gogroups.pullback import build_product
 from gogroups.words import wreduce
+from test_fcip import is_bijection
 from test_gog import vertex_at
 from test_pullback import degree_stats
 
@@ -79,7 +80,7 @@ def test_criterion_03_qmap_reproduction():
         assert img[0] == (c[0] - 1) % 3
         images[c] = img
     assert len(set(images.values())) == 3
-    assert q.is_bijection()
+    assert is_bijection(q)
     report(3, "q over 2Z/6Z -> Z/3Z is the bijection 2t -> 2t - 1 on all 3 classes")
 
 

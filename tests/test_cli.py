@@ -638,3 +638,39 @@ def test_free_edge_group_pullback_matches_abelian_encoding(tmp_path, capsys):
         h["witness"] = ("a" if h["witness"] > 0 else "A") * abs(h["witness"])
     assert z == f1
     assert len(f1["edges"]) == 2 and all(h["group"] for h in f1["edges"])
+
+
+ZSQ = [os.path.join(SAMPLES, f"{name}.json")
+       for name in ("zsquared_hnn", "zsquared_hnn_sub_C", "zsquared_hnn_sub_B")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pullback", *ZSQ, "--out"],
+    ["pullback", *ZSQ, "--dot"],
+    ["export-dot", os.path.join(SAMPLES, "bs_1_2.json"), "--out"],
+    ["reduce", GBS_COLLAPSE, "--out"],
+    ["core", GBS_COLLAPSE, "--out"],
+    ["w-construct", os.path.join(SAMPLES, "double_f2_squares.json"), "--out"],
+], ids=["pullback-out", "pullback-dot", "export-dot", "reduce", "core", "w-construct"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_path_is_an_input_error(argv, target, tmp_path, capsys):
+    # FileNotFoundError or IsADirectoryError escaped: a traceback and exit 1
+    path = str(tmp_path / "missing" / "x.json") if target == "missing-directory" else str(tmp_path)
+    assert main(argv + [path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("cmd", ["pullback", "intersect"])
+def test_negative_budget_is_a_usage_error(cmd, capsys):
+    # a negative budget ran as budget 0
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *ZSQ, "--budget", "-1"])
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "error: argument --budget: must not be negative: -1"
+    assert main([cmd, *ZSQ, "--budget", "0"]) == 0
+    assert capsys.readouterr().out.endswith("VERDICT: " + (
+        "budget-exhausted\n" if cmd == "pullback" else "lower-bound\n"))

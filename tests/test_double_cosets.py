@@ -2,7 +2,8 @@
 
 Finite and abelian handles are checked on every query against H g K listed
 or closed by hand; free handles' reps() against a grouping of short words by
-eq().  The ownership tests count the structures a product builds: one
+eq().  Every handle's meet(g) is checked against H.conjugate(g).intersect(K).
+The ownership tests count the structures a product builds: one
 Lattice.sum per vertex pair and edge pair, and no Benois automaton built
 twice for one (H, g, K, prefix, suffix) held by one owner.
 """
@@ -225,6 +226,44 @@ def test_free_reps_inside_a_subgroup_backend():
         assert all(S.contains(r) for r in reps)
         check_free_reps(dc, S.elements_up_to(6))
         assert F2.double_cosets(H, K).reps() is None
+
+
+# --- meet(g) = H^g meet K, on every backend ---
+
+def check_meet(G, H, K, g):
+    dc = G.double_cosets(H, K)
+    assert dc.meet(g).equals(H.conjugate(g).intersect(K))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([sym3(), FiniteGroup.cyclic(6)]), st.data())
+def test_finite_meet(G, data):
+    elts = st.integers(0, G.order() - 1)
+    H, K = (G.subgroup(data.draw(st.lists(elts, max_size=2))) for _ in "HK")
+    check_meet(G, H, K, data.draw(elts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, []), (1, [4])]), st.data())
+def test_abelian_meet(shape, data):
+    G = AbelianGroup(*shape)
+    elts = st.tuples(*[st.integers(-4, 4)] * (G.rank + len(shape[1]))).map(G.canon)
+    H, K = (G.subgroup(data.draw(st.lists(elts, max_size=2))) for _ in "HK")
+    g = data.draw(elts)
+    check_meet(G, H, K, g)
+    # one meet per handle, whatever g is
+    dc = G.double_cosets(H, K)
+    assert dc.meet(g) is dc.meet(G.identity())
+
+
+free_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4).map(lambda w: wreduce(tuple(w)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(free_words, max_size=2), st.lists(free_words, max_size=2), free_words)
+def test_free_meet(hgens, kgens, g):
+    F2 = FreeGroup(2)
+    check_meet(F2, F2.subgroup(hgens), F2.subgroup(kgens), g)
 
 
 # --- is_covering inside subgroup backends ---

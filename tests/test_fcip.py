@@ -8,6 +8,14 @@ from gogroups.fcip import (FcipReport, QMapAbelian, fcip_abelian,
 from gogroups.words import parse_word
 
 
+def is_bijection(q):
+    """Whether the q-map q is a bijection of finite sets."""
+    d = q.domain_order()
+    if d is None:
+        return False
+    return q.codomain_order() == d and len({q.evaluate(x) for x in q.domain_classes()}) == d
+
+
 def test_q_map_paper_instance():
     # (i,j,k,m,n) = (2,3,6,7,8): 2Z/6Z -> Z/3Z, 2t -> 2t - 1, a bijection
     q = q_map_z(2, 3, 6, 7, 8)
@@ -19,14 +27,14 @@ def test_q_map_paper_instance():
     assert len(set(images.values())) == 3
     for c in classes:
         assert images[c][0] == (c[0] - 1) % 3
-    assert q.is_bijection()
+    assert is_bijection(q)
 
 
 def test_q_map_trivial_instance():
     q = q_map_z(1, 1, 1, 0, 0)
     assert q.domain_order() == 1
     assert q.codomain_order() == 1
-    assert q.is_bijection()
+    assert is_bijection(q)
 
 
 def test_q_map_4_6_10():

