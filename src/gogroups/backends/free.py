@@ -1,8 +1,11 @@
 """Free groups: words, Stallings automata, folding with expression tracking.
 
-The automaton of a finitely generated subgroup is folded and cored; the
-handle's generator list is always the spanning-tree basis extracted from it
-(deterministic), so expressing elements over the generators is a plain trace.
+A subgroup is built in two linear passes.  The fold reads each generator
+in from both ends along the arcs already there and adds only the unread
+middle; then one breadth-first search over the core of the fold numbers
+the states and reads off the spanning-tree basis, the handle's generator
+list (deterministic), so expressing elements over the generators is a
+plain trace.
 
 Constructive membership over an *arbitrary* generating set (needed to invert
 monomorphisms) uses folding with edge annotations: each edge carries a word
@@ -20,27 +23,47 @@ from .base import FiniteEdgeFan, UnsupportedExpansion, evaluate_word
 from .rational import CosetNFA, PowerPattern
 
 
-def _bfs(delta, alive=None):
-    """Shortlex breadth-first search from state 0 over letter -> state rows
-    (None for a state folded away), skipping the states where `alive` is
-    false: the states reached, in visit order; the tree arc (parent, letter)
-    by which each was reached; and the positive non-tree arcs (v, letter, t)
-    in visit then letter order.  Every row is walked in one letter order,
-    sorted once."""
-    letters = sorted({x for row in delta if row for x in row}, key=letter_key)
-    order, tree, nontree = [0], {0: None}, []
-    for v in order:
-        row = delta[v]
+def _numbered(delta, alive):
+    """One shortlex breadth-first search from state 0 over letter -> state
+    rows, skipping the states where `alive` is false (a state folded away
+    has the row None and is never reached).  Returns the rows with state
+    order[i] renamed i and arcs to skipped states dropped; order; the tree
+    word of each new state; the spanning-tree basis, one element per
+    positive non-tree arc v -x-> t in visit then letter order; and the
+    crossing table (state, letter) -> (basis index, +-1) on both ends of
+    each such arc.  Every row is walked in one letter order, sorted once.
+
+    The basis element tree_word[v] . x . tree_word[t]^-1 is reduced as it
+    stands: x would cancel the last letter of tree_word[v] only on v's own
+    tree arc back to its parent, and the first of tree_word[t]^-1 only on
+    t's tree arc, and neither is a non-tree arc."""
+    letters = sorted(set().union(*[row for row in delta if row]), key=letter_key)
+    num = [-1 if a else -2 for a in alive]      # new number; -1 unseen, -2 skipped
+    num[0] = 0
+    order = [0]
+    rows, tree_word, up = [], {0: ()}, [0]    # up[i]: the letter from i to its parent
+    gens, crossing = [], {}
+    for i, v in enumerate(order):
+        row, out, word = delta[v], {}, tree_word[i]
         for x in letters:
             t = row.get(x)
-            if t is None or (alive is not None and not alive[t]):
+            if t is None:
                 continue
-            if t not in tree:
-                tree[t] = (v, x)
+            n = num[t]
+            if n < 0:
+                if n == -2:
+                    continue
+                n = num[t] = len(order)
                 order.append(t)
-            elif x > 0 and tree[v] != (t, -x):
-                nontree.append((v, x, t))
-    return order, tree, nontree
+                tree_word[n] = word + (x,)
+                up.append(-x)
+            elif x > 0 and x != up[i]:
+                crossing[i, x] = (len(gens), 1)
+                crossing[n, -x] = (len(gens), -1)
+                gens.append(word + (x,) + winv(tree_word[n]))
+            out[x] = n
+        rows.append(out)
+    return rows, order, tree_word, tuple(gens), crossing
 
 
 def _core(delta):
@@ -66,85 +89,110 @@ def _core(delta):
     return alive
 
 
-def _renumbered(delta, order):
-    """The rows of the states in `order`, state order[i] renamed i and arcs
-    to other states dropped; and the renaming."""
-    new = {v: i for i, v in enumerate(order)}
-    return [{x: new[t] for x, t in delta[v].items() if t in new} for v in order], new
-
-
 def _fold(gen_words, annotate=False):
     """Fold the petals spelling gen_words at the base, without numbering:
-    the rows letter -> state, None for a state folded away, and the same
-    rows with each arc's annotation, letter -> (state, annotation).
+    the rows letter -> state, None for a state folded away; and with
+    annotate the side table (state, letter) -> annotation of every arc,
+    otherwise None.  Every arc is stored at both ends.
 
-    Each live state keeps a row, signed letter -> (target, annotation),
-    with every arc stored at both ends.  An arc whose letter is already
-    in a row at either end is not added: the two states it would make
-    one are queued for identification instead.  An identification moves
-    the smaller row onto the larger (the base never moves) and
-    re-anchors only the moved arcs: with the shift c of the moved state,
-    an arc leaving it gets c.a and one entering it a.c^-1, so the
-    annotations along any closed walk at the base still multiply to a
-    preimage of its label.  With annotate the last arc of petal i
-    carries (i + 1,); otherwise every annotation is (), and the word
-    arithmetic on annotations is bound to a function returning ()."""
+    Each reduced generator w is read in before any state is added: w
+    forward from the base along the arcs already there, as far as they go,
+    to a state s; then w^-1 backward from the base, up to where the forward
+    read stopped, to a state u.  Only the unread middle becomes a chain of
+    fresh states from s to u, its rows written directly.  Two states are
+    queued for identification only when the reads meet (an empty middle)
+    at s != u, which includes w read in whole to a state other than the
+    base; or when the slot of the chain's last arc at u is taken, which can
+    only be by the chain's own first arc (a middle x...x^-1 read from
+    s = u).  The queue is drained after each generator, so the next one
+    reads in along a folded graph.  An identification moves the smaller
+    row onto the larger (the base never moves) and re-links only the moved
+    arcs, queueing a further identification wherever a slot is taken.
+
+    Annotations: the chain's arcs carry (), except its last, which carries
+    A^-1 . (i + 1,) . B for petal i, with A and B the annotation products
+    of the forward and backward reads, so petal i's closed walk multiplies
+    to (i + 1,).  An identification re-anchors the moved arcs: with the
+    shift c of the moved state, an arc leaving it gets c.a and one entering
+    it a.c^-1, so the annotations along any closed walk at the base still
+    multiply to a preimage of its label."""
     rows = [{}]
+    ann = {} if annotate else None
     moved = {}          # identified state -> (state it moved onto, shift)
     pending = []        # (p, q, c): make q one with p, q's shift c
-    if annotate:
-        mul, inv = wmul, winv
-    else:
-        mul = inv = lambda *words: ()
 
     def link(s, x, t, a):
         hit = rows[s].get(x)
         if hit is not None:
-            pending.append((hit[0], t, mul(inv(hit[1]), a)))
+            pending.append((hit, t, () if ann is None else wmul(winv(ann[s, x]), a)))
             return
         hit = rows[t].get(-x)
         if hit is not None:
-            pending.append((hit[0], s, mul(inv(hit[1]), inv(a))))
+            pending.append((hit, s, () if ann is None else wmul(winv(ann[t, -x]), winv(a))))
             return
-        rows[s][x] = (t, a)
-        rows[t][-x] = (s, inv(a))
+        rows[s][x] = t
+        rows[t][-x] = s
+        if ann is not None:
+            ann[s, x], ann[t, -x] = a, winv(a)
 
     def find(v):
         c = ()
         while v in moved:
             v, d = moved[v]
-            c = mul(d, c)
+            if ann is not None:
+                c = wmul(d, c)
         return v, c
 
     for i, w in enumerate(gen_words):
         w = wreduce(w)
-        s = 0
-        for j, x in enumerate(w):
-            if j == len(w) - 1:
-                t, a = 0, (i + 1,) if annotate else ()
-            else:
-                t, a = len(rows), ()
-                rows.append({})
-            link(s, x, t, a)
-            s = t
-    while pending:
-        p, q, c = pending.pop()
-        p, e = find(p)
-        q, d = find(q)
-        if p == q:
-            continue
-        c = mul(e, c, inv(d))
-        if q == 0 or (p != 0 and len(rows[p]) < len(rows[q])):
-            p, q, c = q, p, inv(c)
-        row, rows[q] = rows[q], None
-        moved[q] = (p, c)
-        for x, (t, a) in row.items():
-            if t != q:
-                del rows[t][-x]
-                link(p, x, t, mul(c, a))
-            elif x > 0:
-                link(p, x, p, mul(c, a, inv(c)))
-    return [row and {x: t for x, (t, _) in row.items()} for row in rows], rows
+        s, j, A = 0, 0, ()
+        for x in w:
+            t = rows[s].get(x)
+            if t is None:
+                break
+            if ann is not None:
+                A = wmul(A, ann[s, x])
+            s, j = t, j + 1
+        u, k, B = 0, len(w), ()
+        while k > j:
+            t = rows[u].get(-w[k - 1])
+            if t is None:
+                break
+            if ann is not None:
+                B = wmul(B, ann[u, -w[k - 1]])
+            u, k = t, k - 1
+        c = () if ann is None else wmul(winv(A), (i + 1,), B)
+        if j == k:
+            if s != u:
+                pending.append((s, u, c))
+        else:
+            for x in w[j:k - 1]:
+                t = len(rows)
+                rows.append({-x: s})
+                rows[s][x] = t
+                if ann is not None:
+                    ann[s, x] = ann[t, -x] = ()
+                s = t
+            link(s, w[k - 1], u, c)
+        while pending:
+            p, q, c = pending.pop()
+            (p, e), (q, d) = find(p), find(q)
+            if p == q:
+                continue
+            if ann is not None:
+                c = wmul(e, c, winv(d))
+            if q == 0 or (p != 0 and len(rows[p]) < len(rows[q])):
+                p, q, c = q, p, winv(c)
+            row, rows[q] = rows[q], None
+            moved[q] = (p, c)
+            for x, t in row.items():
+                a = () if ann is None else wmul(c, ann[q, x])
+                if t != q:
+                    del rows[t][-x]
+                    link(p, x, t, a)
+                elif x > 0:
+                    link(p, x, p, wmul(a, winv(c)))
+    return rows, ann
 
 
 class StallingsAutomaton:
@@ -157,13 +205,12 @@ class StallingsAutomaton:
     @classmethod
     def from_words(cls, gen_words, annotate=False):
         """The folded petals spelling gen_words at the base (_fold),
-        numbered by _bfs; with annotate, ann maps each arc to its
+        numbered by _numbered; with annotate, ann maps each arc to its
         annotation."""
-        delta, rows = _fold(gen_words, annotate)
-        delta, new = _renumbered(delta, _bfs(delta)[0])
-        ann = None
-        if annotate:
-            ann = {(new[v], x): a for v in new for x, (_, a) in rows[v].items()}
+        rows, ann = _fold(gen_words, annotate)
+        delta, order = _numbered(rows, [row is not None for row in rows])[:2]
+        if ann is not None:
+            ann = {(i, x): ann[v, x] for i, v in enumerate(order) for x in delta[i]}
         return cls(delta, ann)
 
     @property
@@ -190,43 +237,27 @@ class StallingsAutomaton:
             s = t
         return s, acc
 
-    def cored(self):
-        """Remove valence<=1 states (base exempt, see _core); renumber by
-        _bfs."""
-        order = _bfs(self.delta, _core(self.delta))[0]
-        return StallingsAutomaton(_renumbered(self.delta, order)[0])
-
     def complete(self, rank_letters):
         return all(len(row) == 2 * rank_letters for row in self.delta)
 
 
 class FreeSubgroup:
-    """A subgroup through its cored automaton.  The generator list is the
-    basis read off the automaton's spanning tree, one generator per non-tree
-    arc, so expressing an element over it is a trace counting the crossings
-    of those arcs."""
+    """A subgroup through its cored automaton, built in two linear passes:
+    the fold (_fold), which reads each generator in from both ends, and
+    one numbering of the fold's core (_numbered).  The generator list is
+    the basis read off the automaton's spanning tree, one generator per
+    non-tree arc, so expressing an element over it is a trace counting the
+    crossings of those arcs."""
 
     __slots__ = ("group", "aut", "gens", "tree_word", "crossing")
 
     def __init__(self, group, delta):
         """From the rows of a folded graph at base 0 (None for a state
-        folded away): one _bfs over its core numbers the states and gives
-        the spanning tree."""
+        folded away): one _numbered pass over its core numbers the states
+        and gives the spanning tree, its basis and the crossing table."""
         self.group = group
-        order, tree, nontree = _bfs(delta, _core(delta))
-        delta, new = _renumbered(delta, order)
-        self.aut = StallingsAutomaton(delta)
-        self.tree_word = tree_word = {0: ()}
-        for i in range(1, len(order)):
-            v, x = tree[order[i]]
-            tree_word[i] = tree_word[new[v]] + (x,)
-        self.gens = tuple(wmul(tree_word[new[v]], (x,), winv(tree_word[new[t]]))
-                          for v, x, t in nontree)
-        # (state, letter) -> (basis index, +-1) on both ends of each non-tree arc
-        self.crossing = {}
-        for i, (v, x, t) in enumerate(nontree):
-            self.crossing[(new[v], x)] = (i, 1)
-            self.crossing[(new[t], -x)] = (i, -1)
+        rows, _, self.tree_word, self.gens, self.crossing = _numbered(delta, _core(delta))
+        self.aut = StallingsAutomaton(rows)
 
     def __repr__(self):
         return f"FreeSubgroup(rank={len(self.gens)}, gens={[format_word(g) for g in self.gens]})"

@@ -106,17 +106,16 @@ def _emit(lines, out=None):
 
 
 def _write_optional(path, payload):
-    """Write payload to path when one is given; a path that cannot be
-    written is an input error.  Every caller writes before it prints."""
+    """Write payload (text, or JSON data to indent) to path in one write
+    when a path is given; a path that cannot be written is an input error.
+    Every caller writes before it prints."""
     if not path:
         return
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     try:
         with open(path, "w") as fh:
-            if isinstance(payload, str):
-                fh.write(payload)
-            else:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            fh.write(payload)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}")
 

@@ -165,8 +165,8 @@ class AProductFragment:
     def _along_tree(self, idx, memo, root, extend):
         """memo[idx], built along the tree edges into idx: from the nearest
         vertex on the way already in memo, or from root(base vertex), with
-        memo[dst] = extend(memo[src], h) for the tree edge h into dst.  Every
-        vertex on the way is memoised."""
+        memo[dst] = extend(memo[src], eidx) for the tree edge eidx into dst.
+        Every vertex on the way is memoised."""
         chain = []
         while idx not in memo and self.vertices[idx].tree_edge is not None:
             chain.append(idx)
@@ -175,29 +175,33 @@ class AProductFragment:
             memo[idx] = root(idx)
         path = memo[idx]
         for i in reversed(chain):
-            memo[i] = path = extend(path, self.edges[self.vertices[i].tree_edge])
+            memo[i] = path = extend(path, self.vertices[i].tree_edge)
         return path
 
-    def _anchor(self, idx, first, memo):
+    def _anchor(self, idx, first, memo, crossings=None):
         """anchor1 (first) or anchor2 of vertex idx; memo maps vertex
-        indices to the anchors already built on the same side.
+        indices to the anchors already built on the same side, and
+        crossings, when given, the crossings already built (_crossing_of).
 
         anchor(dst) = anchor(src) . pre . step . post with the crossing of
         the tree edge, reduced from the seam of the step.  pre and post have
         no edges, so anchor(src) . pre is reduced and post adds no pinch."""
+        crossings = {} if crossings is None else crossings
+
         def root(i):
             u = self.m1.vmap[self.vertices[i].v]
             bc, cc = self.base_factors
             return APath(self.A, u, [bc if first else self.A.vgroups[u].inv(cc)], [])
 
-        def extend(anchor, h):
-            pre, step, post = self._crossing(h, first)
+        def extend(anchor, eidx):
+            pre, step, post = self._crossing_of(eidx, first, crossings)
             return apath_concat(reduce_concat(apath_concat(anchor, pre), step), post)
         return self._along_tree(idx, memo, root, extend)
 
-    def _anchor_inverse(self, idx, memo):
+    def _anchor_inverse(self, idx, memo, crossings=None):
         """anchor1(idx)^-1, built along the tree edges like the anchor; memo
-        maps vertex indices to the inverses already built.
+        maps vertex indices to the inverses already built, and crossings as
+        for _anchor.
 
         anchor(dst)^-1 = (pre . step . post)^-1 . anchor(src)^-1, reduced
         from the seam: inverting a path commutes with seam reduction, since
@@ -205,12 +209,24 @@ class AProductFragment:
         the inverse elements.  Elements are canonical, so the result equals
         apath_inverse(anchor(dst)) element by element, and apath_inverse
         only sees the base anchor and single crossings."""
-        def extend(inverse, h):
-            pre, step, post = self._crossing(h, True)
+        crossings = {} if crossings is None else crossings
+
+        def extend(inverse, eidx):
+            pre, step, post = self._crossing_of(eidx, True, crossings)
             return reduce_concat(apath_inverse(apath_concat(apath_concat(pre, step), post)),
                                  inverse)
         return self._along_tree(idx, memo, lambda i: apath_inverse(self._anchor(i, True, {})),
                                 extend)
+
+    def _crossing_of(self, eidx, first, crossings):
+        """_crossing of edge eidx on the given side, kept in crossings by
+        (edge, side): the anchors and their inverses in one
+        intersection_generators call cross each tree edge on the first
+        side."""
+        key = eidx, first
+        if key not in crossings:
+            crossings[key] = self._crossing(self.edges[eidx], first)
+        return crossings[key]
 
     def _crossing(self, h, first):
         """(pre, step, post), the A-paths carrying anchor1 (first) or anchor2
@@ -341,7 +357,7 @@ class AProductFragment:
         generators conjugated by the anchors; exact when the base component
         is fully explored, a lower bound otherwise."""
         gens = []
-        anchor1, inverse1 = {}, {}
+        anchor1, inverse1, crossings = {}, {}, {}
         base_idxs = set(self.base_component_indices())
         for i in sorted(base_idxs):
             x = self.vertices[i]
@@ -352,18 +368,19 @@ class AProductFragment:
                 if Au.eq(d, Au.identity()):
                     continue
                 b_elt = Au.mul(Au.mul(x.witness, d), Au.inv(x.witness))
-                a = self._anchor(i, True, anchor1)
+                a = self._anchor(i, True, anchor1, crossings)
                 gens.append(reduce_concat(apath_concat(a, APath(self.A, u, [b_elt], [])),
-                                          self._anchor_inverse(i, inverse1)))
+                                          self._anchor_inverse(i, inverse1, crossings)))
         for h in self.edges:
             if h.tree or h.src not in base_idxs:
                 continue
             # anchor1(src) . bc0^-1 . step over e . bc1 . anchor1(dst)^-1,
             # reduced seam by seam: the same path as one scan (reduce_concat)
             pre, step, post = self._crossing(h, True)
-            z = reduce_concat(apath_concat(self._anchor(h.src, True, anchor1), pre), step)
+            z = reduce_concat(apath_concat(self._anchor(h.src, True, anchor1, crossings), pre),
+                              step)
             gens.append(reduce_concat(apath_concat(z, post),
-                                      self._anchor_inverse(h.dst, inverse1)))
+                                      self._anchor_inverse(h.dst, inverse1, crossings)))
         return gens, self.base_component_exact()
 
     def ray_certificate(self, min_periods=3):

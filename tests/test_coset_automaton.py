@@ -4,12 +4,15 @@ The replaced algorithms are kept here as references: `CosetNFA._saturate`
 against the round-robin fixpoint that re-swept every state and arc until a
 full round added nothing; `CosetNFA` against the automaton that copied the
 rows of H and K into a table of its own and kept every reflexive pair;
-`StallingsAutomaton.cored` against the loop that rescanned every live state
-until none had valence <= 1; and the numbering of `FreeSubgroup` against
-the pipeline that folded, cored and then built the spanning tree, one
-breadth-first search each.  The double coset operations of `FreeGroup` are
-checked against their construction: h g k is in H g K, and inside the
-kernel of F2 -> Z/3 (a-exponent sum mod 3) h g a k is not.
+the core (the test-local `cored`, through `_core`) against the loop that
+rescanned every live state until none had valence <= 1; and the numbering
+of `FreeSubgroup` and of its intersections against a pipeline built from
+the references alone: the naive fold of `test_backends_free`, the core by
+rescanning, then the spanning tree, one breadth-first search each; the
+generators of `read_in_lists` are drawn so that the fold reads them in far.
+The double coset operations of `FreeGroup` are checked against their
+construction: h g k is in H g K, and inside the kernel of F2 -> Z/3
+(a-exponent sum mod 3) h g a k is not.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from collections import deque
 from hypothesis import given, settings, strategies as st
 
 from gogroups.backends import FreeGroup
-from gogroups.backends.free import StallingsAutomaton
+from gogroups.backends.free import StallingsAutomaton, _core, _numbered
 from gogroups.backends.rational import CosetNFA, PowerPattern
 from gogroups.words import letter_key, winv, wmul, wpow, wreduce
+
+from test_backends_free import naive_fold
 
 
 def saturate_by_rounds(trans, primitive_eps):
@@ -52,6 +57,11 @@ def saturate_by_rounds(trans, primitive_eps):
                         eps_of[p].add(r)
                         changed = True
     return E, eps_of
+
+
+def cored(aut):
+    """The core of aut (_core, base exempt), numbered by _numbered."""
+    return StallingsAutomaton(_numbered(aut.delta, _core(aut.delta))[0])
 
 
 def cored_by_rescan(aut):
@@ -174,13 +184,13 @@ def folded_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(folded_graphs())
 def test_cored_matches_the_rescan(aut):
-    assert aut.cored().delta == cored_by_rescan(aut)
+    assert cored(aut).delta == cored_by_rescan(aut)
 
 
 def test_cored_prunes_hair():
     # base -a-> 1 with a b-loop at 1, and the hair 1 -a-> 2 -b-> 3
     delta = [{1: 1}, {-1: 0, 2: 1, -2: 1, 1: 2}, {-1: 1, 2: 3}, {-2: 2}]
-    assert StallingsAutomaton(delta).cored().delta == [{1: 1}, {-1: 0, 2: 1, -2: 1}]
+    assert cored(StallingsAutomaton(delta)).delta == [{1: 1}, {-1: 0, 2: 1, -2: 1}]
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +535,12 @@ def test_in_place_automaton_matches_the_full_layout(inputs, data):
 # ---------------------------------------------------------------------------
 
 
-def three_pass_subgroup(gens):
-    """(delta, gens, tree_word, crossing) of <gens> as the three passes
-    gave them: fold and number, core and renumber, then a spanning tree by
-    a breadth-first search that sorted each row, its non-tree arcs in state
-    then letter order."""
-    delta = StallingsAutomaton.from_words(gens).cored().delta
+def three_pass_numbering(delta):
+    """(delta, gens, tree_word, crossing) of the folded graph with rows
+    delta as the separate passes gave them: core and renumber by
+    rescanning, then a spanning tree by a breadth-first search that sorted
+    each row, its non-tree arcs in state then letter order."""
+    delta = cored_by_rescan(StallingsAutomaton(delta))
     order, tree = [0], {0: None}
     for v in order:
         for x in sorted(delta[v], key=letter_key):
@@ -555,6 +565,34 @@ def three_pass_subgroup(gens):
     return delta, basis, tree_word, crossing
 
 
+def three_pass_subgroup(gens):
+    """three_pass_numbering of the naive fold of gens."""
+    return three_pass_numbering(naive_fold(gens))
+
+
+def product_rows(d1, d2):
+    """The rows of the product of two folded graphs, over the pairs
+    reachable from the pair of base states, numbered as first reached."""
+    index, rows = {(0, 0): 0}, [{}]
+    queue = [(0, 0)]
+    for a, b in queue:
+        row = rows[index[a, b]]
+        for x, ta in d1[a].items():
+            tb = d2[b].get(x)
+            if tb is None:
+                continue
+            if (ta, tb) not in index:
+                index[ta, tb] = len(rows)
+                rows.append({})
+                queue.append((ta, tb))
+            row[x] = index[ta, tb]
+    return rows
+
+
+def numbering(S):
+    return S.aut.delta, S.gens, S.tree_word, S.crossing
+
+
 @st.composite
 def generator_lists(draw):
     """A rank from 1 to 3 and up to four generators, some of them proper
@@ -569,5 +607,91 @@ def generator_lists(draw):
 @given(generator_lists())
 def test_one_bfs_numbering_matches_the_three_passes(case):
     rank, gens = case
-    S = FreeGroup(rank).subgroup(gens)
-    assert (S.aut.delta, S.gens, S.tree_word, S.crossing) == three_pass_subgroup(gens)
+    assert numbering(FreeGroup(rank).subgroup(gens)) == three_pass_subgroup(gens)
+
+
+# ---------------------------------------------------------------------------
+# generators that read in far: the cases of the fold's two reads
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def read_in_lists(draw):
+    """A rank from 1 to 3, up to 12 generators and a second list sharing
+    some of them.  A generator has up to 24 letters (a product of two
+    earlier ones up to 48) and is drawn so that the fold's reads go far:
+    a prefix and a suffix of earlier generators around a new middle; x u
+    x^-1; a product of earlier generators (already in the subgroup); a
+    prefix of an earlier one (read in whole, ending off the base, unless
+    it ends at the base); an earlier one repeated, or the empty word; a
+    word with x x^-1 inserted (unreduced); a proper power; or a fresh
+    word."""
+    rank = draw(st.integers(1, 3))
+    letters = st.sampled_from([x for a in range(1, rank + 1) for x in (a, -a)])
+    short, fresh = word_over(rank, 8), word_over(rank, 24)
+    gens = []
+    for _ in range(draw(st.integers(0, 12))):
+        earlier = st.sampled_from(gens) if gens else st.just(())
+        kind = draw(st.sampled_from(["shared", "conjugate", "member", "prefix", "repeat",
+                                     "unreduced", "power", "fresh"]))
+        if kind == "shared":
+            a, b = draw(earlier), draw(earlier)
+            i, j = draw(st.integers(0, min(8, len(a)))), draw(st.integers(0, min(8, len(b))))
+            w = a[:i] + draw(short) + b[len(b) - j:]
+        elif kind == "conjugate":
+            x = draw(short)
+            w = x + draw(short) + winv(x)
+        elif kind == "member":
+            a, b = draw(earlier), draw(earlier)
+            w = wmul(a, winv(b) if draw(st.booleans()) else b)
+        elif kind == "prefix":
+            a = draw(earlier)
+            w = a[:draw(st.integers(0, len(a)))]
+        elif kind == "repeat":
+            w = draw(st.one_of(st.just(()), earlier))
+        elif kind == "unreduced":
+            a, x = draw(st.one_of(earlier, short)), draw(letters)
+            i = draw(st.integers(0, len(a)))
+            w = a[:i] + (x, -x) + a[i:]
+        elif kind == "power":
+            w = wpow(draw(short), draw(st.integers(2, 3)))
+        else:
+            w = draw(fresh)
+        gens.append(w)
+    keep = draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+    others = [g for g, k in zip(gens, keep) if k] + draw(st.lists(short, max_size=3))
+    return rank, gens, others
+
+
+def evaluate(gens, letters):
+    """The product of gens over signed 1-based letters."""
+    return wmul(*[gens[s - 1] if s > 0 else winv(gens[-s - 1]) for s in letters])
+
+
+@settings(max_examples=150, deadline=None)
+@given(read_in_lists())
+def test_read_in_subgroups_and_meets_match_the_references(case):
+    rank, gens, others = case
+    F = FreeGroup(rank)
+    H, K = F.subgroup(gens), F.subgroup(others)
+    assert numbering(H) == three_pass_subgroup(gens)
+    assert numbering(K) == three_pass_subgroup(others)
+    meet = three_pass_numbering(product_rows(naive_fold(gens), naive_fold(others)))
+    assert numbering(H.intersect(K)) == meet
+
+
+@settings(max_examples=150, deadline=None)
+@given(read_in_lists(), st.data())
+def test_read_in_express(case, data):
+    """express multiplies back over a dependent list, and over a free
+    basis it returns the one reduced word."""
+    rank, gens, _ = case
+    F = FreeGroup(rank)
+    word = data.draw(word_over(len(gens), 8)) if gens else ()
+    expr = F.express(evaluate(gens, word), gens)
+    assert expr is not None
+    assert evaluate(gens, [(i + 1) * e for i, e in expr]) == evaluate(gens, word)
+    basis = list(F.subgroup(gens).gens)
+    word = data.draw(word_over(len(basis), 8)) if basis else ()
+    assert F.express(evaluate(basis, word), basis) == [(abs(s) - 1, 1 if s > 0 else -1)
+                                                       for s in word]

@@ -392,6 +392,17 @@ def test_zsq_generators_invert_single_crossings_only():
     assert sum(len(p.edges) for p, in calls) <= 3 * len(frag.vertices)
 
 
+def test_zsq_generators_cross_each_edge_once():
+    # the anchors and their inverses each built the crossing of every tree
+    # edge: 512 crossings for 256 edges
+    frag = zsq_product_at_256()
+    with counting(AProductFragment, "_crossing") as calls:
+        frag.intersection_generators()
+    assert len(frag.edges) == 256
+    assert len(calls) == len(frag.edges)
+    assert len({(id(h), first) for _, h, first in calls}) == len(calls)
+
+
 def test_ray_certificate_of_a_repeating_chain_that_does_not_ascend():
     # over the Z^2 HNN extension, <a1^-1 a2^-1 e^-1 a1 a2^-1> and
     # <a1 a2^-2 e^-1 a1> meet along a ray whose steps all have the same
