@@ -383,12 +383,16 @@ class FreeDoubleCosets:
     """H\\S/K for subgroups H, K of S (all of F when S is None), through
     saturated Benois automata (.rational) recognizing the reduced words of
     H g K.  eq is membership in one, since canon() is not canonical when a
-    double coset has several shortest words."""
+    double coset has several shortest words.  canon() remembers its answer
+    for each element it was asked about, as the finite handle does; the
+    memo keeps words only, never automata, and lives as long as the
+    handle."""
 
-    __slots__ = ("group", "H", "K", "S", "_last")
+    __slots__ = ("group", "H", "K", "S", "memo", "_last")
 
     def __init__(self, group, H, K, S=None):
         self.group, self.H, self.K, self.S = group, H, K, S
+        self.memo = {}
         self._last = None       # (g, automaton of H g K)
 
     def nfa(self, g, prefix=(), suffix=()):
@@ -404,7 +408,10 @@ class FreeDoubleCosets:
         return self._last[1]
 
     def canon(self, g):
-        return self.nfa(g).shortest_reduced()
+        c = self.memo.get(g)
+        if c is None:
+            c = self.memo[g] = self.nfa(g).shortest_reduced()
+        return c
 
     def eq(self, g, g2):
         return self.nfa(g).member(wreduce(g2))

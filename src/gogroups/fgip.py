@@ -139,26 +139,7 @@ def decide_fgip_vz(d):
             raise ValueError("graph is not reduced")
     loops = [p for p in range(g.n_pairs) if g.org[p] == g.tgt[p]]
     nonloops = [p for p in range(g.n_pairs) if g.org[p] != g.tgt[p]]
-    if g.n_pairs == 0:
-        return FgipVerdict("yes", "single-vertex")
-    if g.n_pairs == 1:
-        if loops:
-            p = loops[0]
-            a, o = d.halves(p)
-            if a == 1 or o == 1:
-                return FgipVerdict(
-                    "yes", f"unit-side-loop indices=({_fmt_half(a)},{_fmt_half(o)})")
-            return FgipVerdict(
-                "no", f"loop-no-unit-side at {g.vnames[g.org[p]]} "
-                      f"indices=({_fmt_half(a)},{_fmt_half(o)})")
-        p = nonloops[0]
-        a, o = d.halves(p)
-        if (a, o) == (2, 2):
-            return FgipVerdict("yes", "single-2-2-edge")
-        return FgipVerdict(
-            "no", f"amalgam-edge-not-2-2 {g.enames[p]} "
-                  f"indices=({_fmt_half(a)},{_fmt_half(o)})")
-    # >= 2 edge pairs: forbidden configurations, loop checks first
+    # forbidden configurations, loop checks first
     for p in loops:
         a, o = d.halves(p)
         if a != 1 and o != 1:
@@ -191,7 +172,15 @@ def decide_fgip_vz(d):
                 return FgipVerdict(
                     "no", f"2-2-edge-with-unit-loop at {g.vnames[g.org[q]]} "
                           f"({g.enames[p]},{g.enames[q]})")
-    raise AssertionError("unreachable: configuration scan is exhaustive")
+    # none found: at most one edge pair, a loop with a unit side or a (2,2) edge
+    if g.n_pairs >= 2:
+        raise AssertionError("unreachable: configuration scan is exhaustive")
+    if loops:
+        a, o = d.halves(loops[0])
+        return FgipVerdict("yes", f"unit-side-loop indices=({_fmt_half(a)},{_fmt_half(o)})")
+    if nonloops:
+        return FgipVerdict("yes", "single-2-2-edge")
+    return FgipVerdict("yes", "single-vertex")
 
 
 def decide_components(d):

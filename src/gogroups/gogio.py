@@ -192,8 +192,10 @@ def serialize_gog(A, basepoint=None):
 def parse_decorated(data):
     if isinstance(data, str):
         data = json.loads(data)
-    vnames = list(data["vertices"])
+    vnames = as_list(data["vertices"], "'vertices'")
     vid = {n: i for i, n in enumerate(vnames)}
+    if len(vid) != len(vnames):
+        raise ParseError("duplicate vertex names")
     pairs, ia, io_, enames = [], [], [], []
     for ed in _edge_list(data):
         name = _edge_name(ed, f"e{len(enames)}")

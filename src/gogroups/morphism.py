@@ -279,19 +279,18 @@ class _Builder:
     the dirty vertices in the ascending order a sorted scan would, and the
     pops of a whole run are at most its pushes, one per entry into `dirty`.
 
-    `verts[v]["keys"]` holds the fold key of each star view of v already
-    computed, and `verts[v]["dc"]` v's double-coset handles (one per target
-    edge, shared by find_fold and merge).  A key changes only when H_v
-    changes or the view is re-homed onto v, and both are followed by
-    touch(v), which drops keys and handles.
+    `dcs` holds one double-coset handle per (subgroup handle, target edge
+    e), H \\ A_o(e) / alpha_e(E), shared by find_fold and merge across
+    every vertex holding H.  Subgroup handles are immutable and H_v changes
+    only by assigning v a new one, so an entry never goes stale.  A fold
+    key is recomputed, not stored: finite and free handles remember their
+    canon answers, and an abelian canon is one reduction by a lattice
+    built once per handle.
 
-    `fresh[u]` is the one trivial subgroup of A_u and the one handle dict
-    that every vertex over u starts with, and `trivial_esub[p]` the one
-    trivial subgroup every new edge over pair p starts with: handles are
-    immutable, so vertices and edges may share them.  A vertex's `dc` dict
-    may therefore be shared, and touch(v) rebinds it rather than clearing
-    it in place; every assignment to a vertex's `sub` is followed by
-    touch, so a vertex never keeps a shared dict past a change of H_v.
+    `fresh[u]` is the one trivial subgroup of A_u that every vertex over u
+    starts with, and `trivial_esub[p]` the one trivial subgroup every new
+    edge over pair p starts with: handles are immutable, so vertices and
+    edges may share them.
 
     `dirty_edges` holds the live edges whose saturation inputs (twists, edge
     group, endpoint subgroups) may have changed since saturate_edge last
@@ -327,12 +326,12 @@ class _Builder:
         self.dirty_edges = set()
         self.trivial = [G.order() == 1 for G in A.egroups]
         self.trivial_esub = [G.trivial_subgroup() for G in A.egroups]
-        self.fresh = [(G.trivial_subgroup(), {}) for G in A.vgroups]
+        self.fresh = [G.trivial_subgroup() for G in A.vgroups]
+        self.dcs = {}             # (subgroup handle, target edge) -> double cosets
         self.base = self.new_vertex(u0)
 
     def new_vertex(self, img):
-        sub, dcs = self.fresh[img]
-        self.verts.append({"img": img, "sub": sub, "alive": True, "keys": {}, "dc": dcs})
+        self.verts.append({"img": img, "sub": self.fresh[img], "alive": True})
         self.inc.append(set())
         v = len(self.verts) - 1
         self.mark(v)
@@ -382,11 +381,7 @@ class _Builder:
 
     def touch(self, v):
         """v's subgroup grew or edges were re-homed onto it: its fold keys
-        and the saturation inputs of its edges may have changed.  Its handle
-        dict may be shared with other vertices, so it is replaced, not
-        cleared."""
-        self.verts[v]["keys"].clear()
-        self.verts[v]["dc"] = {}
+        and the saturation inputs of its edges may have changed."""
         self.mark(v)
         self.dirty_edges.update(i for i, _ in self.inc[v])
 
@@ -404,12 +399,12 @@ class _Builder:
         return einv(d["img"]), d["dst"], d["src"], d["tw"], d["ta"]
 
     def double_cosets(self, v, e):
-        """v's handle on H_v \\ A_o(e) / alpha_e(E), kept until touch(v)."""
-        dcs = self.verts[v]["dc"]
-        dc = dcs.get(e)
+        """The handle on H_v \\ A_o(e) / alpha_e(E), one per (H_v, e)."""
+        sub = self.verts[v]["sub"]
+        dc = self.dcs.get((sub, e))
         if dc is None:
-            dc = dcs[e] = self.A.vgroups[self.A.graph.o(e)].double_cosets(
-                self.verts[v]["sub"], self.A.alpha(e).image())
+            dc = self.dcs[sub, e] = self.A.vgroups[self.A.graph.o(e)].double_cosets(
+                sub, self.A.alpha(e).image())
         return dc
 
     def find_fold(self):
@@ -419,13 +414,10 @@ class _Builder:
         while queue:
             v = queue[0]
             if v in self.dirty:
-                keys = self.verts[v]["keys"]
                 seen = {}
                 for view in self.star(v):
-                    key = keys.get(view)
-                    if key is None:
-                        e, _, _, ta, _ = self.view(*view)
-                        key = keys[view] = (e, self.double_cosets(v, e).canon(ta))
+                    e, _, _, ta, _ = self.view(*view)
+                    key = e, self.double_cosets(v, e).canon(ta)
                     if key in seen:
                         return v, seen[key], view
                     seen[key] = view

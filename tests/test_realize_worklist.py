@@ -4,11 +4,12 @@ its shared handles against a builder that shares nothing.
 `SortedScanBuilder` is a test-local reference: its find_fold sorts the
 whole dirty set on every call, and its saturate_edge runs in full on every
 edge, trivial edge group or not.  `UnsharedBuilder` is another: every vertex
-and edge gets its own trivial subgroup and handle dict, and to_morphism
-builds a backend and a Mono per item.  The builder in `gogroups.morphism`
-must give the same immersion, and run out of budget at the same step, as
-each of them on every input.  The counting tests bound the worklist's work
-and the objects it builds on a rose without timing it.
+and edge gets its own trivial subgroup, every double-coset query its own
+handle, and to_morphism builds a backend and a Mono per item.  The builder
+in `gogroups.morphism` must give the same immersion, and run out of budget
+at the same step, as each of them on every input.  The counting tests
+bound the worklist's work and the objects it builds on a rose without
+timing it.
 """
 
 from contextlib import contextmanager
@@ -20,9 +21,11 @@ from hypothesis import given, settings, strategies as st
 import gogroups.morphism as morphism
 from gogroups.backends import FiniteGroup, FreeGroup, Mono, SubgroupBackend
 from gogroups.backends.finite import FiniteDoubleCosets
+from gogroups.backends.rational import CosetNFA
 from gogroups.gog import APath, GraphOfGroups
 from gogroups.graphs import Graph
-from gogroups.library import bs_gog, klein_amalgam_gog, rose_gog, word_apath
+from gogroups.library import (bs_gog, free_double_gog, free_hnn_gog, klein_amalgam_gog,
+                              rose_gog, word_apath)
 from gogroups.morphism import BudgetExceeded, realize_subgroup
 from gogroups.words import wreduce
 
@@ -31,13 +34,10 @@ class SortedScanBuilder(morphism._Builder):
 
     def find_fold(self):
         for v in sorted(self.dirty):
-            keys = self.verts[v]["keys"]
             seen = {}
             for view in self.star(v):
-                key = keys.get(view)
-                if key is None:
-                    e, _, _, ta, _ = self.view(*view)
-                    key = keys[view] = (e, self.double_cosets(v, e).canon(ta))
+                e, _, _, ta, _ = self.view(*view)
+                key = e, self.double_cosets(v, e).canon(ta)
                 if key in seen:
                     return v, seen[key], view
                 seen[key] = view
@@ -99,17 +99,15 @@ class UnsharedBuilder(morphism._Builder):
     def new_vertex(self, img):
         self.verts.append({"img": img,
                            "sub": self.A.vgroups[img].trivial_subgroup(),
-                           "alive": True, "keys": {}, "dc": {}})
+                           "alive": True})
         self.inc.append(set())
         v = len(self.verts) - 1
         self.mark(v)
         return v
 
-    def touch(self, v):
-        self.verts[v]["keys"].clear()
-        self.verts[v]["dc"].clear()
-        self.mark(v)
-        self.dirty_edges.update(i for i, _ in self.inc[v])
+    def double_cosets(self, v, e):
+        return self.A.vgroups[self.A.graph.o(e)].double_cosets(
+            self.verts[v]["sub"], self.A.alpha(e).image())
 
     def to_morphism(self):
         A = self.A
@@ -232,7 +230,28 @@ def bs_1_2_gens(A):
                     min_size=1, max_size=3)
 
 
+@st.composite
+def free_vertex_gens(draw, A):
+    """Closed A-paths at vertex 0 over free vertex groups of rank 2: up to
+    four edges, each out of the vertex the path has reached (an even number
+    closes the path on the double and on the loop alike), and at each
+    vertex on the way a reduced word of up to three letters, often one of
+    a few short words so that edges fold."""
+    g = A.graph
+    words = st.one_of(st.sampled_from([(), (1,), (-1,), (1, 1), (1, 2), (2, 1)]),
+                      st.lists(letters, max_size=3).map(wreduce))
+    gens = []
+    for n in draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)):
+        v, edges = 0, []
+        for _ in range(2 * n):
+            edges.append(draw(st.sampled_from([e for e in g.edges() if g.o(e) == v])))
+            v = g.t(edges[-1])
+        gens.append(APath(A, 0, [draw(words) for _ in range(len(edges) + 1)], edges))
+    return gens
+
+
 ROSE, Z2_Z3, KLEIN, BS_1_2 = rose_gog(2), z2_star_z3(), klein_amalgam_gog(), bs_gog(1, 2)
+FREE_DOUBLE, FREE_HNN = free_double_gog("aa", "aa"), free_hnn_gog("ab", "ba")
 BS_BUDGETS = (0, 1, 2, 3, 5, 8, 13, 60)
 
 
@@ -260,11 +279,20 @@ def test_bs_1_2_matches_sorted_scan(gens):
     assert_same_as(SortedScanBuilder, BS_1_2, gens, BS_BUDGETS)
 
 
+@pytest.mark.parametrize("A", [FREE_DOUBLE, FREE_HNN], ids=["double_aa", "hnn_ab_ba"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_free_vertex_groups_match_sorted_scan(A, data):
+    assert_same_as(SortedScanBuilder, A, data.draw(free_vertex_gens(A)))
+
+
 SHARING_FAMILIES = {
     "rose": (ROSE, rose_gens, BUDGETS),
     "z2_z3": (Z2_Z3, z2_star_z3_gens, BUDGETS),
     "klein": (KLEIN, klein_amalgam_gens, BUDGETS),
     "bs12": (BS_1_2, bs_1_2_gens, BS_BUDGETS),
+    "free_double": (FREE_DOUBLE, free_vertex_gens, BUDGETS),
+    "free_hnn": (FREE_HNN, free_vertex_gens, BUDGETS),
 }
 
 
@@ -386,12 +414,33 @@ def test_objects_built_on_a_rose(monkeypatch):
     A = rose_gog(2)
     realize_subgroup(A, 0, [word_apath(A, w) for w in fixed_rose_words(80)])
     b = builders[0]
-    # a handle dict is one per image vertex or one per touch, and holds at
-    # most one handle per target edge at its image
+    # a handle is made once per subgroup handle and target edge at its
+    # image, and a vertex gets a subgroup handle other than the trivial one
+    # of its image only just before a touch
     assert built["FiniteDoubleCosets"] <= (A.graph.nv + b.touches) * len(A.graph.out_edges()[0])
     handles = ({id(v["sub"]) for v in b.verts if v["alive"]}
                | {id(d["esub"]) for d in b.edges if d["alive"]})
     assert built["SubgroupBackend"] <= len(handles)
+
+
+def test_free_handle_remembers_canon(monkeypatch):
+    # the fold key of a view over a free vertex group is its canon: asking
+    # again, after another element evicted the handle's last automaton,
+    # built that automaton a second time
+    built = []
+
+    def counting(self, *args, _init=CosetNFA.__init__):
+        built.append(args)
+        _init(self, *args)
+
+    monkeypatch.setattr(CosetNFA, "__init__", counting)
+    F = FreeGroup(2)
+    dc = F.double_cosets(F.subgroup([(1, 1)]), F.subgroup([(1, 2)]))
+    first = dc.canon((2, 1, 2))
+    dc.canon((-2, 1))
+    assert len(built) == 2
+    assert dc.canon((2, 1, 2)) == first
+    assert len(built) == 2
 
 
 def test_equal_handles_share_backends_and_maps():
