@@ -42,11 +42,17 @@ class AbelianSubgroup:
         return self.lat.index_in(sup.lat)
 
     def intersect(self, other):
+        """Always a new handle on gens_of(lat): pullback vertex groups are
+        meets, and their printed generators are these lists."""
         lat = self.lat.intersect(other.lat)
         return AbelianSubgroup(self.group, self.group.gens_of(lat), lat)
 
     def join(self, other):
         lat = self.lat.sum(other.lat)
+        if lat == self.lat:
+            return self
+        if lat == other.lat:
+            return other
         return AbelianSubgroup(self.group, self.group.gens_of(lat), lat)
 
     def conjugate(self, g):

@@ -39,6 +39,15 @@ H, K subgroup handles):
 Subgroup handles expose: .group, .gens, contains, is_trivial, order, index
 ([G:H], None when infinite), index_in(sup), intersect, join, conjugate,
 equals, decompose (word over .gens).
+
+Handles are immutable, and join/intersect/conjugate may return an operand
+when the value is unchanged, so a caller may test `is` for "no change":
+join returns the operand equal to the result whenever there is one, on
+every backend; conjugate returns self when H^g = H on the finite backend
+and always on the abelian one.  intersect always returns a new handle whose
+.gens are its backend's list for the value (finite: the sorted elements;
+abelian: the HNF rows), since pullback vertex groups are meets and their
+reports print those lists.
 """
 
 from __future__ import annotations

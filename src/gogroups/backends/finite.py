@@ -34,16 +34,24 @@ class FiniteSubgroup:
         return len(sup.elts) // len(self.elts)
 
     def intersect(self, other):
+        """Always a new handle listing its elements: pullback vertex groups
+        are meets, and their printed generators are these sorted lists."""
         common = self.elts & other.elts
         return FiniteSubgroup(self.group, sorted(common), common)
 
     def join(self, other):
+        if other.elts <= self.elts:
+            return self
+        if self.elts <= other.elts:
+            return other
         return self.group.subgroup(sorted(self.elts | other.elts))
 
     def conjugate(self, g):
         G = self.group
         gi = G.inv(g)
-        elts = {G.mul(G.mul(gi, x), g) for x in self.elts}
+        elts = frozenset([G.mul(G.mul(gi, x), g) for x in self.elts])
+        if elts == self.elts:
+            return self
         return FiniteSubgroup(self.group, [G.mul(G.mul(gi, x), g) for x in self.gens], elts)
 
     def equals(self, other):

@@ -303,6 +303,10 @@ class FreeSubgroup:
         return FreeSubgroup(self.group, delta)
 
     def join(self, other):
+        if all(self.contains(g) for g in other.gens):
+            return self
+        if all(other.contains(g) for g in self.gens):
+            return other
         return self.group.subgroup(list(self.gens) + list(other.gens))
 
     def conjugate(self, g):

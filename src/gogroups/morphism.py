@@ -1,10 +1,10 @@
 """Morphisms of graphs of groups with twisting elements.
 
-Covers validation of the twisted commutation equations, pushing A-paths
-forward, immersion certificates (local injectivity on edge double cosets
-plus exactness of edge groups), the three-valued covering test, deterministic
-membership tracing through an immersion, and a best-effort realization of a
-finitely generated subgroup as a pointed immersion by iterated folding.
+Covers validation of the twisted commutation equations, immersion
+certificates (local injectivity on edge double cosets plus exactness of edge
+groups), the three-valued covering test, deterministic membership tracing
+through an immersion, and a best-effort realization of a finitely generated
+subgroup as a pointed immersion by iterated folding.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .backends import Mono, SubgroupBackend
-from .gog import APath, GraphOfGroups
+from .gog import GraphOfGroups
 from .graphs import Graph, einv
 
 
@@ -94,26 +94,6 @@ def validate_morphism(m):
                 if not Au.eq(lhs, rhs):
                     violations.append(("twisted-commutation", name, side, gi))
     return violations
-
-
-def push_apath(m, p):
-    """Image A-path: twisting elements interleave around each edge crossing."""
-    S, T = m.source, m.target
-    v = p.base
-    out_elems = []
-    out_edges = []
-    cur = m.vmonos[v].apply(p.elems[0])
-    for i, f in enumerate(p.edges):
-        e = m.edge_image(f)
-        Au = T.vgroups[T.graph.o(e)]
-        cur = Au.mul(cur, m.twist_alpha(f))
-        out_elems.append(cur)
-        out_edges.append(e)
-        v = S.graph.t(f)
-        Av = T.vgroups[T.graph.t(e)]
-        cur = Av.mul(Av.inv(m.twist_omega(f)), m.vmonos[v].apply(p.elems[i + 1]))
-    out_elems.append(cur)
-    return APath(T, m.vmap[p.base], out_elems, out_edges)
 
 
 class ImmersionCertificate:
@@ -282,10 +262,14 @@ class _Builder:
     `dcs` holds one double-coset handle per (subgroup handle, target edge
     e), H \\ A_o(e) / alpha_e(E), shared by find_fold and merge across
     every vertex holding H.  Subgroup handles are immutable and H_v changes
-    only by assigning v a new one, so an entry never goes stale.  A fold
-    key is recomputed, not stored: finite and free handles remember their
-    canon answers, and an abelian canon is one reduction by a lattice
-    built once per handle.
+    only by assigning v a new one, so an entry never goes stale.  A join
+    whose value equals an operand returns that operand (the handle
+    contract), and merge replaces a subgroup only when its join is a new
+    handle, so a vertex keeps its handle, and its entries, until its
+    subgroup grows: the table holds one entry per subgroup value reached
+    and target edge, not one per merge.  A fold key is recomputed, not
+    stored: finite and free handles remember their canon answers, and an
+    abelian canon is one reduction by a lattice built once per handle.
 
     `fresh[u]` is the one trivial subgroup of A_u that every vertex over u
     starts with, and `trivial_esub[p]` the one trivial subgroup every new
@@ -297,6 +281,9 @@ class _Builder:
     left them unchanged.  An edge joins it when it is created, when its
     edge group grows, when saturate_edge changes anything on it, and when an
     endpoint is touched: its subgroup grows or edges are re-homed onto it.
+    A merge of two edges between the same two vertices whose transports
+    add nothing, x S x^-1 to the primary edge group and delta to H_y1, only
+    kills the secondary edge and dirties nothing.
     saturate_edge is deterministic, so on an edge outside the set it would
     change nothing, and the sweep of realize_subgroup may skip it.
 
@@ -439,25 +426,27 @@ class _Builder:
         x = A.alpha(e).preimage_elt(kk)
         Gt = A.vgroups[A.graph.t(e)]
         delta = Gt.mul(Gt.mul(p_tw, A.omega(e).apply(x)), Gt.inv(s_tw))
-        # transport the secondary's edge group: x S x^-1 joins the primary's
-        i_p = primary[0]
-        i_s = secondary[0]
-        Ge = A.egroup(e)
-        sec_sub = self.edges[i_s]["esub"]
-        moved = Ge.subgroup([Ge.mul(Ge.mul(x, s), Ge.inv(x)) for s in sec_sub.gens])
-        self.edges[i_p]["esub"] = self.edges[i_p]["esub"].join(moved)
-        self.edges[i_p]["pushed"] = False
-        self.kill_edge(i_s)
+        # transport the secondary's edge group: x S x^-1 joins the primary's;
+        # only a new handle changes the primary edge, and then dirties it
+        p_edge = self.edges[primary[0]]
+        esub = p_edge["esub"].join(
+            self.edges[secondary[0]]["esub"].conjugate(A.egroup(e).inv(x)))
+        if esub is not p_edge["esub"]:
+            p_edge["esub"] = esub
+            p_edge["pushed"] = False
+            self.dirty_edges.add(primary[0])
+        self.kill_edge(secondary[0])
         # y1 is an end of the primary edge, so touching it dirties that edge
+        # too; when both edges end at y1, nothing is re-homed, and y1 is
+        # touched only when delta grows its subgroup
         if y1 == y2:
-            self.verts[y1]["sub"] = self.verts[y1]["sub"].join(Gt.subgroup([delta]))
-            self.touch(y1)
+            if not self.verts[y1]["sub"].contains(delta):
+                self.verts[y1]["sub"] = self.verts[y1]["sub"].join(Gt.subgroup([delta]))
+                self.touch(y1)
             return
         # fold y2 into y1, re-anchoring by delta
-        sub2 = self.verts[y2]["sub"]
-        moved_sub = Gt.subgroup([Gt.mul(Gt.mul(delta, s), Gt.inv(delta))
-                                 for s in sub2.gens])
-        self.verts[y1]["sub"] = self.verts[y1]["sub"].join(moved_sub)
+        self.verts[y1]["sub"] = self.verts[y1]["sub"].join(
+            self.verts[y2]["sub"].conjugate(Gt.inv(delta)))
         self.verts[y2]["alive"] = False
         self.dirty.discard(y2)
         for j, fwd in self.inc[y2]:
@@ -475,7 +464,9 @@ class _Builder:
         self.touch(y1)
 
     def saturate_edge(self, i):
-        """Condition-2 growth at edge i; returns True when anything grew."""
+        """Condition-2 growth at edge i; returns True when anything grew.
+        A join hands back its operand when the value is unchanged, so a
+        group grew exactly when its join is a new handle."""
         A = self.A
         d = self.edges[i]
         self.dirty_edges.discard(i)
@@ -489,7 +480,7 @@ class _Builder:
         req_a = Ho.conjugate(d["ta"]).intersect(alpha.image())
         req_w = Ht.conjugate(d["tw"]).intersect(omega.image())
         S_new = d["esub"].join(alpha.preimage_sub(req_a)).join(omega.preimage_sub(req_w))
-        if not S_new.equals(d["esub"]):
+        if S_new is not d["esub"]:
             d["esub"] = S_new
             d["pushed"] = False
             changed = True
@@ -498,12 +489,12 @@ class _Builder:
         push_a = A.vgroups[A.graph.o(e)].subgroup(alpha.twisted_images(d["ta"], d["esub"].gens))
         push_w = A.vgroups[A.graph.t(e)].subgroup(omega.twisted_images(d["tw"], d["esub"].gens))
         grown_o = self.verts[d["src"]]["sub"].join(push_a)
-        if not grown_o.equals(self.verts[d["src"]]["sub"]):
+        if grown_o is not self.verts[d["src"]]["sub"]:
             self.verts[d["src"]]["sub"] = grown_o
             self.touch(d["src"])
             changed = True
         grown_t = self.verts[d["dst"]]["sub"].join(push_w)
-        if not grown_t.equals(self.verts[d["dst"]]["sub"]):
+        if grown_t is not self.verts[d["dst"]]["sub"]:
             self.verts[d["dst"]]["sub"] = grown_t
             self.touch(d["dst"])
             changed = True

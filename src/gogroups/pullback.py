@@ -245,14 +245,17 @@ class AProductFragment:
     # --- construction ---
 
     def add_base(self, v0=None, w0=None):
+        """Intern the base vertex (v0, w0) as vertex 0: every other vertex
+        hangs off an earlier one, so a fragment has one base."""
+        if self.vertices:
+            raise ValueError("the fragment already has a base vertex")
         v0 = 0 if v0 is None else v0
         w0 = 0 if w0 is None else w0
         if self.m1.vmap[v0] != self.m2.vmap[w0]:
             raise ValueError("basepoint images do not match")
         Au = self.A.vgroups[self.m1.vmap[v0]]
-        idx, created, bc, cc = self._intern(v0, w0, Au.identity())
-        if created:
-            self.base_factors = (bc, cc)
+        idx, _, bc, cc = self._intern(v0, w0, Au.identity())
+        self.base_factors = (bc, cc)
         return idx
 
     def _intern(self, v, w, raw_witness):

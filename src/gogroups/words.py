@@ -90,11 +90,6 @@ def cyc_reduce(w):
     return w[:i], w[i:j]
 
 
-def is_cyclically_reduced(w):
-    w = wreduce(w)
-    return not w or w[0] != -w[-1]
-
-
 def primitive_root(w):
     """Return (root, k) with w == root^k, root not a proper power, k maximal.
 

