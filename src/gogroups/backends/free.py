@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from ..words import (wreduce, wmul, winv, wpow, cyc_reduce, primitive_root,
-                     format_word, parse_word, word_key, letter_key)
+from ..words import (wreduce, wmul, winv, wpow, cyc_reduce, format_word, parse_word,
+                     word_key, letter_key)
 from .base import FiniteEdgeFan, UnsupportedExpansion, evaluate_word
 from .rational import CosetNFA, PowerPattern
 
@@ -595,11 +595,6 @@ class FreeGroup:
 
     def dc_factor(self, H, w, K, target):
         return self.double_cosets(H, K).factor(w, target)
-
-    # --- extras used by the pullback and the commensurator pipeline ---
-
-    def primitive_root(self, w):
-        return primitive_root(w)
 
     # --- mono support ---
 

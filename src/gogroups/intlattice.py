@@ -1,14 +1,19 @@
-"""Exact integer lattice arithmetic: Hermite/Smith normal forms and solvers.
+"""Exact integer lattice arithmetic: Hermite normal forms and solvers.
 
 Everything here works on lattices in Z^n given by generating row vectors.
 Subgroups of finitely generated abelian groups are represented elsewhere as
 full preimage lattices (containing the torsion relation lattice), so the
 operations needed are: canonical HNF bases, membership, sum, intersection,
-integer linear solves, kernels, index/invariant-factor computations and
-coset transversals.  All arithmetic is exact (Python ints).
+integer linear solves, kernels, indices, invariant factors and coset
+transversals.  A sublattice of finite index shares its HNF pivot columns
+with the lattice, so the index and a transversal are read off the ratios of
+their pivots; the Smith normal form gives invariant factors only.  All
+arithmetic is exact (Python ints).
 """
 
 from __future__ import annotations
+
+import math
 
 
 def xgcd(a, b):
@@ -150,85 +155,39 @@ def kernel(rows, n=None):
     return K
 
 
-def det(mat):
-    """Determinant of a square integer matrix (fraction-free Gaussian)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(r) for r in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            sel = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if sel is None:
-                return 0
-            a[k], a[sel] = a[sel], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def smith(mat):
-    """Smith normal form. Returns (divisors, U, Vinv) with U*mat*V = diag,
-    V*Vinv = I.  `divisors` lists the diagonal entries d1 | d2 | ... (>= 0),
-    padded over min(rows, cols).
-    """
+    """Invariant factors of an integer matrix: the diagonal d1 | d2 | ...
+    (>= 0) of its Smith normal form, padded over min(rows, cols)."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [list(r) for r in mat]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i1, i2, x, y, z, w):
-        _row_combine(a[i1], a[i2], x, y, z, w)
-        _row_combine(U[i1], U[i2], x, y, z, w)
 
     def col_op(j1, j2, x, y, z, w):
-        # columns (c1, c2) <- (x*c1 + y*c2, z*c1 + w*c2); Vinv gets inverse row ops
-        for i in range(m):
-            u, v = a[i][j1], a[i][j2]
-            a[i][j1] = x * u + y * v
-            a[i][j2] = z * u + w * v
-        # inverse of [[x, z], [y, w]] acting on Vinv rows (det +-1)
-        dd = x * w - y * z
-        ix, iy, iz, iw = w * dd, -z * dd, -y * dd, x * dd
-        _row_combine(Vinv[j1], Vinv[j2], ix, iy, iz, iw)
+        # columns (c1, c2) <- (x*c1 + y*c2, z*c1 + w*c2)
+        for row in a:
+            u, v = row[j1], row[j2]
+            row[j1] = x * u + y * v
+            row[j2] = z * u + w * v
 
     t = 0
     while t < min(m, n):
-        # find nonzero entry to bring to (t, t)
-        sel = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j]:
-                    sel = (i, j)
-                    break
-            if sel:
-                break
+        # bring a nonzero entry to (t, t)
+        sel = next(((i, j) for i in range(t, m) for j in range(t, n) if a[i][j]), None)
         if sel is None:
             break
         i0, j0 = sel
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-            U[t], U[i0] = U[i0], U[t]
-        if j0 != t:
-            for i in range(m):
-                a[i][t], a[i][j0] = a[i][j0], a[i][t]
-            Vinv[t], Vinv[j0] = Vinv[j0], Vinv[t]
+        a[t], a[i0] = a[i0], a[t]
+        for row in a:
+            row[t], row[j0] = row[j0], row[t]
         while True:
             done = True
             for i in range(t + 1, m):
                 if a[i][t]:
                     if a[i][t] % a[t][t] == 0:
-                        row_op(t, i, 1, 0, -(a[i][t] // a[t][t]), 1)
+                        _row_combine(a[t], a[i], 1, 0, -(a[i][t] // a[t][t]), 1)
                     else:
                         x, y, g = xgcd(a[t][t], a[i][t])
-                        row_op(t, i, x, y, -(a[i][t] // g), a[t][t] // g)
+                        _row_combine(a[t], a[i], x, y, -(a[i][t] // g), a[t][t] // g)
                         done = False
             for j in range(t + 1, n):
                 if a[t][j]:
@@ -240,23 +199,13 @@ def smith(mat):
                         done = False
             if done:
                 # ensure a[t][t] divides the rest of the block
-                bad = None
-                for i in range(t + 1, m):
-                    for j in range(t + 1, n):
-                        if a[i][j] % a[t][t] != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
+                bad = next((i for i in range(t + 1, m)
+                            if any(a[i][j] % a[t][t] for j in range(t + 1, n))), None)
                 if bad is None:
                     break
-                row_op(t, bad, 1, 1, 0, 1)
-        if a[t][t] < 0:
-            a[t] = [-v for v in a[t]]
-            U[t] = [-v for v in U[t]]
+                _row_combine(a[t], a[bad], 1, 1, 0, 1)
         t += 1
-    divisors = [a[i][i] for i in range(min(m, n))]
-    return divisors, U, Vinv
+    return [abs(a[i][i]) for i in range(min(m, n))]
 
 
 class Lattice:
@@ -283,17 +232,25 @@ class Lattice:
         return len(self.rows)
 
     def contains(self, vec):
-        return self.solve(vec) is not None
+        return not any(self._floor_reduce(vec)[1])
+
+    def _floor_reduce(self, vec):
+        """(q, v) with v = vec - q . rows, q[i] the floor quotient at the
+        i-th pivot: v's pivot entries lie in [0, pivot), so v is canonical
+        in vec + L, and vec is in L exactly when v is zero."""
+        v = list(vec)
+        q = []
+        for r, j in zip(self.rows, self._pivots):
+            c = v[j] // r[j]
+            q.append(c)
+            if c:
+                for k in range(j, self.n):
+                    v[k] -= c * r[k]
+        return q, v
 
     def coset_canon(self, vec):
         """Canonical representative of vec + L (entries over pivots reduced)."""
-        v = list(vec)
-        for r, j in zip(self.rows, self._pivots):
-            q = v[j] // r[j]  # floor division: canonical residue in [0, pivot)
-            if q:
-                for k in range(j, self.n):
-                    v[k] -= q * r[k]
-        return tuple(v)
+        return tuple(self._floor_reduce(vec)[1])
 
     def sum(self, other):
         return Lattice(self.n, list(self.rows) + list(other.rows))
@@ -316,19 +273,9 @@ class Lattice:
         return all(other.contains(r) for r in self.rows)
 
     def solve(self, target):
-        """Integer coefficients over self.rows producing target, or None: a
-        back-substitution, since the rows are already in HNF."""
-        v = list(target)
-        coeffs = []
-        for r, j in zip(self.rows, self._pivots):
-            q, rem = divmod(v[j], r[j])
-            if rem:
-                return None
-            coeffs.append(q)
-            if q:
-                for k in range(j, self.n):
-                    v[k] -= q * r[k]
-        return None if any(v) else coeffs
+        """Integer coefficients over self.rows producing target, or None."""
+        q, v = self._floor_reduce(target)
+        return None if any(v) else q
 
     def in_coords_of(self, other):
         """Matrix C with self.rows[i] == C[i] . other.rows (self <= other)."""
@@ -340,55 +287,42 @@ class Lattice:
             C.append(c)
         return C
 
+    def _pivot_ratios(self, other):
+        """self.rows[i][p] // other.rows[i][p] at each pivot p, for self <=
+        other of equal rank.  Both are in HNF over the same pivots, so C =
+        self.in_coords_of(other) is upper triangular with these ratios on
+        its diagonal."""
+        if not self.is_sublattice_of(other):
+            raise ValueError("not a sublattice")
+        return [s[j] // r[j] for s, r, j in zip(self.rows, other.rows, self._pivots)]
+
     def index_in(self, other):
         """[other : self] for self <= other; None means infinite."""
         if self.rank < other.rank:
             return None
-        C = self.in_coords_of(other)
-        d = det([row[:] for row in C])
-        return abs(d) if d else None
+        return math.prod(self._pivot_ratios(other))
 
     def quotient_invariants(self, other):
         """Invariant factors of other/self (self <= other): (free_rank, [d...])."""
         free = other.rank - self.rank
         if self.rank == 0:
             return free, []
-        C = self.in_coords_of(other)
-        divs, _, _ = smith(C)
+        divs = smith(self.in_coords_of(other))
         tor = [d for d in divs if d > 1]
         free += sum(1 for d in divs if d == 0)
         return free, tor
 
     def transversal(self, other):
-        """Coset representatives of self in other (requires finite index).
-
-        Yields vectors in Z^n; raises ValueError on infinite index.
-        """
+        """Coset representatives of self in other: the vectors t . other.rows
+        with 0 <= t[i] < d[i] over the pivot ratios d, since reducing t one
+        pivot at a time by the triangular coordinates of self lands in that
+        box.  Raises ValueError on infinite index."""
         if self.rank < other.rank:
             raise ValueError("infinite index")
-        if other.rank == 0:
-            return [tuple([0] * self.n)]
-        C = self.in_coords_of(other)
-        divs, _, Vinv = smith(C)
-        if any(d == 0 for d in divs):
-            raise ValueError("infinite index")
-        # new basis of `other`: rows of Vinv . other.rows
-        newb = []
-        for i in range(len(divs)):
-            v = [0] * self.n
-            for j in range(other.rank):
-                if Vinv[i][j]:
-                    for k in range(self.n):
-                        v[k] += Vinv[i][j] * other.rows[j][k]
-            newb.append(v)
-        reps = [[0] * self.n]
-        for i, d in enumerate(divs):
-            reps = [
-                [x + t * newb[i][k] for k, x in enumerate(rep)]
-                for rep in reps
-                for t in range(d)
-            ]
-        return [tuple(r) for r in reps]
+        reps = [(0,) * self.n]
+        for r, d in zip(other.rows, self._pivot_ratios(other)):
+            reps = [tuple(x + t * y for x, y in zip(rep, r)) for rep in reps for t in range(d)]
+        return reps
 
 
 def preimage_lattice(M, n_dom, L):

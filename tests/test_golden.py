@@ -43,7 +43,9 @@ DECORATED = ["decorated_two_loops", "inputs/decorated_components"]
 FREE_GOGS = ["double_f2_cubes", "double_f2_squares"]   # w-construct's domain
 
 # (gog, first immersion, second immersion, budget); paths relative to the
-# samples directory, or "inputs/..." for the extra golden inputs
+# samples directory, or "inputs/..." for the extra golden inputs.
+# inputs/zsquared_skew is the Z^2 HNN with omega = [[2, 1], [0, 2]]; one
+# abelian fan of its pair lists four representatives
 PAIRS = [
     ("rose2", "rose2_sub_H", "rose2_sub_K", 500),
     ("zsquared_hnn", "zsquared_hnn_sub_C", "zsquared_hnn_sub_B", 16),
@@ -52,6 +54,7 @@ PAIRS = [
     ("bs_1_2", "inputs/bs_1_2_sub_P", "inputs/bs_1_2_sub_Q", 16),
     ("double_f2_squares", "inputs/double_f2_squares_sub_P",
      "inputs/double_f2_squares_sub_P", 20),
+    ("inputs/zsquared_skew", "inputs/zsquared_skew_sub_H", "inputs/zsquared_skew_sub_K", 12),
 ]
 
 FCIP_REQUESTS = {

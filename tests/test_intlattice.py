@@ -1,8 +1,11 @@
+import itertools
+import math
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gogroups.intlattice import (Lattice, LinSolver, det, hnf, kernel, lin_solve,
+from gogroups.intlattice import (Lattice, LinSolver, hnf, kernel, lin_solve,
                                  preimage_lattice, smith, xgcd)
 
 
@@ -142,25 +145,41 @@ def test_kernel():
         assert out == [0, 0]
 
 
+def det(mat):
+    """Determinant of a square integer matrix (fraction-free Gaussian
+    elimination): the oracle for smith, index_in and transversal."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [list(r) for r in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            sel = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if sel is None:
+                return 0
+            a[k], a[sel] = a[sel], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def test_det_and_smith():
     rng = Random(4)
     for _ in range(100):
         n = rng.randint(1, 3)
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        d = det(mat)
-        divs, U, Vinv = smith(mat)
-        prod = 1
-        for v in divs:
-            prod *= v
-        assert abs(d) == abs(prod)
-        # U*mat*V = diag(divs); check via Vinv: U*mat = diag * Vinv
-        left = [[sum(U[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-        right = [[divs[i] * Vinv[i][j] for j in range(n)] for i in range(n)]
-        assert left == right
+        divs = smith(mat)
+        assert len(divs) == n and all(d >= 0 for d in divs)
+        assert abs(det(mat)) == math.prod(divs)
+        # a divisor chain, the zeros last
         for a, b in zip(divs, divs[1:]):
-            if a and b:
-                assert b % a == 0
+            assert (b % a == 0) if a else b == 0
 
 
 def test_sum_intersection_duality():
@@ -213,6 +232,56 @@ def test_transversal():
     assert len(reps) == 6
     canon = {sub.coset_canon(r) for r in reps}
     assert len(canon) == 6
+
+
+@st.composite
+def lattice_and_coords(draw):
+    """(other, C): a lattice of rank r <= n <= 3 and an r x r integer
+    matrix C with det C != 0, small entries."""
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
+    other = Lattice(n, rows)
+    r = other.rank
+    C = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r)
+             .filter(lambda c: det(c) != 0))
+    return other, C
+
+
+def _combine(coeffs, rows, n):
+    return [sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(n)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=lattice_and_coords())
+def test_index_and_transversal_of_a_sublattice_against_det(case):
+    other, C = case
+    n, r = other.n, other.rank
+    S = Lattice(n, [_combine(c, other.rows, n) for c in C])
+    index = S.index_in(other)
+    assert index == abs(det(C))
+    reps = S.transversal(other)
+    assert len(reps) == index
+    assert all(other.contains(x) for x in reps)
+    # pairwise incongruent modulo S, and every point of other in a box is
+    # congruent to one of them
+    canon = {S.coset_canon(x) for x in reps}
+    assert len(canon) == index
+    for t in itertools.product(range(-3, 4), repeat=r):
+        assert S.coset_canon(_combine(t, other.rows, n)) in canon
+    # a lower-rank sublattice has infinite index
+    if r:
+        T = Lattice(n, [_combine(c, other.rows, n) for c in C[1:]])
+        assert T.index_in(other) is None
+        with pytest.raises(ValueError):
+            T.transversal(other)
+
+
+def test_index_in_refuses_a_non_sublattice():
+    with pytest.raises(ValueError):
+        Lattice(2, [[1, 0], [0, 2]]).index_in(Lattice(2, [[2, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        Lattice(2, [[1, 0], [0, 2]]).transversal(Lattice(2, [[2, 0], [0, 1]]))
 
 
 def test_preimage_lattice():

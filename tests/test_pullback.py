@@ -348,6 +348,45 @@ def test_half_edge_keys_on_the_golden_pairs():
         assert product_records(frag) == product_records(full)
 
 
+def product_sets(report):
+    """The vertices as (pair, witness, group) and the edges as (from, to,
+    pair, witness, group), ends named by their vertex's (pair, witness):
+    a report with its numbering forgotten."""
+    def freeze(x):
+        return tuple(map(freeze, x)) if isinstance(x, list) else x
+    verts = {name: (freeze(x["pair"]), freeze(x["witness"]), freeze(x["group"]))
+             for name, x in report["vertices"].items()}
+    edges = {(verts[h["from"]][:2], verts[h["to"]][:2], freeze(h["pair"]),
+              freeze(h["witness"]), freeze(h["group"])) for h in report["edges"]}
+    return set(verts.values()), edges
+
+
+def test_abelian_fan_order_only_renumbers_the_product(monkeypatch):
+    # the skew Z^2 HNN's pair has an abelian fan of four representatives:
+    # listing them in reverse renumbers product vertices, and nothing else
+    from types import SimpleNamespace
+    from gogroups.backends.abelian import AbelianEdgeFan
+    from gogroups.cli import _load_product
+    from test_golden import _path
+    args = SimpleNamespace(gog=_path("inputs/zsquared_skew"),
+                           first=_path("inputs/zsquared_skew_sub_H"),
+                           second=_path("inputs/zsquared_skew_sub_K"), budget=12)
+    frag = _load_product(args)
+    assert frag.complete
+    report = frag.to_json()
+    init = AbelianEdgeFan.__init__
+
+    def reversed_init(self, *a):
+        init(self, *a)
+        self.reps.reverse()
+    monkeypatch.setattr(AbelianEdgeFan, "__init__", reversed_init)
+    frag_r = _load_product(args)
+    assert frag_r.complete
+    report_r = frag_r.to_json()
+    assert report_r != report
+    assert product_sets(report_r) == product_sets(report)
+
+
 def same_path(p, q):
     return (p.base, p.elems, p.edges, p.end) == (q.base, q.elems, q.edges, q.end)
 
