@@ -67,10 +67,6 @@ class AbelianSubgroup:
             raise ValueError("element not in subgroup")
         return word
 
-    def invariants(self):
-        """(free_rank, [torsion divisors]) of the subgroup as a group."""
-        return self.group.L0.quotient_invariants(self.lat)
-
 
 class AbelianDoubleCosets:
     """H\\S/K for subgroups H, K of S (all of G when S is None).  In an
@@ -116,7 +112,7 @@ class AbelianDoubleCosets:
     def reps(self):
         """The canon() values of the cosets of H + K in S; ValueError when
         there are infinitely many."""
-        if self.lat.index_in(self.full) is None:
+        if self.lat.rank < self.full.rank:
             raise ValueError("infinitely many double cosets")
         return {self.canon(rep) for rep in self.lat.transversal(self.full)}
 
@@ -155,7 +151,7 @@ class AbelianEdgeFan:
         self.solver = LinSolver(M + [list(r) for r in dc.lat.rows])
         if not Se.is_sublattice_of(P):
             self.error = "edge-group cosets do not refine the fan"
-        elif Se.index_in(P) is None:
+        elif Se.rank < P.rank:
             self.error = "infinite-edge-fan"
         else:
             self.reps = [evaluate_word(Ge, gens, enumerate(rep)) for rep in Se.transversal(P)]

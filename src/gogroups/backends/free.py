@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from ..words import (wreduce, wmul, winv, wpow, cyc_reduce, format_word, parse_word,
+from ..words import (wreduce, wmul, winv, wpow, format_word, parse_word,
                      word_key, letter_key)
 from .base import FiniteEdgeFan, UnsupportedExpansion, evaluate_word
 from .rational import CosetNFA, PowerPattern
@@ -332,37 +332,10 @@ class FreeSubgroup:
         return out
 
     def index_in(self, sup):
-        """[sup : self] for self <= sup; None when infinite."""
-        rT = sup.rank()
-        rS = self.rank()
-        if rT == 0:
-            return 1
-        if rT == 1:
-            if rS == 0:
-                return None
-            # self = <t^m>: the cyclic core of t^m is that of t repeated m times
-            m, rem = divmod(len(cyc_reduce(self.gens[0])[1]),
-                            len(cyc_reduce(sup.gens[0])[1]))
-            if rem:
-                raise ValueError("not a subgroup")
-            return m
-        if rS == 0:
-            return None
-        if (rS - 1) % (rT - 1):
-            return None
-        bound = (rS - 1) // (rT - 1)
-        reps = [()]
-        i = 0
-        while i < len(reps):
-            x = reps[i]
-            i += 1
-            for t in list(sup.gens) + [winv(t) for t in sup.gens]:
-                y = wmul(x, t)
-                if not any(self.contains(wmul(y, winv(r))) for r in reps):
-                    reps.append(y)
-                    if len(reps) > bound:
-                        return None
-        return len(reps)
+        """[sup : self], read off self over sup's basis (_in_basis): the
+        number of states when that automaton is complete; None when
+        infinite.  Raises ValueError when self is not a subgroup of sup."""
+        return _in_basis(self, sup).index()
 
     def elements_up_to(self, L):
         """All reduced words of the subgroup with length <= L, sorted."""
@@ -435,16 +408,14 @@ class FreeDoubleCosets:
         basis, where S is a free group of its own (for all of F, the same
         words)."""
         S = self.group.full_subgroup() if self.S is None else self.S
-        Fs = FreeGroup(len(S.gens))
-        H, K = (Fs.subgroup([tuple((i + 1) * e for i, e in S.decompose(x)) for x in U.gens])
-                for U in (self.H, self.K))
+        H, K = _in_basis(self.H, S), _in_basis(self.K, S)
         if H.index() is not None:
             words = _orbit_reps(H, K)
         elif K.index() is not None:
             words = [winv(w) for w in _orbit_reps(K, H)]
         else:
             return None
-        return {self.canon(evaluate_word(self.group, S.gens, Fs.decompose(w))) for w in words}
+        return {self.canon(evaluate_word(self.group, S.gens, H.group.decompose(w))) for w in words}
 
     def edge_fan(self, alpha, edge_dc, f_a, g_a):
         # a finite edge group maps injectively only onto the trivial subgroup,
@@ -482,6 +453,13 @@ class FreeEdgeFan:
         else:
             ns = pattern.finite_solutions()
         return [self.Ge.pow(self.z, n) for n in ns]
+
+
+def _in_basis(U, S):
+    """U <= S as a subgroup of FreeGroup(len(S.gens)), each generator
+    rewritten over S's basis; raises ValueError when U is not in S."""
+    return FreeGroup(len(S.gens)).subgroup(
+        [tuple((i + 1) * e for i, e in S.decompose(x)) for x in U.gens])
 
 
 def _orbit_reps(H, K):

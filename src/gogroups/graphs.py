@@ -1,4 +1,4 @@
-"""Involutive directed graphs, paths, cores and fibered products.
+"""Involutive directed graphs, paths and cores.
 
 Edges are stored as orientation pairs: pair p contributes the directed edges
 2p (positive) and 2p+1 (its inverse), so inversion is a bit flip.  Vertex
@@ -227,38 +227,3 @@ def core_at(g, u, allow_backtrack=None):
     # (e, e') allowed iff (e'^-1, e^-1) allowed, so inv-reachability works.
     keep = [e for e in fwd if einv(e) in fwd]
     return _kept(g, keep, extra_vertices=[u])
-
-
-def fiber_product(g1, g2, f1, f2):
-    """Pullback of graph morphisms f1: g1 -> g0 and f2: g2 -> g0.
-
-    f1, f2 are dicts {"v": vertex map list/dict, "e": directed edge map}.
-    Returns (product graph, projection1, projection2) where projections are
-    dicts of the same shape.
-    """
-    v1, e1 = f1["v"], f1["e"]
-    v2, e2 = f2["v"], f2["e"]
-    verts = [(a, b) for a in range(g1.nv) for b in range(g2.nv) if v1[a] == v2[b]]
-    vidx = {p: i for i, p in enumerate(verts)}
-    pairs = []
-    pmap = []
-    for ea in g1.edges():
-        if ea & 1:
-            continue
-        for eb in g2.edges():
-            if e1[ea] == e2[eb]:
-                pairs.append((vidx[(g1.o(ea), g2.o(eb))], vidx[(g1.t(ea), g2.t(eb))]))
-                pmap.append((ea, eb))
-    prod = Graph(len(verts), pairs,
-                 vnames=[f"({g1.vnames[a]},{g2.vnames[b]})" for a, b in verts],
-                 enames=[f"({g1.edge_name(ea)},{g2.edge_name(eb)})" for ea, eb in pmap])
-    proj1 = {"v": [p[0] for p in verts],
-             "e": {}}
-    proj2 = {"v": [p[1] for p in verts],
-             "e": {}}
-    for i, (ea, eb) in enumerate(pmap):
-        proj1["e"][2 * i] = ea
-        proj1["e"][2 * i + 1] = einv(ea)
-        proj2["e"][2 * i] = eb
-        proj2["e"][2 * i + 1] = einv(eb)
-    return prod, proj1, proj2

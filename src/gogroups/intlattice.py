@@ -4,11 +4,10 @@ Everything here works on lattices in Z^n given by generating row vectors.
 Subgroups of finitely generated abelian groups are represented elsewhere as
 full preimage lattices (containing the torsion relation lattice), so the
 operations needed are: canonical HNF bases, membership, sum, intersection,
-integer linear solves, kernels, indices, invariant factors and coset
-transversals.  A sublattice of finite index shares its HNF pivot columns
-with the lattice, so the index and a transversal are read off the ratios of
-their pivots; the Smith normal form gives invariant factors only.  All
-arithmetic is exact (Python ints).
+integer linear solves, kernels, indices and coset transversals.  A
+sublattice of finite index shares its HNF pivot columns with the lattice,
+so the index and a transversal are read off the ratios of their pivots.
+All arithmetic is exact (Python ints).
 """
 
 from __future__ import annotations
@@ -155,59 +154,6 @@ def kernel(rows, n=None):
     return K
 
 
-def smith(mat):
-    """Invariant factors of an integer matrix: the diagonal d1 | d2 | ...
-    (>= 0) of its Smith normal form, padded over min(rows, cols)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [list(r) for r in mat]
-
-    def col_op(j1, j2, x, y, z, w):
-        # columns (c1, c2) <- (x*c1 + y*c2, z*c1 + w*c2)
-        for row in a:
-            u, v = row[j1], row[j2]
-            row[j1] = x * u + y * v
-            row[j2] = z * u + w * v
-
-    t = 0
-    while t < min(m, n):
-        # bring a nonzero entry to (t, t)
-        sel = next(((i, j) for i in range(t, m) for j in range(t, n) if a[i][j]), None)
-        if sel is None:
-            break
-        i0, j0 = sel
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    if a[i][t] % a[t][t] == 0:
-                        _row_combine(a[t], a[i], 1, 0, -(a[i][t] // a[t][t]), 1)
-                    else:
-                        x, y, g = xgcd(a[t][t], a[i][t])
-                        _row_combine(a[t], a[i], x, y, -(a[i][t] // g), a[t][t] // g)
-                        done = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    if a[t][j] % a[t][t] == 0:
-                        col_op(t, j, 1, 0, -(a[t][j] // a[t][t]), 1)
-                    else:
-                        x, y, g = xgcd(a[t][t], a[t][j])
-                        col_op(t, j, x, y, -(a[t][j] // g), a[t][t] // g)
-                        done = False
-            if done:
-                # ensure a[t][t] divides the rest of the block
-                bad = next((i for i in range(t + 1, m)
-                            if any(a[i][j] % a[t][t] for j in range(t + 1, n))), None)
-                if bad is None:
-                    break
-                _row_combine(a[t], a[bad], 1, 1, 0, 1)
-        t += 1
-    return [abs(a[i][i]) for i in range(min(m, n))]
-
-
 class Lattice:
     """A sublattice of Z^n in canonical row HNF."""
 
@@ -277,21 +223,11 @@ class Lattice:
         q, v = self._floor_reduce(target)
         return None if any(v) else q
 
-    def in_coords_of(self, other):
-        """Matrix C with self.rows[i] == C[i] . other.rows (self <= other)."""
-        C = []
-        for r in self.rows:
-            c = other.solve(r)
-            if c is None:
-                raise ValueError("not a sublattice")
-            C.append(c)
-        return C
-
     def _pivot_ratios(self, other):
         """self.rows[i][p] // other.rows[i][p] at each pivot p, for self <=
-        other of equal rank.  Both are in HNF over the same pivots, so C =
-        self.in_coords_of(other) is upper triangular with these ratios on
-        its diagonal."""
+        other of equal rank.  Both are in HNF over the same pivots, so the
+        matrix C with self.rows[i] == C[i] . other.rows is upper triangular
+        with these ratios on its diagonal."""
         if not self.is_sublattice_of(other):
             raise ValueError("not a sublattice")
         return [s[j] // r[j] for s, r, j in zip(self.rows, other.rows, self._pivots)]
@@ -301,16 +237,6 @@ class Lattice:
         if self.rank < other.rank:
             return None
         return math.prod(self._pivot_ratios(other))
-
-    def quotient_invariants(self, other):
-        """Invariant factors of other/self (self <= other): (free_rank, [d...])."""
-        free = other.rank - self.rank
-        if self.rank == 0:
-            return free, []
-        divs = smith(self.in_coords_of(other))
-        tor = [d for d in divs if d > 1]
-        free += sum(1 for d in divs if d == 0)
-        return free, tor
 
     def transversal(self, other):
         """Coset representatives of self in other: the vectors t . other.rows

@@ -115,15 +115,6 @@ def test_mono_preimage_subgroup():
     assert pre.equals(Z.subgroup([(3,)]))
 
 
-def test_invariants():
-    G = AbelianGroup(2)
-    H = G.subgroup([(2, 0), (0, 3)])
-    assert H.invariants() == (2, [])
-    full = G.full_subgroup()
-    free, tors = full.invariants()
-    assert free == 2 and tors == []
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([(2, ()), (1, (6,))]), st.data())
 def test_element_operations_match_canon(shape, data):

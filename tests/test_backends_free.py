@@ -181,6 +181,14 @@ def test_index_in_conjugated_cyclic():
         assert sub.index_in(F2.subgroup([t])) == m
 
 
+def test_index_in_rejects_a_non_subgroup():
+    # a cyclic-core length ratio reads 2 for <b^2> in <a>, and a coset
+    # enumeration bounded by ranks reads infinite for <ab> in <a, bab>
+    for sub, sup in ((["bb"], ["a"]), (["ab"], ["a", "bab"])):
+        with pytest.raises(ValueError):
+            F2.subgroup(sub).index_in(F2.subgroup(sup))
+
+
 def cyclic_intersect(H, c):
     """Smallest d >= 1 with c^d in H, read off H's automaton; None if no
     power lies in H."""
@@ -415,6 +423,34 @@ def subgroup_chains(draw):
     return S, S.group.subgroup(draw(st.lists(products, max_size=4)))
 
 
+def schreier_index(T, S):
+    """[S : T] for T <= S by enumerating the right cosets T x over S's
+    basis, stopping once there are more than the Schreier formula
+    rank T - 1 = [S : T] (rank S - 1) allows; None when infinite."""
+    rS, rT = S.rank(), T.rank()
+    if rS == 0:
+        return 1
+    if rT == 0:
+        return None
+    bound = None                # T is of finite index in a cyclic S
+    if rS > 1:
+        if (rT - 1) % (rS - 1):
+            return None
+        bound = (rT - 1) // (rS - 1)
+    reps = [()]
+    i = 0
+    while i < len(reps):
+        x = reps[i]
+        i += 1
+        for t in list(S.gens) + [winv(t) for t in S.gens]:
+            y = wmul(x, t)
+            if not any(T.contains(wmul(y, winv(r))) for r in reps):
+                reps.append(y)
+                if bound is not None and len(reps) > bound:
+                    return None
+    return len(reps)
+
+
 @settings(max_examples=100, deadline=None)
 @given(subgroup_chains())
 def test_index_in_against_coset_enumeration(case):
@@ -422,9 +458,10 @@ def test_index_in_against_coset_enumeration(case):
     more than a finite [S : T], all of them once L reaches (n - 1) times
     the longest basis word of S, and at least L // longest + 1 of them
     when the index is infinite (the Schreier graph is then infinite and
-    connected)."""
+    connected).  The index is also the one schreier_index counts."""
     S, T = case
     n = T.index_in(S)
+    assert n == schreier_index(T, S)
     L = 4
     inside = set(T.elements_up_to(2 * L))
     reps = []

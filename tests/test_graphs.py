@@ -1,7 +1,6 @@
 from itertools import product
 
-from gogroups.graphs import (Graph, core, core_at, einv,
-                             fiber_product, validate_graph)
+from gogroups.graphs import Graph, core, core_at, einv, validate_graph
 
 
 def circle(n):
@@ -105,45 +104,6 @@ def test_core_at_examples():
     tree, vmap, pairs = core_at(segment(2), 1)
     assert tree.nv == 1 and tree.n_pairs == 0
     assert vmap == {1: 0} and pairs == []
-
-
-def test_fiber_product_diagonal():
-    g = circle(3)
-    ident = {"v": list(range(3)), "e": {e: e for e in g.edges()}}
-    prod, p1, p2 = fiber_product(g, g, ident, ident)
-    diag = [i for i, (a, b) in enumerate(
-        [(p1["v"][i], p2["v"][i]) for i in range(prod.nv)]) if a == b]
-    assert len(diag) == 3
-
-
-def test_fiber_product_rose():
-    # both rank-2 roses collapse onto the rank-1 rose: 4 loop-pairs appear
-    r = rose(2)
-    to_r1 = {"v": [0], "e": {0: 0, 1: 1, 2: 0, 3: 1}}
-    prod, _, _ = fiber_product(r, r, to_r1, to_r1)
-    assert prod.nv == 1
-    assert prod.n_pairs == 4
-    # identity morphisms give the diagonal copy
-    ident = {"v": [0], "e": {e: e for e in r.edges()}}
-    diag, _, _ = fiber_product(r, r, ident, ident)
-    assert diag.nv == 1 and diag.n_pairs == 2
-
-
-def test_fiber_product_two_double_covers():
-    # two 2-fold covers of the circle: product is two disjoint circles
-    c1 = Graph(2, [(0, 1), (1, 0)])
-    c0 = circle(1)
-    f = {"v": [0, 0], "e": {0: 0, 1: 1, 2: 0, 3: 1}}
-    prod, p1, p2 = fiber_product(c1, c1, f, f)
-    assert prod.nv == 4
-    assert prod.n_pairs == 4
-    ncomp, _ = prod.connected_components()
-    assert ncomp == 2
-    # projections commute with incidence and involution
-    for e in prod.edges():
-        assert c1.o(p1["e"][e]) == p1["v"][prod.o(e)]
-        assert c1.t(p1["e"][e]) == p1["v"][prod.t(e)]
-        assert p1["e"][einv(e)] == einv(p1["e"][e])
 
 
 class GraphPath:

@@ -1,12 +1,11 @@
 import itertools
-import math
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gogroups.intlattice import (Lattice, LinSolver, hnf, kernel, lin_solve,
-                                 preimage_lattice, smith, xgcd)
+                                 preimage_lattice, xgcd)
 
 
 def brute_lattice_members(rows, n, box=6):
@@ -147,7 +146,7 @@ def test_kernel():
 
 def det(mat):
     """Determinant of a square integer matrix (fraction-free Gaussian
-    elimination): the oracle for smith, index_in and transversal."""
+    elimination): the oracle for index_in and transversal."""
     n = len(mat)
     if n == 0:
         return 1
@@ -167,19 +166,6 @@ def det(mat):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def test_det_and_smith():
-    rng = Random(4)
-    for _ in range(100):
-        n = rng.randint(1, 3)
-        mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        divs = smith(mat)
-        assert len(divs) == n and all(d >= 0 for d in divs)
-        assert abs(det(mat)) == math.prod(divs)
-        # a divisor chain, the zeros last
-        for a, b in zip(divs, divs[1:]):
-            assert (b % a == 0) if a else b == 0
 
 
 def test_sum_intersection_duality():
@@ -204,16 +190,12 @@ def test_intersection_against_enumeration():
                 assert li.contains((x, y)) == (l1.contains((x, y)) and l2.contains((x, y)))
 
 
-def test_index_and_invariants():
+def test_index_in():
     z2 = Lattice(2, [[1, 0], [0, 1]])
     sub = Lattice(2, [[2, 0], [0, 3]])
     assert sub.index_in(z2) == 6
-    free, tors = sub.quotient_invariants(z2)
-    assert free == 0 and tors == [6]
     line = Lattice(2, [[1, 0]])
     assert Lattice(2).index_in(line) is None
-    free, tors = Lattice(2).quotient_invariants(line)
-    assert free == 1 and tors == []
 
 
 def test_coset_canon_is_canonical():

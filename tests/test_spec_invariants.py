@@ -6,7 +6,7 @@ from random import Random
 from gogroups import gogio
 from gogroups.fgip import decide_fgip_gbs
 from gogroups.gog import APath, apaths_equal, reduce_apath
-from gogroups.graphs import einv, fiber_product
+from gogroups.graphs import einv
 from gogroups.library import bs_gog, nofgip_gog, rose_gog, word_apath
 from gogroups.morphism import is_immersion, realize_subgroup, validate_morphism
 from gogroups.pullback import build_product
@@ -82,31 +82,24 @@ def test_fragment_is_classical_fiber_product_on_trivial_data():
         mK, _ = realize_subgroup(A, 0, [word_apath(A, w) for w in words_k])
         frag = build_product(mH, mK, budget=6000)
         assert frag.complete
-        # classical pullback of the underlying labeled graphs
+        # base component of the classical pullback of the underlying
+        # labeled graphs: pairs of vertices, joined by the pairs of edges
+        # with one image, each edge pair counted once with its inverse
         gh, gk = mH.source.graph, mK.source.graph
-        fh = {"v": list(mH.vmap), "e": {f: mH.edge_image(f) for f in gh.edges()}}
-        fk = {"v": list(mK.vmap), "e": {f: mK.edge_image(f) for f in gk.edges()}}
-        prod, p1, p2 = fiber_product(gh, gk, fh, fk)
-        # base component of the product
-        base = next(i for i in range(prod.nv)
-                    if p1["v"][i] == 0 and p2["v"][i] == 0 and
-                    prod.vnames[i] == f"({gh.vnames[0]},{gk.vnames[0]})")
-        seen = {base}
-        stack = [base]
-        n_edges = 0
+        seen, stack, edges = {(0, 0)}, [(0, 0)], set()
         while stack:
-            v = stack.pop()
-            for e in prod.edges():
-                if prod.o(e) == v:
-                    if e & 1 == 0:
-                        n_edges += 1
-                    if prod.t(e) not in seen:
-                        seen.add(prod.t(e))
-                        stack.append(prod.t(e))
-        n_edges = len({e >> 1 for e in prod.edges()
-                       if prod.o(e) in seen and prod.t(e) in seen})
+            a, b = stack.pop()
+            for ea in gh.out_edges()[a]:
+                for eb in gk.out_edges()[b]:
+                    if mH.edge_image(ea) != mK.edge_image(eb):
+                        continue
+                    edges.add((ea, eb) if ea & 1 == 0 else (einv(ea), einv(eb)))
+                    w = (gh.t(ea), gk.t(eb))
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
         assert len(frag.vertices) == len(seen)
-        assert len(frag.edges) == n_edges
+        assert len(frag.edges) == len(edges)
 
 
 def bs_path(A, spec):
