@@ -165,7 +165,7 @@ class AbelianEdgeFan:
             raise UnsupportedExpansion(self.error)
         n = len(self.gens)
         a0 = evaluate_word(self.Ge, self.gens, [(i, c) for i, c in enumerate(sol[:n]) if c])
-        return [self.Ge.mul(a0, rep) for rep in self.reps]
+        return [(self.Ge.mul(a0, rep), None) for rep in self.reps]
 
 
 @functools.cache

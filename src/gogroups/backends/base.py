@@ -28,8 +28,10 @@ H, K subgroup handles):
                                g_a), the fan of a pullback vertex along one
                                edge: alpha maps an edge group A_e into G and
                                edge_dc is its handle E1\\A_e/E2; fan.solve(w)
-                               lists, in a fixed order, one a per double coset
-                               E1 a E2 with f_a alpha(a) g_a^-1 in H w K;
+                               lists, in a fixed order, one pair (a, t) per
+                               double coset E1 a E2 with t = f_a alpha(a)
+                               g_a^-1 in H w K, t None when the fan has not
+                               computed it (only FiniteEdgeFan lists it);
                                edge_fan or solve raises UnsupportedExpansion
                                when the fan cannot be listed, saying why;
                                every backend lists the fan of a finite edge
@@ -61,7 +63,8 @@ class FiniteEdgeFan:
     """The fan of a finite edge group, over any vertex backend: f_a alpha(b a
     c) g_a^-1 lies in H (f_a alpha(a) g_a^-1) K for b in E1 and c in E2, so
     one dc.eq test per edge double coset, at its least canon() value,
-    decides it; those values and their transports are listed once.  The
+    decides it; those values and their transports are listed once, and
+    solve hands back the transports of the values it picks.  The
     finite backend's own fan, and the free and abelian ones' whenever the
     edge group is finite and their own fan cannot list it."""
 
@@ -71,7 +74,7 @@ class FiniteEdgeFan:
         self.raws = [(a, mul(mul(f_a, alpha.apply(a)), g_inv)) for a in sorted(edge_dc.reps())]
 
     def solve(self, witness):
-        return [a for a, raw in self.raws if self.eq(witness, raw)]
+        return [(a, raw) for a, raw in self.raws if self.eq(witness, raw)]
 
 
 def evaluate_word(backend, items, word):

@@ -452,7 +452,7 @@ class FreeEdgeFan:
             raise UnsupportedExpansion("infinite-edge-fan")
         else:
             ns = pattern.finite_solutions()
-        return [self.Ge.pow(self.z, n) for n in ns]
+        return [(self.Ge.pow(self.z, n), None) for n in ns]
 
 
 def _in_basis(U, S):

@@ -218,22 +218,6 @@ def reduce_concat(p, q):
     return _reduce_from(apath_concat(p, q), max(m - 1, 0), m)
 
 
-def is_reduced(p):
-    gog = p.gog
-    for i in range(len(p.edges) - 1):
-        e = p.edges[i]
-        if p.edges[i + 1] == einv(e) and gog.omega(e).image().contains(p.elems[i + 1]):
-            return False
-    return True
-
-
-def apaths_equal(p, q):
-    if p.base != q.base or p.end != q.end:
-        raise ValueError("paths are not coterminal")
-    r = reduce_apath(apath_concat(p, apath_inverse(q)))
-    return len(r.edges) == 0 and r.elems[0] == p.gog.vgroups[p.base].identity()
-
-
 def _sub_gog(A, kept):
     """The sub-graph-of-groups on a (sub-graph, vmap, old pair ids) triple of
     graphs.core or graphs.core_at: every group and map carried over by id."""

@@ -45,19 +45,6 @@ class GoGMorphism:
         return self.emonos[p].image()
 
 
-def identity_morphism(A):
-    vmonos = [Mono(A.vgroups[v], A.vgroups[v], A.vgroups[v].generators())
-              for v in range(A.graph.nv)]
-    emonos = [Mono(A.egroups[p], A.egroups[p], A.egroups[p].generators())
-              for p in range(A.graph.n_pairs)]
-    twists = [(A.vgroups[A.graph.org[p]].identity(),
-               A.vgroups[A.graph.tgt[p]].identity())
-              for p in range(A.graph.n_pairs)]
-    return GoGMorphism(A, A, list(range(A.graph.nv)),
-                       [2 * p for p in range(A.graph.n_pairs)],
-                       vmonos, emonos, twists)
-
-
 def validate_morphism(m):
     """Report-valued check of incidence, typing and twisted commutation."""
     violations = []
@@ -239,16 +226,21 @@ class _Builder:
     """Folding state of realize_subgroup, kept as a worklist.
 
     `inc[v]` is the set of (edge index, forward?) views with origin v, and
-    `dirty` holds the live vertices whose fold keys
-    (e, canon of H_v ta alpha_e(E)) may have changed since they were last
-    checked.  A key changes only when H_v grows or an edge is added at v or
-    re-homed onto it, so a vertex is dirtied when it is created, when its
-    subgroup grows (add_generator, merge, saturate_edge), when an edge is
-    added at it, and when a merge folds another vertex into it.  Removing an
-    edge never creates a collision.  Hence every vertex outside `dirty` is
-    collision-free, the lowest-id vertex with a collision is dirty, and
-    checking the dirty vertices in ascending id finds the same fold as a scan
-    of every vertex in id order.
+    `dirty` holds the live vertices that may have two views of equal fold
+    key (e, canon of H_v ta alpha_e(E)).  A key changes only when H_v
+    grows or an edge is added at v or re-homed onto it, and removing an
+    edge never creates a collision, so a vertex is marked dirty only when
+    one of these can make two keys meet:
+      - add_generator marks the base, and a new vertex inside a petal only
+        where the petal backtracks (e_{i+1} = e_i^-1): such a vertex holds
+        the trivial subgroup and two views, whose keys are equal only if
+        their edges are;
+      - a merge marks the vertex it folds another into, and a vertex whose
+        subgroup grows (add_generator, merge, saturate_edge) is touched,
+        which marks it.
+    Hence every vertex outside `dirty` is collision-free, the lowest-id
+    vertex with a collision is dirty, and checking the dirty vertices in
+    ascending id finds the same fold as a scan of every vertex in id order.
 
     `queue` is a min-heap of vertex ids holding every id in `dirty`: mark(v)
     pushes v when it enters the set, and an id leaves the heap only when
@@ -258,6 +250,19 @@ class _Builder:
     So the least dirty entry of the heap is min(dirty), find_fold visits
     the dirty vertices in the ascending order a sorted scan would, and the
     pops of a whole run are at most its pushes, one per entry into `dirty`.
+
+    `scan` is find_fold's scan of the vertex v it last returned a fold at:
+    v's sorted views, `seen` (each key met so far, with its first view) and
+    the position and key of the colliding view.  The merge of that fold
+    kills one of the two views; kill_edge patches the scan, making the
+    colliding view the first of its key when the earlier one dies.  The
+    views before the collision keep distinct keys, so a fresh scan of v
+    would find no collision before that position, and when v is next the
+    lowest dirty vertex find_fold carries on from the view after it.
+    Whatever can change v's keys drops the scan: mark at v (touch, and a
+    merge that re-homes edges onto v, mark it), or any other view of v
+    dying.  A v that is folded away is never dirty again, so its scan is
+    never resumed.
 
     `dcs` holds one double-coset handle per (subgroup handle, target edge
     e), H \\ A_o(e) / alpha_e(E), shared by find_fold and merge across
@@ -279,11 +284,13 @@ class _Builder:
     `dirty_edges` holds the live edges whose saturation inputs (twists, edge
     group, endpoint subgroups) may have changed since saturate_edge last
     left them unchanged.  An edge joins it when it is created, when its
-    edge group grows, when saturate_edge changes anything on it, and when an
-    endpoint is touched: its subgroup grows or edges are re-homed onto it.
-    A merge of two edges between the same two vertices whose transports
-    add nothing, x S x^-1 to the primary edge group and delta to H_y1, only
-    kills the secondary edge and dirties nothing.
+    edge group grows, when saturate_edge changes anything on it, when an
+    endpoint's subgroup grows (touch), and when a merge re-homes it.  A
+    merge that re-homes edges onto y1 without growing H_y1 dirties only
+    those edges: the inputs of y1's other edges are unchanged.  A merge of
+    two edges between the same two vertices whose transports add nothing,
+    x S x^-1 to the primary edge group and delta to H_y1, only kills the
+    secondary edge and dirties nothing.
     saturate_edge is deterministic, so on an edge outside the set it would
     change nothing, and the sweep of realize_subgroup may skip it.
 
@@ -315,17 +322,19 @@ class _Builder:
         self.trivial_esub = [G.trivial_subgroup() for G in A.egroups]
         self.fresh = [G.trivial_subgroup() for G in A.vgroups]
         self.dcs = {}             # (subgroup handle, target edge) -> double cosets
+        self.scan = None          # (v, views, seen, pos, key): find_fold's kept scan
         self.base = self.new_vertex(u0)
 
     def new_vertex(self, img):
         self.verts.append({"img": img, "sub": self.fresh[img], "alive": True})
         self.inc.append(set())
-        v = len(self.verts) - 1
-        self.mark(v)
-        return v
+        return len(self.verts) - 1
 
     def mark(self, v):
-        """Put v in `dirty`, pushing it on the queue when it was not there."""
+        """v's fold keys may have changed: put v in `dirty`, pushing it on
+        the queue when it was not there, and drop its kept scan."""
+        if self.scan is not None and self.scan[0] == v:
+            self.scan = None
         if v not in self.dirty:
             self.dirty.add(v)
             heappush(self.queue, v)
@@ -342,9 +351,12 @@ class _Builder:
             return
         k = len(p.edges)
         prev = self.base
+        self.mark(self.base)
         for i, e in enumerate(p.edges):
             last = i == k - 1
             nxt = self.base if last else self.new_vertex(A.graph.t(e))
+            if not last and p.edges[i + 1] == einv(e):
+                self.mark(nxt)
             Gt = A.vgroups[A.graph.t(e)]
             j = len(self.edges)
             self.edges.append({
@@ -357,8 +369,6 @@ class _Builder:
             })
             self.inc[prev].add((j, True))
             self.inc[nxt].add((j, False))
-            self.mark(prev)
-            self.mark(nxt)
             self.dirty_edges.add(j)
             prev = nxt
 
@@ -367,8 +377,8 @@ class _Builder:
         return sorted(self.inc[v], key=lambda view: (view[0], not view[1]))
 
     def touch(self, v):
-        """v's subgroup grew or edges were re-homed onto it: its fold keys
-        and the saturation inputs of its edges may have changed."""
+        """v's subgroup grew: its fold keys and the saturation inputs of its
+        edges may have changed."""
         self.mark(v)
         self.dirty_edges.update(i for i, _ in self.inc[v])
 
@@ -378,6 +388,15 @@ class _Builder:
         self.dirty_edges.discard(i)
         self.inc[d["src"]].discard((i, True))
         self.inc[d["dst"]].discard((i, False))
+        if self.scan is not None and self.scan[0] in (d["src"], d["dst"]):
+            # i holds one view of the kept collision: when it is the
+            # earlier one, the colliding view becomes the first of its key;
+            # any other dying view of the scanned vertex drops the scan
+            _, views, seen, pos, key = self.scan
+            if d["src"] == d["dst"] or i not in (seen[key][0], views[pos][0]):
+                self.scan = None
+            elif seen[key][0] == i:
+                seen[key] = views[pos]
 
     def view(self, i, forward):
         d = self.edges[i]
@@ -396,16 +415,24 @@ class _Builder:
 
     def find_fold(self):
         """(v, first view, colliding view) at the lowest-id vertex with two
-        star views of equal fold key, or None."""
+        star views of equal fold key, or None.  The scan of v is kept when
+        a fold is returned, and resumed after the colliding view when v is
+        the lowest dirty vertex again and nothing dropped the scan."""
         queue = self.queue
         while queue:
             v = queue[0]
             if v in self.dirty:
-                seen = {}
-                for view in self.star(v):
+                if self.scan is not None and self.scan[0] == v:
+                    _, views, seen, pos, _ = self.scan
+                    self.scan, start = None, pos + 1
+                else:
+                    views, seen, start = self.star(v), {}, 0
+                for pos in range(start, len(views)):
+                    view = views[pos]
                     e, _, _, ta, _ = self.view(*view)
                     key = e, self.double_cosets(v, e).canon(ta)
                     if key in seen:
+                        self.scan = v, views, seen, pos, key
                         return v, seen[key], view
                     seen[key] = view
                 self.dirty.discard(v)
@@ -436,20 +463,19 @@ class _Builder:
             p_edge["pushed"] = False
             self.dirty_edges.add(primary[0])
         self.kill_edge(secondary[0])
-        # y1 is an end of the primary edge, so touching it dirties that edge
-        # too; when both edges end at y1, nothing is re-homed, and y1 is
-        # touched only when delta grows its subgroup
+        # when both edges end at y1, nothing is re-homed, and y1 is touched
+        # only when delta grows its subgroup
         if y1 == y2:
             if not self.verts[y1]["sub"].contains(delta):
                 self.verts[y1]["sub"] = self.verts[y1]["sub"].join(Gt.subgroup([delta]))
                 self.touch(y1)
             return
         # fold y2 into y1, re-anchoring by delta
-        self.verts[y1]["sub"] = self.verts[y1]["sub"].join(
-            self.verts[y2]["sub"].conjugate(Gt.inv(delta)))
+        sub = self.verts[y1]["sub"].join(self.verts[y2]["sub"].conjugate(Gt.inv(delta)))
         self.verts[y2]["alive"] = False
         self.dirty.discard(y2)
-        for j, fwd in self.inc[y2]:
+        moved = self.inc[y2]
+        for j, fwd in moved:
             d = self.edges[j]
             if fwd:
                 Go = A.vgroups[A.graph.o(d["img"])]
@@ -459,9 +485,16 @@ class _Builder:
                 Gd = A.vgroups[A.graph.t(d["img"])]
                 d["tw"] = Gd.mul(delta, d["tw"])
                 d["dst"] = y1
-        self.inc[y1] |= self.inc[y2]
+        self.inc[y1] |= moved
         self.inc[y2] = set()
-        self.touch(y1)
+        # a grown y1 dirties all its edges; otherwise only the re-homed
+        # edges' saturation inputs changed
+        if sub is not self.verts[y1]["sub"]:
+            self.verts[y1]["sub"] = sub
+            self.touch(y1)
+        else:
+            self.mark(y1)
+            self.dirty_edges.update(j for j, _ in moved)
 
     def saturate_edge(self, i):
         """Condition-2 growth at edge i; returns True when anything grew.

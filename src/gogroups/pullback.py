@@ -289,16 +289,17 @@ class AProductFragment:
                 if self.m2.edge_image(g) != e_f:
                     continue
                 try:
-                    reps = self._solve_edges(x, f, g, e_f)
+                    sols = self._solve_edges(x, f, g, e_f)
                 except UnsupportedExpansion as exc:
                     self.unexpandable[idx] = str(exc)
                     return
-                for rep in reps:
-                    self._add_edge(idx, f, g, e_f, rep)
+                for rep, raw in sols:
+                    self._add_edge(idx, f, g, e_f, rep, raw)
 
     def _solve_edges(self, x, f, g, e):
-        """The fan's representatives at x: one per edge double coset whose
-        transport f_alpha alpha(rep) g_alpha^-1 lies in x's double coset."""
+        """The fan's (representative, transport) pairs at x: one per edge
+        double coset whose transport f_alpha alpha(rep) g_alpha^-1 lies in
+        x's double coset, the transport None when the fan did not make it."""
         fan = self.fans.get((x.v, x.w, f, g))
         if fan is None:
             fan = self.fans[(x.v, x.w, f, g)] = self._vertex_dc(x.v, x.w).edge_fan(
@@ -315,15 +316,19 @@ class AProductFragment:
         return G.mul(G.mul(self.m1.twist_alpha(f), self.A.alpha(e).apply(rep)),
                      G.inv(self.m2.twist_alpha(g)))
 
-    def _add_edge(self, idx, f, g, e, rep):
+    def _add_edge(self, idx, f, g, e, rep, raw):
         """The product edge from vertex idx over the edge pair (f, g) whose
         edge double coset holds rep, unless it is already there, found from
-        either end: its half-edge key is looked up before any transport."""
+        either end: its half-edge key is looked up before any transport.
+        raw is rep's transport at the origin of e as its fan listed it, or
+        None, and then it is made here."""
         ewitness = self._edge_dc(f, g).canon(rep)
         if (f, g, idx, ewitness) in self.edge_keys:
             return
         x = self.vertices[idx]
-        bc0, cc0 = self._vertex_dc(x.v, x.w).factor(x.witness, self._transport(f, g, e, rep, 0))
+        if raw is None:
+            raw = self._transport(f, g, e, rep, 0)
+        bc0, cc0 = self._vertex_dc(x.v, x.w).factor(x.witness, raw)
         t_raw = self._transport(f, g, e, rep, 1)
         v2 = self.m1.source.graph.t(f)
         w2 = self.m2.source.graph.t(g)

@@ -12,8 +12,7 @@ from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup
 from gogroups.fcip import fcip_abelian, k_fcip_index_harness, q_map_z
 from gogroups.fgip import (DecoratedGraph, decide_components, decide_fgip_gbs,
                            decide_fgip_free_cyclic, fgip_certify)
-from gogroups.gog import (APath, GraphOfGroups, apath_concat, apaths_equal,
-                          reduce_apath)
+from gogroups.gog import APath, GraphOfGroups, apath_concat, reduce_apath
 from gogroups.graphs import Graph
 from gogroups.library import (bs_gog, free_double_gog,
                               free_product_of_finite_gog, klein_amalgam_gog,
@@ -22,7 +21,7 @@ from gogroups.morphism import realize_subgroup
 from gogroups.pullback import build_product
 from gogroups.words import wreduce
 from test_fcip import is_bijection
-from test_gog import vertex_at
+from test_gog import apaths_equal, vertex_at
 from test_pullback import degree_stats
 
 

@@ -22,9 +22,10 @@ from gogroups import cli, intlattice
 from gogroups.backends import (AbelianGroup, FiniteGroup, FreeGroup, StallingsAutomaton,
                                SubgroupBackend)
 from gogroups.backends import rational
-from gogroups.morphism import identity_morphism, is_covering
+from gogroups.morphism import is_covering
 from gogroups.pullback import build_product
 from gogroups.words import wmul, winv, wreduce
+from test_morphism import identity_morphism
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

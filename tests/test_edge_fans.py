@@ -1,7 +1,8 @@
 """Edge fans of the double-coset handles (`dc.edge_fan`) against brute force.
 
 A fan lists, for a witness w of H w K, one a per edge double coset E1 a E2
-whose transport f_a alpha(a) g_a^-1 lies in H w K.  The oracles enumerate
+whose transport f_a alpha(a) g_a^-1 lies in H w K, paired with that
+transport (a finite fan) or None (the abelian and free fans).  The oracles enumerate
 the edge group (all of a finite one; a box holding a representative of every
 class of an abelian one, decided in the finite quotient by k; the powers
 |n| <= N of a cyclic one in a free group) and group the solutions into
@@ -89,8 +90,10 @@ def test_finite_fan_against_enumeration(inst):
     for w in range(G.order()):
         hwk = {G.mul(G.mul(h, w), k) for h in H.elts for k in K.elts}
         hit = {cls(a) for a in range(Ge.order()) if transport(G, alpha, f_a, g_a, a) in hwk}
-        reps = fan.solve(w)
+        sols = fan.solve(w)
+        reps = [a for a, _ in sols]
         assert reps == sorted(reps)
+        assert all(raw == transport(G, alpha, f_a, g_a, a) for a, raw in sols)
         assert len({cls(a) for a in reps}) == len(reps)
         assert {cls(a) for a in reps} == hit
 
@@ -160,7 +163,9 @@ def test_abelian_fan_against_the_quotient_by_k(inst):
     box = [Ge.canon(a) for a in product(range(k), repeat=Ge.n)]
     for w in product(range(k), repeat=G.n):
         w = G.canon(w)
-        reps = fan.solve(w)
+        sols = fan.solve(w)
+        assert all(raw is None for _, raw in sols)
+        reps = [a for a, _ in sols]
         assert all(solves(a, w) for a in reps)
         assert len({cls(a) for a in reps}) == len(reps)
         assert {cls(a) for a in reps} == {cls(a) for a in box if solves(a, w)}
@@ -202,10 +207,12 @@ def test_free_fan_against_powers(inst):
         E2 = Ge.subgroup([z_pow(q)] if q else [])
         fan = dc.edge_fan(Mono(Ge, F, [c]), Ge.double_cosets(E1, E2), f_a, g_a)
         try:
-            reps = fan.solve(w)
+            listed = fan.solve(w)
         except UnsupportedExpansion as exc:
             outcomes.append(str(exc))
             continue
+        assert all(raw is None for _, raw in listed)
+        reps = [a for a, _ in listed]
         exponent = {z_pow(n): n for n in range(-N, N + 1)}
         assert all(a in exponent for a in reps)    # every edge lies in the window
         outcomes.append([exponent[a] for a in reps])

@@ -8,12 +8,30 @@ from hypothesis import given, settings, strategies as st
 from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
 from gogroups.backends.base import evaluate_word
 from gogroups.gog import (APath, GraphOfGroups, apath_concat, apath_inverse,
-                          apaths_equal, gog_core, gog_core_at, is_reduced,
-                          reduce_apath, reduce_concat, reduce_gog, validate_gog)
+                          gog_core, gog_core_at, reduce_apath, reduce_concat,
+                          reduce_gog, validate_gog)
 from gogroups.gogio import parse_gog
 from gogroups.graphs import Graph, einv
 from gogroups.library import bs_gog, klein_amalgam_gog, nofgip_gog, segment_z_gog
 from test_fgip import line_events
+
+
+def is_reduced(p):
+    """No backtrack e e^-1 whose middle element lies in the edge group."""
+    gog = p.gog
+    for i in range(len(p.edges) - 1):
+        e = p.edges[i]
+        if p.edges[i + 1] == einv(e) and gog.omega(e).image().contains(p.elems[i + 1]):
+            return False
+    return True
+
+
+def apaths_equal(p, q):
+    """p and q are coterminal and p q^-1 reduces to the trivial path."""
+    if p.base != q.base or p.end != q.end:
+        raise ValueError("paths are not coterminal")
+    r = reduce_apath(apath_concat(p, apath_inverse(q)))
+    return len(r.edges) == 0 and r.elems[0] == p.gog.vgroups[p.base].identity()
 
 
 def test_validate_bs12():

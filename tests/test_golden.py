@@ -45,11 +45,16 @@ FREE_GOGS = ["double_f2_cubes", "double_f2_squares"]   # w-construct's domain
 # (gog, first immersion, second immersion, budget); paths relative to the
 # samples directory, or "inputs/..." for the extra golden inputs.
 # inputs/zsquared_skew is the Z^2 HNN with omega = [[2, 1], [0, 2]]; one
-# abelian fan of its pair lists four representatives
+# abelian fan of its pair lists four representatives.  inputs/rose2_sub_W
+# holds 40 freely reduced words of length 16 over a = e0, b = e1, drawn
+# with random.Random(24) letter by letter (rose-fold's top level): its
+# folded immersion names its vertices b{v} in fold order, at a size where
+# many petals share prefixes
 PAIRS = [
     ("rose2", "rose2_sub_H", "rose2_sub_K", 500),
     ("zsquared_hnn", "zsquared_hnn_sub_C", "zsquared_hnn_sub_B", 16),
     ("rose2", "inputs/rose2_sub_R", "rose2_sub_H", 500),
+    ("rose2", "inputs/rose2_sub_W", "rose2_sub_H", 500),
     ("inputs/modular", "inputs/modular_sub_P", "inputs/modular_sub_Q", 64),
     ("bs_1_2", "inputs/bs_1_2_sub_P", "inputs/bs_1_2_sub_Q", 16),
     ("double_f2_squares", "inputs/double_f2_squares_sub_P",

@@ -5,14 +5,29 @@ from hypothesis import given, settings, strategies as st
 
 from gogroups.backends import AbelianGroup, FreeGroup, Mono, SubgroupBackend
 from gogroups.gog import (APath, GraphOfGroups, apath_concat, apath_inverse,
-                          apaths_equal, is_reduced, reduce_apath, validate_gog)
+                          reduce_apath, validate_gog)
 from gogroups.graphs import Graph
 from gogroups.library import (bs_gog, nofgip_gog, rose_gog, segment_z_gog,
                               word_apath)
-from gogroups.morphism import (GoGMorphism, ImmersionFailure, identity_morphism,
-                               is_covering, is_immersion, realize_subgroup,
-                               trace_apath, validate_morphism)
+from gogroups.morphism import (GoGMorphism, ImmersionFailure, is_covering,
+                               is_immersion, realize_subgroup, trace_apath,
+                               validate_morphism)
 from gogroups.words import parse_word, wreduce
+from test_gog import apaths_equal, is_reduced
+
+
+def identity_morphism(A):
+    """The identity of A: every group onto itself, every twist trivial."""
+    vmonos = [Mono(A.vgroups[v], A.vgroups[v], A.vgroups[v].generators())
+              for v in range(A.graph.nv)]
+    emonos = [Mono(A.egroups[p], A.egroups[p], A.egroups[p].generators())
+              for p in range(A.graph.n_pairs)]
+    twists = [(A.vgroups[A.graph.org[p]].identity(),
+               A.vgroups[A.graph.tgt[p]].identity())
+              for p in range(A.graph.n_pairs)]
+    return GoGMorphism(A, A, list(range(A.graph.nv)),
+                       [2 * p for p in range(A.graph.n_pairs)],
+                       vmonos, emonos, twists)
 
 
 def push_apath(m, p):

@@ -7,14 +7,16 @@ from hypothesis import event, given, settings, strategies as st
 from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
 from gogroups.backends.base import UnsupportedExpansion, evaluate_word
 from gogroups.cli import main
-from gogroups.gog import APath, GraphOfGroups, apath_inverse, apaths_equal, reduce_apath
+from gogroups.gog import APath, GraphOfGroups, apath_inverse, reduce_apath
 from gogroups.graphs import Graph, einv
 from gogroups.library import (bs_gog, nofgip_gog, rose_gog, segment_z_gog,
                               word_apath)
-from gogroups.morphism import identity_morphism, is_immersion, realize_subgroup
+from gogroups.morphism import is_immersion, realize_subgroup
 from gogroups.pullback import AProductFragment, ProductEdge, build_product
 from gogroups.words import parse_word, winv, wmul, wreduce
 from test_double_cosets import counting
+from test_gog import apaths_equal
+from test_morphism import identity_morphism
 
 
 def nofgip_immersions():
@@ -248,12 +250,11 @@ class FullKeyFragment(AProductFragment):
 
     def _solve_edges(self, x, f, g, e):
         dc = self._vertex_dc(x.v, x.w)
-        return [(rep, *dc.factor(x.witness, self._transport(f, g, e, rep, 0)))
-                for rep in super()._solve_edges(x, f, g, e)]
+        return [(rep, dc.factor(x.witness, self._transport(f, g, e, rep, 0)))
+                for rep, _ in super()._solve_edges(x, f, g, e)]
 
-    def _add_edge(self, idx, f, g, e, sol):
-        rep, bc0, cc0 = sol
-        x = self.vertices[idx]
+    def _add_edge(self, idx, f, g, e, rep, factors):
+        bc0, cc0 = factors
         ewitness = self._edge_dc(f, g).canon(rep)
         t_raw = self._transport(f, g, e, rep, 1)
         v2 = self.m1.source.graph.t(f)
@@ -436,6 +437,18 @@ def test_each_zsq_edge_is_transported_twice_and_factored_at_most_twice():
     assert len(transports) == 2 * len(frag.edges)
     # one factor at each end of an edge, and one at the base vertex
     assert len(factors) <= 2 * len(frag.edges) + 1
+
+
+def test_finite_fan_hands_back_its_transports():
+    # a finite fan transports every edge representative when it is listed,
+    # so a product over the rose transports each edge at its far end only
+    A = rose_gog(2)
+    mH, _ = realize_subgroup(A, 0, [word_apath(A, w) for w in [(1, 2, 1), (2, 2), (1, -2)]])
+    mK, _ = realize_subgroup(A, 0, [word_apath(A, w) for w in [(1, 2), (2, 1, 1)]])
+    with counting(AProductFragment, "_transport") as transports:
+        frag = build_product(mH, mK, budget=mH.source.graph.nv * mK.source.graph.nv)
+    assert frag.complete and len(frag.edges) > 4
+    assert [args[-1] for args in transports] == [1] * len(frag.edges)
 
 
 def test_zsq_report_meets_h_and_k_once_per_handle():

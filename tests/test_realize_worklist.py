@@ -1,23 +1,27 @@
 """realize_subgroup's fold worklist against the sorted scan it replaced, and
 its shared handles against a builder that shares nothing.
 
-`SortedScanBuilder` is a test-local reference: its find_fold sorts the
-whole dirty set on every call, and its saturate_edge runs in full on every
-edge, trivial edge group or not.  `UnsharedBuilder` is another: every vertex
+`SortedScanBuilder` is a test-local reference: its find_fold scans the star
+of every live vertex in id order on every call, and each saturation sweep
+runs saturate_edge in full on every live edge, trivial edge group or not,
+so it checks which vertices and edges the builder marks dirty instead of
+relying on them.  `UnsharedBuilder` is another: every vertex
 and edge gets its own trivial subgroup, every double-coset query its own
 handle, and to_morphism builds a backend and a Mono per item.  The builder
 in `gogroups.morphism` must give the same immersion, and run out of budget
-at the same step, as each of them on every input.  The counting tests
-bound the worklist's work and the objects it builds on a rose without
-timing it.
+at the same step, as each of them on every input, reduced or not.  The
+counting tests bound the worklist's work and the objects it builds on a
+rose without timing it.
 """
 
 from contextlib import contextmanager
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gogroups.gog as gog
 import gogroups.morphism as morphism
 from gogroups.backends import FiniteGroup, FreeGroup, Mono, SubgroupBackend
 from gogroups.backends.finite import FiniteDoubleCosets
@@ -30,10 +34,36 @@ from gogroups.morphism import BudgetExceeded, realize_subgroup
 from gogroups.words import wreduce
 
 
+class LiveEdges:
+    """Stands in for `dirty_edges`: holds every live edge, whatever the
+    builder marks, so the sweep saturates each of them every round."""
+
+    def __init__(self, edges):
+        self.edges = edges
+
+    def __contains__(self, i):
+        return self.edges[i]["alive"]
+
+    def add(self, i):
+        pass
+
+    def update(self, items):
+        pass
+
+    def discard(self, i):
+        pass
+
+
 class SortedScanBuilder(morphism._Builder):
 
+    def __init__(self, A, u0):
+        super().__init__(A, u0)
+        self.dirty_edges = LiveEdges(self.edges)
+
     def find_fold(self):
-        for v in sorted(self.dirty):
+        for v in range(len(self.verts)):
+            if not self.verts[v]["alive"]:
+                continue
             seen = {}
             for view in self.star(v):
                 e, _, _, ta, _ = self.view(*view)
@@ -41,7 +71,6 @@ class SortedScanBuilder(morphism._Builder):
                 if key in seen:
                     return v, seen[key], view
                 seen[key] = view
-            self.dirty.discard(v)
         return None
 
     def saturate_edge(self, i):
@@ -101,9 +130,7 @@ class UnsharedBuilder(morphism._Builder):
                            "sub": self.A.vgroups[img].trivial_subgroup(),
                            "alive": True})
         self.inc.append(set())
-        v = len(self.verts) - 1
-        self.mark(v)
-        return v
+        return len(self.verts) - 1
 
     def double_cosets(self, v, e):
         return self.A.vgroups[self.A.graph.o(e)].double_cosets(
@@ -199,10 +226,11 @@ def segment_path(A, elems):
 
 letters = st.sampled_from([1, -1, 2, -2])
 rose_words = st.lists(st.lists(letters, max_size=10).map(wreduce), min_size=1, max_size=6)
+unreduced_rose_words = st.lists(st.lists(letters, max_size=10), min_size=1, max_size=6)
 
 
-def rose_gens(A):
-    return rose_words.map(lambda words: [word_apath(A, w) for w in words])
+def rose_gens(A, words=rose_words):
+    return words.map(lambda ws: [word_apath(A, w) for w in ws])
 
 
 @st.composite
@@ -304,6 +332,49 @@ def test_shared_handles_match_unshared_builder(family, data):
     assert_same_as(UnsharedBuilder, A, data.draw(gens(A)), budgets)
 
 
+def test_moved_edges_are_saturated_again():
+    # after the first sweep, a merge at vertex 3 folds the vertex 2, of
+    # trivial subgroup, into the base, whose subgroup <a, Bab> does not
+    # grow; the saturated edge it moves now sees the base's subgroup, and
+    # unless it is saturated again its edge group stays too small for
+    # condition 2 (edge-group-not-exact)
+    A = FREE_DOUBLE
+    a, b, e, E = (1,), (2,), 0, 1
+
+    def path(*items):
+        return APath(A, 0, list(items[0::2]), list(items[1::2]))
+
+    gens = [path(b, e, a, E, b, e, (), E, (), e, b, E, ()), path((), e, b, E, a),
+            path((), e, (), E, (), e, (), E, a), path((-2, 1, 2))]
+    m, _ = realize_subgroup(A, 0, gens)
+    morphism.is_immersion(m)
+    assert_same_as(SortedScanBuilder, A, gens)
+
+
+# realize_subgroup reduces its generators, and the builder marks a vertex
+# inside a petal only where the petal backtracks; these inputs reach
+# add_generator as drawn, backtracks and all
+
+
+UNREDUCED_FAMILIES = {
+    "rose": (ROSE, lambda A: rose_gens(A, unreduced_rose_words), BUDGETS),
+    "z2_z3": (Z2_Z3, z2_star_z3_gens, BUDGETS),
+    "bs12": (BS_1_2, bs_1_2_gens, BS_BUDGETS),
+    "free_double": (FREE_DOUBLE, free_vertex_gens, BUDGETS),
+    "free_hnn": (FREE_HNN, free_vertex_gens, BUDGETS),
+}
+
+
+@pytest.mark.parametrize("family", sorted(UNREDUCED_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unreduced_petals_match_full_scan(family, data):
+    A, gens, budgets = UNREDUCED_FAMILIES[family]
+    drawn = data.draw(gens(A))
+    with patch.object(gog, "reduce_apath", lambda p: p):
+        assert_same_as(SortedScanBuilder, A, drawn, budgets)
+
+
 # --- counting: the worklist's work is linear in vertices and merges ---
 
 
@@ -375,17 +446,50 @@ def test_worklist_work_is_linear_on_a_rose(monkeypatch):
 
 
 def test_vertex_folded_away_while_queued(monkeypatch):
-    # ab and aB: both middle vertices are queued when the fold at the base
-    # makes them one, so the one folded away is popped after its death
+    # ab and aba: the fold of their a's at the base queues ab's middle
+    # vertex; the fold there of their b's re-homes aba's last a onto the
+    # base, and the fold of the base's two a's then folds the queued vertex
+    # into the base, so it is popped after its death
     counts = Counts(monkeypatch)
     A = rose_gog(2)
-    words = [(1, 2), (1, -2)]
+    words = [(1, 2), (1, 2, 1)]
     m, base = realize_subgroup(A, 0, [word_apath(A, w) for w in words])
     assert m.source.graph.nv == FreeGroup(2).subgroup(words).aut.n_states
     assert counts.stale >= 1
     assert counts.pushes <= counts.work()
     assert counts.visits <= 2 * counts.work()
     assert not counts.builders[0].queue
+
+
+def reduced_rose_words(rng, n, length=16):
+    """n freely reduced words of the given length, as rose-fold draws them."""
+    words = []
+    for _ in range(n):
+        w = []
+        while len(w) < length:
+            x = rng.choice([1, -1, 2, -2])
+            if not w or w[-1] != -x:
+                w.append(x)
+        words.append(tuple(w))
+    return words
+
+
+def test_views_keyed_on_roses(monkeypatch):
+    # a vertex inside a reduced petal cannot fold, so the first scan keys
+    # the base only, and a merge that leaves the scanned vertex's keys alone
+    # resumes its scan: 4,392 views keyed on these eight roses (a rescan of
+    # the base after every merge keyed 15,512)
+    keyed = []
+
+    def counting(self, g, _canon=FiniteDoubleCosets.canon):
+        keyed.append(g)
+        return _canon(self, g)
+
+    monkeypatch.setattr(FiniteDoubleCosets, "canon", counting)
+    A, rng = rose_gog(2), Random(1207)
+    for _ in range(8):
+        realize_subgroup(A, 0, [word_apath(A, w) for w in reduced_rose_words(rng, 40)])
+    assert len(keyed) <= 5000
 
 
 # --- shared objects: handles and backends built once per subgroup handle ---

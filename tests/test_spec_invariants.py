@@ -5,12 +5,13 @@ from random import Random
 
 from gogroups import gogio
 from gogroups.fgip import decide_fgip_gbs
-from gogroups.gog import APath, apaths_equal, reduce_apath
+from gogroups.gog import APath, reduce_apath
 from gogroups.graphs import einv
 from gogroups.library import bs_gog, nofgip_gog, rose_gog, word_apath
 from gogroups.morphism import is_immersion, realize_subgroup, validate_morphism
 from gogroups.pullback import build_product
 from gogroups.words import wreduce
+from test_gog import apaths_equal
 
 
 def test_morphism_file_roundtrip():
