@@ -60,6 +60,9 @@ def _parse_immersion(data, A, base):
     """A list of generator paths, closed at base, or (immersion, source
     basepoint) for a morphism file."""
     if isinstance(data, dict) and "generators" in data:
+        if "basepoint" in data:
+            raise gogio.ParseError("a generator list takes no 'basepoint': its generators "
+                                   "are closed at the graph of groups' basepoint")
         paths = [gogio.parse_apath(p, A, base)
                  for p in gogio.as_list(data["generators"], "'generators'")]
         for p in paths:

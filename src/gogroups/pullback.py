@@ -11,16 +11,17 @@ ray).  Only the base component is ever explored: every vertex but the base
 one is created by an edge out of an earlier vertex, so every vertex is in
 it, and completeness is the exactness of its intersection generators.
 
-Every vertex but the base one records the tree edge that created it, and
-every edge records the double-coset factors of its transport.  Anchor paths
-into the two factors are derived from these records only when a report asks
-for them (component_label, intersection_generators): walking the tree edges
-from the base vertex, each step pushes the previous anchor across the edge
-and absorbs the recorded factors.  The defining invariant (anchor1 . witness
-. anchor2^-1 = component label) makes intersection generators fall out of the
-spanning tree.  Each anchor extends its tree parent's, which is reduced, so
-it is reduced from the seam on (gog.reduce_concat), as are the generator
-paths built from anchors.
+Every vertex but the base one records the tree edge that created it, out
+of an earlier vertex, and every edge records the double-coset factors of its
+transport.  A report that needs anchor paths into the two factors
+(component_labels, intersection_generators) builds them from these records
+in one pass in vertex order: each vertex's anchor is its tree parent's,
+pushed across the tree edge with the recorded factors absorbed, and the
+first side's inverses are built alongside from the same crossing.  The
+defining invariant (anchor1 . witness . anchor2^-1 = component label) makes
+intersection generators fall out of the spanning tree.  Each anchor extends
+its tree parent's, which is reduced, so it is reduced from the seam on
+(gog.reduce_concat), as are the generator paths built from anchors.
 
 The fragment keeps, for its lifetime, every piece of work that does not
 depend on a witness: the double-coset handles per vertex pair and per edge
@@ -41,8 +42,7 @@ product edge is fixed by its origin vertex, its edge pair and its edge
 double coset (b a c, for b and c in the edge images, transports into the
 same vertex double coset as a), and the witness of that double coset does
 not depend on the end it is found from, since both ends share one edge
-handle.  Anchor inverses are built like the anchors, each from its tree
-parent's.
+handle.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class ProductVertex:
         self.w = w
         self.witness = witness
         self.tree_edge = None   # index of the edge that created it; None at the base
-
-    def key(self):
-        return (self.v, self.w, self.witness)
 
 
 class ProductEdge:
@@ -154,93 +151,53 @@ class AProductFragment:
             E = self.edge_groups[eidx] = self._edge_dc(h.f, h.g).meet(h.rep)
         return E
 
-    def component_label(self, idx):
-        """Witness A-path for the component's double coset B g C."""
-        x = self.vertices[idx]
-        u = self.m1.vmap[x.v]
-        middle = APath(self.A, u, [x.witness], [])
-        return reduce_concat(apath_concat(self._anchor(idx, True, {}), middle),
-                             apath_inverse(self._anchor(idx, False, {})))
+    def component_labels(self):
+        """Witness A-path of every vertex's component double coset B g C, in
+        vertex order: anchor1 . witness . anchor2^-1."""
+        anchors1, _ = self._anchors(True)
+        anchors2, _ = self._anchors(False)
+        return [reduce_concat(apath_concat(a1, APath(self.A, self.m1.vmap[x.v], [x.witness], [])),
+                              apath_inverse(a2))
+                for x, a1, a2 in zip(self.vertices, anchors1, anchors2)]
 
-    def _along_tree(self, idx, memo, root, extend):
-        """memo[idx], built along the tree edges into idx: from the nearest
-        vertex on the way already in memo, or from root(base vertex), with
-        memo[dst] = extend(memo[src], eidx) for the tree edge eidx into dst.
-        Every vertex on the way is memoised."""
-        chain = []
-        while idx not in memo and self.vertices[idx].tree_edge is not None:
-            chain.append(idx)
-            idx = self.edges[self.vertices[idx].tree_edge].src
-        if idx not in memo:
-            memo[idx] = root(idx)
-        path = memo[idx]
-        for i in reversed(chain):
-            memo[i] = path = extend(path, self.vertices[i].tree_edge)
-        return path
+    def _anchors(self, first):
+        """(anchors, inverses): anchor1 (first) or anchor2 of every vertex,
+        in vertex order, and on the first side anchor1^-1 of every vertex
+        (None on the second).  Every vertex but the base one is created by
+        its tree edge out of an earlier vertex, so its parent's anchor is
+        built before it, and each tree edge is crossed once.
 
-    def _anchor(self, idx, first, memo, crossings=None):
-        """anchor1 (first) or anchor2 of vertex idx; memo maps vertex
-        indices to the anchors already built on the same side, and
-        crossings, when given, the crossings already built (_crossing_of).
-
-        anchor(dst) = anchor(src) . pre . step . post with the crossing of
-        the tree edge, reduced from the seam of the step.  pre and post have
-        no edges, so anchor(src) . pre is reduced and post adds no pinch."""
-        crossings = {} if crossings is None else crossings
-
-        def root(i):
-            u = self.m1.vmap[self.vertices[i].v]
-            bc, cc = self.base_factors
-            return APath(self.A, u, [bc if first else self.A.vgroups[u].inv(cc)], [])
-
-        def extend(anchor, eidx):
-            pre, step, post = self._crossing_of(eidx, first, crossings)
-            return apath_concat(reduce_concat(apath_concat(anchor, pre), step), post)
-        return self._along_tree(idx, memo, root, extend)
-
-    def _anchor_inverse(self, idx, memo, crossings=None):
-        """anchor1(idx)^-1, built along the tree edges like the anchor; memo
-        maps vertex indices to the inverses already built, and crossings as
-        for _anchor.
-
-        anchor(dst)^-1 = (pre . step . post)^-1 . anchor(src)^-1, reduced
+        anchor(dst) = anchor(src) . crossing of the tree edge, reduced from
+        the seam.  anchor(dst)^-1 = crossing^-1 . anchor(src)^-1, reduced
         from the seam: inverting a path commutes with seam reduction, since
         a pinch of p . q at its seam is one of q^-1 . p^-1 at its seam, with
         the inverse elements.  Elements are canonical, so the result equals
         apath_inverse(anchor(dst)) element by element, and apath_inverse
         only sees the base anchor and single crossings."""
-        crossings = {} if crossings is None else crossings
-
-        def extend(inverse, eidx):
-            pre, step, post = self._crossing_of(eidx, True, crossings)
-            return reduce_concat(apath_inverse(apath_concat(apath_concat(pre, step), post)),
-                                 inverse)
-        return self._along_tree(idx, memo, lambda i: apath_inverse(self._anchor(i, True, {})),
-                                extend)
-
-    def _crossing_of(self, eidx, first, crossings):
-        """_crossing of edge eidx on the given side, kept in crossings by
-        (edge, side): the anchors and their inverses in one
-        intersection_generators call cross each tree edge on the first
-        side."""
-        key = eidx, first
-        if key not in crossings:
-            crossings[key] = self._crossing(self.edges[eidx], first)
-        return crossings[key]
+        u = self.m1.vmap[self.vertices[0].v]
+        bc, cc = self.base_factors
+        anchors = [APath(self.A, u, [bc if first else self.A.vgroups[u].inv(cc)], [])]
+        inverses = [apath_inverse(anchors[0])] if first else None
+        for x in self.vertices[1:]:
+            h = self.edges[x.tree_edge]
+            crossing = self._crossing(h, first)
+            anchors.append(reduce_concat(anchors[h.src], crossing))
+            if first:
+                inverses.append(reduce_concat(apath_inverse(crossing), inverses[h.src]))
+        return anchors, inverses
 
     def _crossing(self, h, first):
-        """(pre, step, post), the A-paths carrying anchor1 (first) or anchor2
-        across edge h over e: bc0^-1, m1's step over e, bc1; or cc0, m2's
-        step, cc1^-1.  The step of m's edge f is alpha-twist . e .
-        omega-twist^-1."""
+        """The one-edge A-path carrying anchor1 (first) or anchor2 across edge
+        h over e: bc0^-1 . m1's step over e . bc1, or cc0 . m2's step .
+        cc1^-1.  The step of m's edge f is alpha-twist . e . omega-twist^-1."""
         A = self.A
         e = self.m1.edge_image(h.f)
         u, u2 = A.graph.o(e), A.graph.t(e)
         Au, Au2 = A.vgroups[u], A.vgroups[u2]
         m, f, pre, post = ((self.m1, h.f, Au.inv(h.bc0), h.bc1) if first else
                            (self.m2, h.g, h.cc0, Au2.inv(h.cc1)))
-        step = APath(A, u, [m.twist_alpha(f), Au2.inv(m.twist_omega(f))], [e])
-        return APath(A, u, [pre], []), step, APath(A, u2, [post], [])
+        return APath(A, u, [Au.mul(pre, m.twist_alpha(f)),
+                            Au2.mul(Au2.inv(m.twist_omega(f)), post)], [e])
 
     # --- construction ---
 
@@ -253,25 +210,22 @@ class AProductFragment:
         w0 = 0 if w0 is None else w0
         if self.m1.vmap[v0] != self.m2.vmap[w0]:
             raise ValueError("basepoint images do not match")
-        Au = self.A.vgroups[self.m1.vmap[v0]]
-        idx, _, bc, cc = self._intern(v0, w0, Au.identity())
-        self.base_factors = (bc, cc)
+        one = self.A.vgroups[self.m1.vmap[v0]].identity()
+        idx, _ = self._intern(v0, w0, one)
+        self.base_factors = self._vertex_dc(v0, w0).factor(self.vertices[idx].witness, one)
         return idx
 
     def _intern(self, v, w, raw_witness):
-        """(index, created, bc, cc) with raw_witness = bc . witness . cc when
-        the vertex is created; bc and cc are None for an existing vertex."""
-        dc = self._vertex_dc(v, w)
-        witness = dc.canon(raw_witness)
+        """(index, created) of the vertex of (v, w) whose double coset holds
+        raw_witness."""
+        witness = self._vertex_dc(v, w).canon(raw_witness)
         key = (v, w, witness)
         if key in self.index:
-            return self.index[key], False, None, None
-        bc, cc = dc.factor(witness, raw_witness)
-        idx = len(self.vertices)
+            return self.index[key], False
+        idx = self.index[key] = len(self.vertices)
         self.vertices.append(ProductVertex(v, w, witness))
-        self.index[key] = idx
         self.frontier.append(idx)
-        return idx, True, bc, cc
+        return idx, True
 
     def build(self, budget=64):
         if not self.vertices:
@@ -332,13 +286,12 @@ class AProductFragment:
         t_raw = self._transport(f, g, e, rep, 1)
         v2 = self.m1.source.graph.t(f)
         w2 = self.m2.source.graph.t(g)
-        dst, created, bc1, cc1 = self._intern(v2, w2, t_raw)
+        dst, created = self._intern(v2, w2, t_raw)
+        bc1, cc1 = self._vertex_dc(v2, w2).factor(self.vertices[dst].witness, t_raw)
         self.edge_keys.add((f, g, idx, ewitness))
         self.edge_keys.add((einv(f), einv(g), dst, ewitness))
         if created:
             self.vertices[dst].tree_edge = len(self.edges)
-        else:
-            bc1, cc1 = self._vertex_dc(v2, w2).factor(self.vertices[dst].witness, t_raw)
         self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created,
                                       bc0, cc0, bc1, cc1))
 
@@ -351,7 +304,7 @@ class AProductFragment:
         generators conjugated by the anchors; exact when the fragment is
         complete, a lower bound otherwise."""
         gens = []
-        anchor1, inverse1, crossings = {}, {}, {}
+        anchors, inverses = self._anchors(True)
         for i, x in enumerate(self.vertices):
             u = self.m1.vmap[x.v]
             Au = self.A.vgroups[u]
@@ -360,19 +313,15 @@ class AProductFragment:
                 if Au.eq(d, Au.identity()):
                     continue
                 b_elt = Au.mul(Au.mul(x.witness, d), Au.inv(x.witness))
-                a = self._anchor(i, True, anchor1, crossings)
-                gens.append(reduce_concat(apath_concat(a, APath(self.A, u, [b_elt], [])),
-                                          self._anchor_inverse(i, inverse1, crossings)))
+                gens.append(reduce_concat(apath_concat(anchors[i], APath(self.A, u, [b_elt], [])),
+                                          inverses[i]))
         for h in self.edges:
             if h.tree:
                 continue
-            # anchor1(src) . bc0^-1 . step over e . bc1 . anchor1(dst)^-1,
-            # reduced seam by seam: the same path as one scan (reduce_concat)
-            pre, step, post = self._crossing(h, True)
-            z = reduce_concat(apath_concat(self._anchor(h.src, True, anchor1, crossings), pre),
-                              step)
-            gens.append(reduce_concat(apath_concat(z, post),
-                                      self._anchor_inverse(h.dst, inverse1, crossings)))
+            # anchor1(src) . crossing . anchor1(dst)^-1, reduced seam by
+            # seam: the same path as one scan (reduce_concat)
+            gens.append(reduce_concat(reduce_concat(anchors[h.src], self._crossing(h, True)),
+                                      inverses[h.dst]))
         return gens, self.complete
 
     def ray_certificate(self, min_periods=3):

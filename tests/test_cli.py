@@ -339,6 +339,17 @@ def test_generators_are_read_at_the_gog_basepoint(tmp_path, capsys):
     assert main(["immersion-check", gog, loop]) == 0
 
 
+def test_basepoint_of_a_generator_list_is_an_input_error(tmp_path, capsys):
+    # the field used to be dropped: exit 0, as if it were not there
+    gog = os.path.join(SAMPLES, "double_f2_squares.json")
+    gens = write(tmp_path, "gens.json", {"generators": [["ab"]], "basepoint": "v"})
+    for argv in (["intersect", gog, gens, gens], ["immersion-check", gog, gens]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "closed at the graph of groups' basepoint" in err
+
+
 def test_basepoints_over_different_vertices_are_an_input_error(tmp_path, capsys):
     gog = klein_at_v(tmp_path)
     A, _ = gogio.parse_gog(gogio.load(gog))

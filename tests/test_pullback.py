@@ -7,7 +7,8 @@ from hypothesis import event, given, settings, strategies as st
 from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
 from gogroups.backends.base import UnsupportedExpansion, evaluate_word
 from gogroups.cli import main
-from gogroups.gog import APath, GraphOfGroups, apath_inverse, reduce_apath
+from gogroups.gog import (APath, GraphOfGroups, apath_concat, apath_inverse,
+                          reduce_apath)
 from gogroups.graphs import Graph, einv
 from gogroups.library import (bs_gog, nofgip_gog, rose_gog, segment_z_gog,
                               word_apath)
@@ -43,7 +44,7 @@ def test_base_vertex_trivial_groups():
     frag = AProductFragment(m, m)
     frag.add_base()
     assert frag.vertices[0].witness == 0
-    assert frag.vertices[0].key() == (0, 0, 0)
+    assert frag.index == {(0, 0, 0): 0}
 
 
 def test_identity_product_of_finite_gog():
@@ -259,15 +260,14 @@ class FullKeyFragment(AProductFragment):
         t_raw = self._transport(f, g, e, rep, 1)
         v2 = self.m1.source.graph.t(f)
         w2 = self.m2.source.graph.t(g)
-        dst, created, bc1, cc1 = self._intern(v2, w2, t_raw)
+        dst, created = self._intern(v2, w2, t_raw)
         key = self._edge_key(f, g, idx, dst, ewitness)
         if key in self.edge_keys:
             return
         self.edge_keys.add(key)
         if created:
             self.vertices[dst].tree_edge = len(self.edges)
-        else:
-            bc1, cc1 = self._vertex_dc(v2, w2).factor(self.vertices[dst].witness, t_raw)
+        bc1, cc1 = self._vertex_dc(v2, w2).factor(self.vertices[dst].witness, t_raw)
         self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created,
                                       bc0, cc0, bc1, cc1))
 
@@ -393,12 +393,10 @@ def same_path(p, q):
 
 
 def check_anchor_inverses(frag):
-    inverses = {}
-    for i in reversed(range(len(frag.vertices))):
-        frag._anchor_inverse(i, inverses)
-    assert set(inverses) == set(range(len(frag.vertices)))
-    for i, inverse in inverses.items():
-        assert same_path(inverse, apath_inverse(frag._anchor(i, True, {})))
+    anchors, inverses = frag._anchors(True)
+    assert len(anchors) == len(inverses) == len(frag.vertices)
+    for anchor, inverse in zip(anchors, inverses):
+        assert same_path(inverse, apath_inverse(anchor))
 
 
 @settings(max_examples=150, deadline=None)
@@ -415,6 +413,57 @@ def test_anchor_inverses_on_the_golden_pairs():
     for g, first, second, budget in PAIRS:
         check_anchor_inverses(_load_product(SimpleNamespace(
             gog=_path(g), first=_path(first), second=_path(second), budget=budget)))
+
+
+def check_anchors_reduce_their_chains(frag):
+    # each anchor, built from its tree parent's and reduced at the seam
+    # only, is the full Britton reduction of the base anchor followed by the
+    # unreduced crossings of the tree edges from the base vertex to it
+    A = frag.A
+    u = frag.m1.vmap[frag.vertices[0].v]
+    bc, cc = frag.base_factors
+    for first in (True, False):
+        anchors, inverses = frag._anchors(first)
+        assert (inverses is not None) == first
+        chains = [APath(A, u, [bc if first else A.vgroups[u].inv(cc)], [])]
+        for x in frag.vertices[1:]:
+            h = frag.edges[x.tree_edge]
+            chains.append(apath_concat(chains[h.src], frag._crossing(h, first)))
+        assert len(anchors) == len(chains)
+        for anchor, chain in zip(anchors, chains):
+            assert same_path(anchor, reduce_apath(chain))
+
+
+def golden_and_modular_products():
+    """The golden pairs' products, and the modular P/Q pair's both ways,
+    whose tree edges carry factors of order 3 in all four slots of the
+    transport record."""
+    from types import SimpleNamespace
+    from gogroups import gogio
+    from gogroups.cli import _load_product
+    from test_golden import PAIRS, _path
+    frags = [_load_product(SimpleNamespace(gog=_path(g), first=_path(first),
+                                           second=_path(second), budget=budget))
+             for g, first, second, budget in PAIRS]
+    M, _ = gogio.parse_gog(gogio.load(_path("inputs/modular")))
+    P, Q = [realize_subgroup(M, 0, [gogio.parse_apath(p, M, 0) for p in paths])[0]
+            for paths in ([[1], [1, "e", 1, "e^-1", 0]],
+                          [[0, "e", 1, "e^-1", 1, "e", 2, "e^-1", 1]])]
+    return frags + [build_product(P, Q), build_product(Q, P)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.integers(0, len(DEDUP_FAMILIES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_anchors_are_the_reduced_tree_chains(family, seed):
+    m1, m2, budget = random_immersions(DEDUP_FAMILIES[family], seed)
+    frag = build_product(m1, m2, budget=budget)
+    event("with edges" if frag.edges else "the base vertex alone")
+    check_anchors_reduce_their_chains(frag)
+
+
+def test_anchors_are_the_reduced_tree_chains_on_the_golden_and_modular_pairs():
+    for frag in golden_and_modular_products():
+        check_anchors_reduce_their_chains(frag)
 
 
 def zsq_product_at_256():
@@ -512,9 +561,9 @@ def test_nofgip_generators_are_conjugated_roots():
 def test_nofgip_component_labels_share_one_class():
     A, mB, mC = nofgip_immersions()
     frag = build_product(mC, mB, budget=6)
-    base = frag.component_label(0)
-    for i in range(1, len(frag.vertices)):
-        lab = frag.component_label(i)
+    base, *labels = frag.component_labels()
+    assert len(labels) == len(frag.vertices) - 1
+    for lab in labels:
         assert lab.base == base.base and lab.end == base.end
 
 

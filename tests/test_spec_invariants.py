@@ -39,30 +39,24 @@ def test_base_component_labels_are_trivial():
     mC, _ = realize_subgroup(A, 0, [a1, ehat])
     mB, _ = realize_subgroup(A, 0, [a1, ehat_a2])
     frag = build_product(mC, mB, budget=6)
-    for i in range(len(frag.vertices)):
-        lab = frag.component_label(i)
+    labels = frag.component_labels()
+    assert len(labels) == len(frag.vertices)
+    for lab in labels:
         assert apaths_equal(lab, A.trivial_path(0))
     # the same on every golden product (abelian, finite and free vertex
     # groups) and on two modular-group products whose tree edges carry
     # factors of order 3 in all four slots of the transport record
-    from types import SimpleNamespace
-    from gogroups.cli import _load_product
-    from test_golden import PAIRS, _path
-    frags = [_load_product(SimpleNamespace(gog=_path(g), first=_path(first),
-                                           second=_path(second), budget=budget))
-             for g, first, second, budget in PAIRS]
-    M, _ = gogio.parse_gog(gogio.load(_path("inputs/modular")))
-    P, Q = [realize_subgroup(M, 0, [gogio.parse_apath(p, M, 0) for p in paths])[0]
-            for paths in ([[1], [1, "e", 1, "e^-1", 0]],
-                          [[0, "e", 1, "e^-1", 1, "e", 2, "e^-1", 1]])]
-    frags += [build_product(P, Q), build_product(Q, P)]
+    from test_pullback import golden_and_modular_products
+    frags = golden_and_modular_products()
     tree = [h for frag in frags[-2:] for h in frag.edges if h.tree]
     for slot in ("bc0", "cc0", "bc1", "cc1"):   # 0 is the identity of Z/2 and Z/3
         assert any(getattr(h, slot) != 0 for h in tree)
     for frag in frags:
         base = frag.A.trivial_path(frag.m1.vmap[frag.vertices[0].v])
-        for i in range(len(frag.vertices)):
-            assert apaths_equal(frag.component_label(i), base)
+        labels = frag.component_labels()
+        assert len(labels) == len(frag.vertices)
+        for lab in labels:
+            assert apaths_equal(lab, base)
 
 
 def test_fragment_is_classical_fiber_product_on_trivial_data():
