@@ -228,16 +228,8 @@ class FiniteGroup:
 
     def decompose(self, x):
         if self._words is None:
-            self._words = {self.e: []}
-            queue = deque([self.e])
-            while queue:
-                y = queue.popleft()
-                for i, g in enumerate(self._gens):
-                    for s, z in ((i + 1, self.table[y][g]), (-(i + 1), self.table[y][self._inv[g]])):
-                        if z not in self._words:
-                            self._words[z] = self._words[y] + [s]
-                            queue.append(z)
-        return [(abs(s) - 1, 1 if s > 0 else -1) for s in self._words[x]]
+            self._words = self._words_over(self._gens)
+        return self._words[x]
 
     def serialize(self, x):
         return x
@@ -262,20 +254,23 @@ class FiniteGroup:
 
     def express(self, target, gens):
         """BFS word over `gens` as (index, exponent) pairs, or None."""
-        if target == self.e:
-            return []
-        seen = {self.e: []}
+        return self._words_over(gens).get(target)
+
+    def _words_over(self, gens):
+        """Each element of <gens> with its first word in a breadth-first
+        search from the identity, as (index, exponent) pairs: the letters
+        of a word are tried in the order gens[0], gens[0]^-1, gens[1], ...,
+        so the word is a shortest one, and the least in that order."""
+        words = {self.e: []}
         queue = deque([self.e])
         while queue:
             x = queue.popleft()
             for i, g in enumerate(gens):
                 for s, y in ((1, self.table[x][g]), (-1, self.table[x][self._inv[g]])):
-                    if y not in seen:
-                        seen[y] = seen[x] + [(i, s)]
-                        if y == target:
-                            return seen[y]
+                    if y not in words:
+                        words[y] = words[x] + [(i, s)]
                         queue.append(y)
-        return None
+        return words
 
     # --- double cosets ---
 

@@ -258,13 +258,10 @@ def cmd_fcip(args):
         from random import Random
         from .words import wreduce
         rng = Random(args.seed)
-        offsets = [()]
-        for _ in range(24):
-            w = wreduce(tuple(rng.choice(
-                [i for i in range(1, G.rank + 1)] +
-                [-i for i in range(1, G.rank + 1)])
-                for _ in range(rng.randint(1, 4))))
-            offsets.append(w)
+        letters = [i for i in range(1, G.rank + 1)] + [-i for i in range(1, G.rank + 1)]
+        # with no letters the only offset is the empty word
+        offsets = [()] + [wreduce(tuple(rng.choice(letters) for _ in range(rng.randint(1, 4))))
+                          for _ in range(24 if letters else 0)]
     rep = fcip_bruteforce_sample(G, A, B, C, offsets, length_bound)
     lines = rep.lines()
     lines.append("VERDICT: sampled-evidence")

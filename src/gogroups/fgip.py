@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .backends import AbelianGroup, FreeGroup, Mono
 from .gog import GraphOfGroups
-from .graphs import Graph, einv, subgraph
+from .graphs import Graph, collapse, einv, subgraph
 from .words import cyclic_conjugate, format_word, primitive_root, wconj, winv
 
 
@@ -75,50 +75,14 @@ def reduce_decorated(d):
     """Collapse non-loop edges with an invertible half; index data composes
     multiplicatively across the removed vertex.
 
-    Each step collapses the first pair, in pair order, that is not a loop
-    and has a half of index 1: its vertex u on that side is merged into the
-    other end u2, and every half at u is re-homed to u2 with its index
-    multiplied by n0, the pair's index at u2.  Indices are positive or None
-    (infinite), so re-homing never makes an index 1 out of one that was not,
-    and a pair it turns into a loop stays one: a pair the scan passed over
-    never becomes collapsible, and one forward scan finds every step.
-
-    Re-homing is a union-find on vertices: u hangs under u2 with weight n0,
-    a half's current end is the root of its original vertex, and its current
-    index is its given index times the weights on the way to that root."""
-    g = d.graph
-    parent = list(range(g.nv))
-    weight = [1] * g.nv         # index factor from a vertex to its parent
-
-    def find(v):
-        """(root of v, product of the weights from v to it)."""
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        acc = 1
-        for x in reversed(path):
-            acc = _mul_index(weight[x], acc)
-            parent[x], weight[x] = v, acc
-        return v, acc
-
-    def ends(p):
-        (o, wo), (t, wt) = find(g.org[p]), find(g.tgt[p])
-        return o, t, _mul_index(d.idx_alpha[p], wo), _mul_index(d.idx_omega[p], wt)
-
-    keep_p = []
-    for p in range(g.n_pairs):
-        o, t, a, w = ends(p)
-        if o != t and a == 1:
-            parent[o], weight[o] = t, w
-        elif o != t and w == 1:
-            parent[t], weight[t] = o, a
-        else:
-            keep_p.append(p)
-    kept = [ends(p) for p in keep_p]
-    graph, _ = subgraph(g, [v for v in range(g.nv) if parent[v] == v],
-                        [(p, o, t) for p, (o, t, _, _) in zip(keep_p, kept)])
-    return DecoratedGraph(graph, [a for _, _, a, _ in kept], [w for _, _, _, w in kept])
+    graphs.collapse does the scan with the indices as labels: a half of
+    index 1 is a unit, and collapsing at it links its vertex to the pair's
+    other end u2 by n0, the pair's index at u2.  Indices are positive or
+    None (infinite), so multiplying never makes an index 1 out of one that
+    was not."""
+    graph, _, _, ends, _ = collapse(d.graph, list(zip(d.idx_alpha, d.idx_omega)),
+                                    lambda n: n == 1, _mul_index, lambda a, w: w)
+    return DecoratedGraph(graph, [a for a, _ in ends], [w for _, w in ends])
 
 
 def _fmt_half(n):

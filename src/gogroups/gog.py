@@ -18,7 +18,7 @@ reduced path is reduced: its pinch conditions mirror the original's.
 
 from __future__ import annotations
 
-from .graphs import core, core_at, einv, subgraph, validate_graph
+from .graphs import collapse, core, core_at, einv, validate_graph
 
 
 class GraphOfGroups:
@@ -242,58 +242,18 @@ def reduce_gog(A, basepoint):
     """Collapse non-reduced edges (non-loop with an invertible end map).
 
     Returns (reduced gog, transported basepoint).  The fundamental group is
-    unchanged; each collapse composes the surviving edges' end maps through
-    the inverted map.
-
-    Each step collapses the first directed edge, in edge order, that is not
-    a loop and whose alpha has image index 1: its origin u is merged into
-    its target u2, and every end at u is re-homed to u2 with its map
-    composed with through = omega . alpha^-1 : A_u -> A_u2.  through is
-    injective, so image indices only multiply, and an edge it turns into a
-    loop stays one: an edge the scan passed over never becomes collapsible,
-    and one forward scan finds every step (as in fgip.reduce_decorated).
-
-    Re-homing is a union-find on vertices: u hangs under u2 with the map
-    through, an end's current vertex is the root of its given one, and its
-    current map is its given map composed with the maps on the way to that
-    root.  Element arithmetic is canonical, so the order of composition
-    does not change any image.
+    unchanged.  graphs.collapse does the scan with the end maps as labels:
+    an end is a unit when its map's image has index 1, and collapsing at a
+    unit end alpha at u, whose pair's other end is omega at u2, links u to u2
+    by through = omega . alpha^-1 : A_u -> A_u2.  through is injective, so
+    image indices only multiply.  Element arithmetic is canonical, so the
+    order of composition does not change any image.
     """
-    g = A.graph
-    parent = list(range(g.nv))
-    link = [None] * g.nv        # map A_v -> A_parent[v]; None at a root
-
-    def find(v):
-        """(root of v, map from A_v to its group, None when v is the root)."""
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        acc = None
-        for x in reversed(path):
-            acc = link[x] if acc is None else acc.compose(link[x])
-            parent[x], link[x] = v, acc
-        return v, acc
-
-    def end(v, m):
-        """(current vertex, current map) of an end given at v with map m."""
-        r, f = find(v)
-        return r, (m if f is None else f.compose(m))
-
-    keep_p = []
-    for p in range(g.n_pairs):
-        (o, a), (t, w) = end(g.org[p], A.monos[p][0]), end(g.tgt[p], A.monos[p][1])
-        if o != t and a.index_of_image() == 1:        # half 2p: o into t
-            parent[o], link[o] = t, w.compose(a.inverse())
-        elif o != t and w.index_of_image() == 1:      # half 2p + 1: t into o
-            parent[t], link[t] = o, a.compose(w.inverse())
-        else:
-            keep_p.append(p)
-    if len(keep_p) == g.n_pairs:
+    graph, verts, pairs, ends, home = collapse(
+        A.graph, A.monos, lambda m: m.index_of_image() == 1, lambda f, m: f.compose(m),
+        lambda a, w: w.compose(a.inverse()))
+    if len(pairs) == A.graph.n_pairs:
         return A, basepoint
-    keep_v = [v for v in range(g.nv) if parent[v] == v]
-    kept = [end(g.org[p], A.monos[p][0]) + end(g.tgt[p], A.monos[p][1]) for p in keep_p]
-    graph, vmap = subgraph(g, keep_v, [(p, o, t) for p, (o, _, t, _) in zip(keep_p, kept)])
-    R = GraphOfGroups(graph, [A.vgroups[v] for v in keep_v],
-                      [A.egroups[p] for p in keep_p], [(a, w) for _, a, _, w in kept])
-    return R, vmap[find(basepoint)[0]]
+    return (GraphOfGroups(graph, [A.vgroups[v] for v in verts],
+                          [A.egroups[p] for p in pairs], ends),
+            home(basepoint))

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 
-from .backends import (AbelianGroup, FiniteGroup, FreeGroup, Mono,
-                       SubgroupBackend)
+from .backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
 from .fgip import DecoratedGraph
 from .gog import APath, GraphOfGroups, validate_gog
 from .graphs import Graph
-from .morphism import GoGMorphism
+from .morphism import morphism_of_handles
 
 
 class ParseError(ValueError):
@@ -226,8 +225,10 @@ def parse_morphism(data, target):
     g = target.graph
     tvid = {n: i for i, n in enumerate(g.vnames)}
     vnames = list(data["vertices"].keys())
+    if not vnames:
+        raise ParseError("a morphism needs a vertex")
     vid = {n: i for i, n in enumerate(vnames)}
-    vmap, vgroups, vmonos = [], [], []
+    vmap, vsubs = [], []
     for n in vnames:
         body = data["vertices"][n]
         if body["over"] not in tvid:
@@ -236,13 +237,9 @@ def parse_morphism(data, target):
         G = target.vgroups[u]
         gens = [G.parse(x) for x in as_list(body.get("subgroup", []),
                                             f"vertex {n!r}: 'subgroup'")]
-        handle = G.subgroup(gens)
-        SB = SubgroupBackend(G, handle)
         vmap.append(u)
-        vgroups.append(SB)
-        vmonos.append(Mono(SB, G, SB.generators()))
-    org, tgt, enames, egroups, monos = [], [], [], [], []
-    emap, emonos, twists = [], [], []
+        vsubs.append(G.subgroup(gens))
+    pairs, enames, emap, esubs, twists = [], [], [], [], []
     for ed in _edge_list(data):
         name = _edge_name(ed, f"f{len(enames)}")
         e = _edge_by_name(target, ed["over"])
@@ -252,24 +249,16 @@ def parse_morphism(data, target):
             raise ParseError(f"edge {name!r} does not respect incidence")
         Ge = target.egroup(e)
         gens = [Ge.parse(x) for x in as_list(ed.get("subgroup", []), f"{what}: 'subgroup'")]
-        handle = Ge.subgroup(gens)
-        SB = SubgroupBackend(Ge, handle)
         Gto, Gtt = target.vgroups[g.o(e)], target.vgroups[g.t(e)]
         ta = Gto.parse(ed["twists"]["alpha"]) if "twists" in ed else Gto.identity()
         tw = Gtt.parse(ed["twists"]["omega"]) if "twists" in ed else Gtt.identity()
-        alpha_m = Mono(SB, vgroups[o], target.alpha(e).twisted_images(ta, SB.generators()))
-        omega_m = Mono(SB, vgroups[t], target.omega(e).twisted_images(tw, SB.generators()))
-        org.append(o)
-        tgt.append(t)
+        pairs.append((o, t))
         enames.append(name)
-        egroups.append(SB)
-        monos.append((alpha_m, omega_m))
         emap.append(e)
-        emonos.append(Mono(SB, Ge, SB.generators()))
+        esubs.append(Ge.subgroup(gens))
         twists.append((ta, tw))
-    graph = Graph(len(vnames), list(zip(org, tgt)), vnames=vnames, enames=enames)
-    B = GraphOfGroups(graph, vgroups, egroups, monos)
-    m = GoGMorphism(B, target, vmap, emap, vmonos, emonos, twists)
+    graph = Graph(len(vnames), pairs, vnames=vnames, enames=enames)
+    m = morphism_of_handles(target, graph, vmap, vsubs, emap, esubs, twists)
     base = _vertex_id(vid, data["basepoint"], "basepoint") if "basepoint" in data else None
     return m, base
 

@@ -1,4 +1,4 @@
-"""Involutive directed graphs, paths and cores.
+"""Involutive directed graphs, paths, cores and elementary collapses.
 
 Edges are stored as orientation pairs: pair p contributes the directed edges
 2p (positive) and 2p+1 (its inverse), so inversion is a bit flip.  Vertex
@@ -182,6 +182,66 @@ def subgraph(g, verts, pairs):
                 vnames=[g.vnames[v] for v in verts],
                 enames=[g.enames[p] for p, _, _ in pairs])
     return sub, vmap
+
+
+def collapse(g, ends, unit, compose, through):
+    """Elementary collapses (Forester 2002) of every non-loop pair of g with
+    a unit end: that end's vertex is merged into the pair's other end.
+
+    ends[p] = (label at g.org[p], label at g.tgt[p]).  Merging u into u2
+    along a pair whose end at u is labelled a and whose other end is
+    labelled w hangs u under u2 with the link through(a, w); an end at u is
+    then re-homed to u2 with its label l replaced by compose(link, l).
+    compose must be associative and give a unit only from a unit label.
+
+    Each step collapses the first pair, in pair order, that is not a loop
+    and has a unit end, taking its origin end when both are.  Re-homing
+    never makes a unit end, and a pair it turns into a loop stays one, so a
+    pair the scan passed over never becomes collapsible and one forward
+    scan finds every step.
+
+    Re-homing is a union-find on vertices: an end's current vertex is the
+    root of its given one, and its current label is its given label
+    composed with the links on the way to that root; find hangs each vertex
+    on that way directly under the root, with the composed link.
+
+    Returns (graph, verts, pairs, ends, home): the graph on the roots and
+    the kept pairs, named as in g; the old ids of its vertices and pairs;
+    the kept pairs' current end labels; and home, where home(v) is the new
+    id of the vertex that v was merged into."""
+    parent = list(range(g.nv))
+    link = [None] * g.nv        # the link from v to parent[v]; None at a root
+
+    def find(v):
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        for i in range(len(path) - 2, -1, -1):
+            x = path[i]
+            parent[x], link[x] = v, compose(link[path[i + 1]], link[x])
+        return v
+
+    def end(v, label):
+        """(current vertex, current label) of an end given at v; find runs
+        first, so link[v] is the link to the root."""
+        if parent[v] == v:
+            return v, label
+        return find(v), compose(link[v], label)
+
+    keep = []
+    for p, (a, w) in enumerate(ends):
+        (o, a), (t, w) = end(g.org[p], a), end(g.tgt[p], w)
+        if o != t and unit(a):
+            parent[o], link[o] = t, through(a, w)
+        elif o != t and unit(w):
+            parent[t], link[t] = o, through(w, a)
+        else:
+            keep.append(p)
+    verts = [v for v in range(g.nv) if parent[v] == v]
+    kept = [end(g.org[p], ends[p][0]) + end(g.tgt[p], ends[p][1]) for p in keep]
+    graph, vmap = subgraph(g, verts, [(p, o, t) for p, (o, _, t, _) in zip(keep, kept)])
+    return graph, verts, keep, [(a, w) for _, a, _, w in kept], lambda v: vmap[find(v)]
 
 
 def _kept(g, keep_edges, extra_vertices=()):

@@ -45,6 +45,50 @@ class GoGMorphism:
         return self.emonos[p].image()
 
 
+def morphism_of_handles(A, graph, vmap, vsubs, emap, esubs, twists):
+    """The morphism into A whose source has underlying graph `graph`: vertex
+    v lies over A's vertex vmap[v] with the subgroup handle vsubs[v] of its
+    group, and pair p over A's directed edge emap[p] with the subgroup
+    handle esubs[p] of its edge group and the twists twists[p] = (ta, tw).
+
+    Each handle becomes a SubgroupBackend with its inclusion Mono, and the
+    edge maps of pair p send a generator s of its edge group to
+    ta alpha(s) ta^-1 and tw omega(s) tw^-1.  Vertices and edges holding the
+    same handle share one SubgroupBackend and one inclusion Mono, and edge
+    maps with equal domain, codomain and images share one Mono; the memos
+    are keyed by id and live for this call only, and are only looked up,
+    never iterated."""
+    backends, maps = {}, {}
+
+    def backend(G, sub):
+        """(SubgroupBackend of sub in G, its inclusion into G)."""
+        key = (id(G), id(sub))
+        got = backends.get(key)
+        if got is None:
+            S = SubgroupBackend(G, sub)
+            got = backends[key] = (S, Mono(S, G, S.generators()))
+        return got
+
+    def edge_map(dom, cod, images):
+        key = (id(dom), id(cod), tuple(images))
+        got = maps.get(key)
+        if got is None:
+            got = maps[key] = Mono(dom, cod, images)
+        return got
+
+    vparts = [backend(A.vgroups[u], sub) for u, sub in zip(vmap, vsubs)]
+    eparts = [backend(A.egroup(e), sub) for e, sub in zip(emap, esubs)]
+    vgroups = [S for S, _ in vparts]
+    monos = []
+    for p, (e, (E, _), (ta, tw)) in enumerate(zip(emap, eparts, twists)):
+        gens = E.generators()
+        monos.append((edge_map(E, vgroups[graph.org[p]], A.alpha(e).twisted_images(ta, gens)),
+                      edge_map(E, vgroups[graph.tgt[p]], A.omega(e).twisted_images(tw, gens))))
+    B = GraphOfGroups(graph, vgroups, [E for E, _ in eparts], monos)
+    return GoGMorphism(B, A, vmap, emap, [inc for _, inc in vparts],
+                       [inc for _, inc in eparts], twists)
+
+
 def validate_morphism(m):
     """Report-valued check of incidence, typing and twisted commutation."""
     violations = []
@@ -563,58 +607,19 @@ class _Builder:
                         changed = True
 
     def to_morphism(self):
-        """The morphism of the folded graph.  Vertices and edges holding the
-        same subgroup handle share one SubgroupBackend and one inclusion
-        Mono, and edge maps with equal domain, codomain and images share one
-        Mono; the memos are keyed by id and live for this call only, and
-        are only looked up, never iterated."""
-        A = self.A
-        backends, maps = {}, {}
-
-        def backend(G, sub):
-            """(SubgroupBackend of sub in G, its inclusion into G)."""
-            key = (id(G), id(sub))
-            got = backends.get(key)
-            if got is None:
-                S = SubgroupBackend(G, sub)
-                got = backends[key] = (S, Mono(S, G, S.generators()))
-            return got
-
-        def edge_map(dom, cod, images):
-            key = (id(dom), id(cod), tuple(images))
-            got = maps.get(key)
-            if got is None:
-                got = maps[key] = Mono(dom, cod, images)
-            return got
-
+        """(morphism_of_handles of the folded graph, new id of the base):
+        the live vertices b{v} and edges f{i}, named by builder id."""
         vids = [i for i, v in enumerate(self.verts) if v["alive"]]
         vmapping = {old: new for new, old in enumerate(vids)}
         eids = [i for i, d in enumerate(self.edges) if d["alive"]]
-        pairs = [(vmapping[self.edges[i]["src"]], vmapping[self.edges[i]["dst"]])
-                 for i in eids]
-        graph = Graph(len(vids), pairs,
-                      vnames=[f"b{v}" for v in vids],
-                      enames=[f"f{i}" for i in eids])
-        vmap = [self.verts[v]["img"] for v in vids]
-        emap = [self.edges[i]["img"] for i in eids]
-        vparts = [backend(A.vgroups[u], self.verts[v]["sub"]) for u, v in zip(vmap, vids)]
-        eparts = [backend(A.egroup(e), self.edges[i]["esub"]) for e, i in zip(emap, eids)]
-        vgroups = [S for S, _ in vparts]
-        egroups = [S for S, _ in eparts]
-        monos = []
-        for new_p, i in enumerate(eids):
-            d = self.edges[i]
-            e, E = d["img"], egroups[new_p]
-            gens = E.generators()
-            monos.append((edge_map(E, vgroups[vmapping[d["src"]]],
-                                   A.alpha(e).twisted_images(d["ta"], gens)),
-                          edge_map(E, vgroups[vmapping[d["dst"]]],
-                                   A.omega(e).twisted_images(d["tw"], gens))))
-        B = GraphOfGroups(graph, vgroups, egroups, monos)
-        twists = [(self.edges[i]["ta"], self.edges[i]["tw"]) for i in eids]
-        return (GoGMorphism(B, A, vmap, emap, [inc for _, inc in vparts],
-                            [inc for _, inc in eparts], twists),
-                vmapping[self.base])
+        verts = [self.verts[v] for v in vids]
+        edges = [self.edges[i] for i in eids]
+        graph = Graph(len(vids), [(vmapping[d["src"]], vmapping[d["dst"]]) for d in edges],
+                      vnames=[f"b{v}" for v in vids], enames=[f"f{i}" for i in eids])
+        m = morphism_of_handles(self.A, graph, [v["img"] for v in verts],
+                                [v["sub"] for v in verts], [d["img"] for d in edges],
+                                [d["esub"] for d in edges], [(d["ta"], d["tw"]) for d in edges])
+        return m, vmapping[self.base]
 
 
 def realize_subgroup(A, u0, generators, budget=2000):

@@ -83,6 +83,7 @@ def test_express_and_decompose():
     gens = G.generators()
     for x in range(6):
         word = G.decompose(x)
+        assert G.express(x, gens) == word     # one breadth-first word table
         acc = G.identity()
         for i, e in word:
             g = gens[i] if e > 0 else G.inv(gens[i])

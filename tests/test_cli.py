@@ -233,6 +233,16 @@ def test_fcip_length_bound_is_honoured(tmp_path, capsys):
     assert capsys.readouterr().out == outs[2]
 
 
+def test_fcip_sample_over_the_free_group_of_rank_zero(tmp_path, capsys):
+    # no letters to draw offsets from: the only offset is the empty word
+    req = {"kind": "sample", "group": {"free": 0}, "A": [], "B": [], "C": []}
+    assert main(["fcip", write(tmp_path, "req.json", req)]) == 0
+    drawn = capsys.readouterr()
+    assert drawn.err == ""
+    assert main(["fcip", write(tmp_path, "given.json", dict(req, offsets=[""]))]) == 0
+    assert drawn.out == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("cmd", ["immersion-check", "intersect"])
 def test_null_immersion_file_is_an_input_error(tmp_path, capsys, cmd):
     gog = write(tmp_path, "nofgip.json", NOFGIP)
@@ -299,6 +309,18 @@ def test_gog_without_vertices_is_an_input_error(tmp_path, capsys, cmd):
     path = write(tmp_path, "empty.json", {"vertices": {}, "edges": []})
     assert main([cmd, path]) == 3
     assert "needs a vertex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["immersion-check", "pullback", "intersect"])
+def test_morphism_without_vertices_is_an_input_error(tmp_path, capsys, cmd):
+    rose2 = os.path.join(SAMPLES, "rose2.json")
+    path = write(tmp_path, "empty.json", {"vertices": {}, "edges": []})
+    argv = [cmd, rose2, path] + ([os.path.join(SAMPLES, "rose2_sub_H.json")]
+                                 if cmd != "immersion-check" else [])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a morphism needs a vertex" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_generators_over_the_folding_budget_are_an_input_error(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """CLI robustness: mutated input files never crash the command line.
 
-hypothesis mutates one JSON document (a sample file or an fcip request) by
-dropping, retyping or renaming fields, or by pointing an edge end at an
-unknown vertex, and runs every subcommand that reads that document.  The
-documented contract holds for every input: exit 0/1/2 for a verdict, exit 3
-with an `error:` line for an input error, and never a traceback.
+hypothesis mutates one JSON document (a sample file, a morphism file or an
+fcip request) by dropping, retyping or renaming fields, or by pointing an
+edge end at an unknown vertex, and runs every subcommand that reads that
+document.  The documented contract holds for every input: exit 0/1/2 for a
+verdict, exit 3 with an `error:` line for an input error, and never a
+traceback.
 """
 
 from __future__ import annotations
@@ -22,9 +23,15 @@ from gogroups.cli import main
 
 from test_golden import FCIP_REQUESTS, SAMPLES, _path
 
-# sample gogs with the immersion files that are read against them
-IMMERSIONS = {"rose2": ["rose2_sub_H", "rose2_sub_K"],
-              "zsquared_hnn": ["zsquared_hnn_sub_C", "zsquared_hnn_sub_B"]}
+# gogs with the immersion files that are read against them: generator lists
+# and the morphism files of tests/test_golden.py.  A mutated gog is read with
+# its first two, and a mutated immersion is paired with its gog's first
+IMMERSIONS = {"rose2": ["rose2_sub_H", "rose2_sub_K", "inputs/rose2_sub_H.morphism"],
+              "zsquared_hnn": ["zsquared_hnn_sub_C", "zsquared_hnn_sub_B",
+                               "inputs/zsquared_hnn_sub_C.morphism"],
+              "inputs/modular": ["inputs/modular_sub_P", "inputs/modular_sub_P.morphism"],
+              "double_f2_squares": ["inputs/double_f2_squares_sub_P",
+                                    "inputs/double_f2_squares_sub_P.morphism"]}
 SINGLE_FILE = [["validate"], ["reduce"], ["core"], ["core", "--at", "u"],
                ["decide-fgip"], ["w-construct"], ["export-dot"], ["fcip"]]
 BUDGET = ["--budget", "6"]
@@ -39,6 +46,7 @@ DOCS = {name: _load(name) for name in
         sorted(f[:-len(".json")] for f in os.listdir(SAMPLES) if f.endswith(".json"))}
 DOCS.update({f"fcip-{kind}": req for kind, req in FCIP_REQUESTS.items()})
 GOG_OF = {imm: gog for gog, imms in IMMERSIONS.items() for imm in imms}
+DOCS.update({imm: _load(imm) for imm in GOG_OF if imm.endswith(".morphism")})
 
 JUNK = [None, True, 0, -1, 2, 2.5, "", "x", "u", "inf", [], [0], [1, 0], [[1, 0]],
         ["e"], {}, {"Z": True}, {"free": 2}, {"trivial": True}]
@@ -94,7 +102,7 @@ def _argvs(name, path):
     """Every command line that reads the document `name`, with it at path."""
     out = [cmd[:1] + [path] + cmd[1:] for cmd in SINGLE_FILE]
     if name in IMMERSIONS:
-        first, second = (_path(n) for n in IMMERSIONS[name])
+        first, second = (_path(n) for n in IMMERSIONS[name][:2])
         out.append(["immersion-check", path, first])
         for cmd in ("pullback", "intersect"):
             out.append([cmd, path, first, second] + BUDGET)

@@ -3,16 +3,19 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gogroups import gogio
 from gogroups.backends import AbelianGroup, FreeGroup, Mono
 from gogroups.fgip import (DecoratedGraph, FgipVerdict, decide_components,
                            decide_fgip_free_cyclic, decide_fgip_gbs,
                            decide_fgip_vz, extract_decoration, fgip_certify,
                            reduce_decorated, w_construction)
-from gogroups.gog import GraphOfGroups, validate_gog
+from gogroups.gog import GraphOfGroups, reduce_gog, validate_gog
 from gogroups.graphs import Graph
 from gogroups.library import (bs_gog, free_double_gog, free_hnn_gog,
                               free_product_of_finite_gog, klein_amalgam_gog,
                               nofgip_gog, segment_z_gog)
+
+from test_linear_passes import multiplier
 
 
 def deco(pairs, halves, nv=None):
@@ -62,6 +65,34 @@ def test_reduce_decorated_multiplicative_composition():
     r2 = reduce_decorated(d2)
     assert r2.graph.nv == 1 and r2.graph.n_pairs == 1
     assert r2.halves(0) == (3, 6)
+
+
+@st.composite
+def gbs_gogs(draw):
+    """Graph-of-groups files over Z only (GBS data), loops and multi-edges
+    included; the Z-only case of test_linear_passes.z_and_z2_gogs."""
+    nv = draw(st.integers(1, 7))
+    vertex = st.integers(0, nv - 1)
+    edges = [{"name": f"e{i}", "from": f"v{o}", "to": f"v{t}", "group": {"Z": True},
+              "alpha": [draw(multiplier)], "omega": [draw(multiplier)]}
+             for i, (o, t) in enumerate(draw(st.lists(st.tuples(vertex, vertex), max_size=10)))]
+    return {"vertices": {f"v{i}": {"Z": True} for i in range(nv)},
+            "edges": edges, "basepoint": f"v{draw(vertex)}"}
+
+
+def decoration_data(d):
+    g = d.graph
+    return g.nv, g.org, g.tgt, g.vnames, g.enames, d.idx_alpha, d.idx_omega
+
+
+@settings(max_examples=200, deadline=None)
+@given(gbs_gogs())
+def test_reduce_gog_and_reduce_decorated_agree(data):
+    # the two reductions collapse the same pairs in the same order: the
+    # decoration of the reduced gog is the reduced decoration
+    A, base = gogio.parse_gog(data)
+    assert decoration_data(extract_decoration(reduce_gog(A, base)[0])) == \
+        decoration_data(reduce_decorated(extract_decoration(A)))
 
 
 def test_subdivision_invariance():

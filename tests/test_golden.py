@@ -4,7 +4,9 @@ Every subcommand runs on every sample it applies to, plus a few extra
 inputs under tests/golden/inputs/: immersions whose folding takes many
 merges, and a graph of groups that reduce collapses.
 Stdout, the exit code and the `pullback --out/--dot` artifacts are compared
-byte for byte with the files stored under tests/golden/.
+byte for byte with the files stored under tests/golden/.  The immersions
+given as generator lists are read once more from morphism files, against
+the same stored files.
 
 Regenerate the stored files, only when an output change is intended, with
 
@@ -158,6 +160,34 @@ def test_golden(name, argv, suffixes, tmp_path):
     assert stdout == _read(os.path.join(GOLDEN, name + ".txt"))
     for s, text in artifacts.items():
         assert text == _read(os.path.join(GOLDEN, f"{name}.{s}"))
+
+
+# inputs/<name>.morphism.json is the serialize_morphism output of the
+# immersion that folding realizes from the generator list <name>, with its
+# basepoint.  Read as a morphism file in place of the generator list, it
+# gives the generator list's golden reports: immersion-check, and pullback
+# and intersect on every pair that reads the generator list.
+MORPHISM_FILES = ["rose2_sub_H", "zsquared_hnn_sub_C", "inputs/modular_sub_P",
+                  "inputs/double_f2_squares_sub_P"]
+
+
+def _as_morphism(arg):
+    """arg, or the morphism file of the generator list at path arg."""
+    for name in MORPHISM_FILES:
+        if arg == _path(name):
+            return os.path.join(INPUTS, os.path.basename(name) + ".morphism.json")
+    return arg
+
+
+MORPHISM_CASES = [(name, morphism_argv, suffixes) for name, argv, suffixes in CASES
+                  for morphism_argv in [[_as_morphism(a) for a in argv]]
+                  if morphism_argv != argv]
+
+
+@pytest.mark.parametrize("name,argv,suffixes", MORPHISM_CASES,
+                         ids=[c[0] for c in MORPHISM_CASES])
+def test_morphism_file_reads_like_its_generators(name, argv, suffixes, tmp_path):
+    test_golden(name, argv, suffixes, tmp_path)
 
 
 # Long-path pins: at budget 128 the anchors of the zsquared pair are long
