@@ -201,11 +201,10 @@ def cmd_pullback(args):
 
 def cmd_intersect(args):
     frag = _load_product(args)
-    gens, exact = frag.intersection_generators()
-    lines = []
-    for i, p in enumerate(gens):
-        lines.append(f"generator {i}: {p!r}")
-    lines.append(f"flag: {'exact' if exact else 'lower-bound'}")
+    _emit(f"generator {i}: {text}"
+          for i, text in enumerate(frag.intersection_generator_texts()))
+    exact = frag.complete
+    lines = [f"flag: {'exact' if exact else 'lower-bound'}"]
     ray = frag.ray_certificate()
     if ray:
         lines.append(f"ray-certificate: {ray['verdict']}")

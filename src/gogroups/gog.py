@@ -12,8 +12,8 @@ vertex they know, through the unchecked _apath.  Britton reduction of a
 concatenation p . q of reduced paths p and q starts at the seam and stops
 there (reduce_concat): the positions before it only see p, those after it
 only q, and neither has a pinch.  The pullback's q is always reduced, a
-single-edge step or an inverted reduced anchor, because the inverse of a
-reduced path is reduced: its pinch conditions mirror the original's.
+path of at most one edge or an inverted reduced anchor, because the inverse
+of a reduced path is reduced: its pinch conditions mirror the original's.
 """
 
 from __future__ import annotations
@@ -208,7 +208,8 @@ def reduce_concat(p, q):
     after it only those of q (Britton 1963; the same fact is behind the
     A-path foldings of Kapovich-Weidmann-Miasnikov 2005).  So the scan
     starts at position len(p) - 1 and stops at the seam.  Every caller's q
-    is reduced: a single-edge step, or the inverse of a reduced anchor.
+    is reduced: a path of at most one edge, or the inverse of a reduced
+    anchor.
     (e, a, e^-1) with a in omega_e(E) reads backwards as (e, a^-1, e^-1)
     with a^-1 in the same image, so an inverse pinches only where its path
     does.  For any p and a reduced q, reduce_concat(reduce_apath(p), q) is

@@ -242,6 +242,8 @@ def parse_morphism(data, target):
     pairs, enames, emap, esubs, twists = [], [], [], [], []
     for ed in _edge_list(data):
         name = _edge_name(ed, f"f{len(enames)}")
+        if name in enames:
+            raise ParseError(f"duplicate edge name {name!r}")
         e = _edge_by_name(target, ed["over"])
         what = f"edge {name!r}"
         o, t = _vertex_id(vid, ed["from"], what), _vertex_id(vid, ed["to"], what)

@@ -19,9 +19,17 @@ in one pass in vertex order: each vertex's anchor is its tree parent's,
 pushed across the tree edge with the recorded factors absorbed, and the
 first side's inverses are built alongside from the same crossing.  The
 defining invariant (anchor1 . witness . anchor2^-1 = component label) makes
-intersection generators fall out of the spanning tree.  Each anchor extends
-its tree parent's, which is reduced, so it is reduced from the seam on
-(gog.reduce_concat), as are the generator paths built from anchors.
+intersection generators fall out of the spanning tree: each is
+anchor1(src) . middle . anchor1(dst)^-1, its middle a vertex-group element
+or a non-tree edge's crossing.  Each anchor extends its tree parent's,
+which is reduced, so it is reduced from the seam on (gog.reduce_concat), as
+are the generator paths built from anchors.  The generators' text
+(intersection_generator_texts, what intersect prints) is made without the
+paths: the text of every anchor but its last element, and of its inverse
+but its first, is its tree parent's plus one junction element and edge,
+each token rendered once, and a generator's line joins them around its
+middle.  Only a generator whose seam pinches is built as a path and
+rendered.
 
 The fragment keeps, for its lifetime, every piece of work that does not
 depend on a witness: the double-coset handles per vertex pair and per edge
@@ -160,12 +168,13 @@ class AProductFragment:
                               apath_inverse(a2))
                 for x, a1, a2 in zip(self.vertices, anchors1, anchors2)]
 
-    def _anchors(self, first):
+    def _anchors(self, first, inverses=True):
         """(anchors, inverses): anchor1 (first) or anchor2 of every vertex,
         in vertex order, and on the first side anchor1^-1 of every vertex
-        (None on the second).  Every vertex but the base one is created by
-        its tree edge out of an earlier vertex, so its parent's anchor is
-        built before it, and each tree edge is crossed once.
+        unless inverses is false (None on the second side, or when not
+        asked).  Every vertex but the base one is created by its tree edge
+        out of an earlier vertex, so its parent's anchor is built before
+        it, and each tree edge is crossed once.
 
         anchor(dst) = anchor(src) . crossing of the tree edge, reduced from
         the seam.  anchor(dst)^-1 = crossing^-1 . anchor(src)^-1, reduced
@@ -177,14 +186,14 @@ class AProductFragment:
         u = self.m1.vmap[self.vertices[0].v]
         bc, cc = self.base_factors
         anchors = [APath(self.A, u, [bc if first else self.A.vgroups[u].inv(cc)], [])]
-        inverses = [apath_inverse(anchors[0])] if first else None
+        invs = [apath_inverse(anchors[0])] if first and inverses else None
         for x in self.vertices[1:]:
             h = self.edges[x.tree_edge]
             crossing = self._crossing(h, first)
             anchors.append(reduce_concat(anchors[h.src], crossing))
-            if first:
-                inverses.append(reduce_concat(apath_inverse(crossing), inverses[h.src]))
-        return anchors, inverses
+            if invs:
+                invs.append(reduce_concat(apath_inverse(crossing), invs[h.src]))
+        return anchors, invs
 
     def _crossing(self, h, first):
         """The one-edge A-path carrying anchor1 (first) or anchor2 across edge
@@ -297,32 +306,82 @@ class AProductFragment:
 
     # --- reports ---
 
+    def _generator_pieces(self):
+        """(src, middle, dst) of every intersection generator, in order: the
+        generator is anchor1(src) . middle . anchor1(dst)^-1, reduced at both
+        seams.  First the vertex-group generators, vertex by vertex, each a
+        one-element middle at src = dst; then one per non-tree edge, its
+        crossing."""
+        for i, x in enumerate(self.vertices):
+            u = self.m1.vmap[x.v]
+            Au = self.A.vgroups[u]
+            for d in self.vertex_group(i).gens:
+                if Au.eq(d, Au.identity()):
+                    continue
+                b_elt = Au.mul(Au.mul(x.witness, d), Au.inv(x.witness))
+                yield i, APath(self.A, u, [b_elt], []), i
+        for h in self.edges:
+            if not h.tree:
+                yield h.src, self._crossing(h, True), h.dst
+
     def intersection_generators(self):
         """(list of closed A-paths at the base image, exactness flag).
 
         Spanning-tree circuits for non-tree edges plus vertex-group
         generators conjugated by the anchors; exact when the fragment is
         complete, a lower bound otherwise."""
-        gens = []
         anchors, inverses = self._anchors(True)
-        for i, x in enumerate(self.vertices):
-            u = self.m1.vmap[x.v]
-            Au = self.A.vgroups[u]
-            D = self.vertex_group(i)
-            for d in D.gens:
-                if Au.eq(d, Au.identity()):
-                    continue
-                b_elt = Au.mul(Au.mul(x.witness, d), Au.inv(x.witness))
-                gens.append(reduce_concat(apath_concat(anchors[i], APath(self.A, u, [b_elt], [])),
-                                          inverses[i]))
-        for h in self.edges:
-            if h.tree:
-                continue
-            # anchor1(src) . crossing . anchor1(dst)^-1, reduced seam by
-            # seam: the same path as one scan (reduce_concat)
-            gens.append(reduce_concat(reduce_concat(anchors[h.src], self._crossing(h, True)),
-                                      inverses[h.dst]))
+        # reduced seam by seam: the same path as one scan (reduce_concat)
+        gens = [reduce_concat(reduce_concat(anchors[s], mid), inverses[d])
+                for s, mid, d in self._generator_pieces()]
         return gens, self.complete
+
+    def intersection_generator_texts(self):
+        """repr of each path of intersection_generators(), in its order, one
+        at a time, without building the paths.
+
+        head[i] is the text of anchor1(i) up to its last element, tail[i]
+        that of its inverse from its first element on; both are built from
+        the tree parent's, each token rendered once per call.  A generator
+        is head[src] + middle + tail[dst], its end elements multiplied into
+        the middle's, unless a seam pinches, as reduce_concat decides it:
+        then its path is built and rendered."""
+        A = self.A
+        vgroups, name = A.vgroups, A.graph.edge_name
+        tok = _tokens(vgroups)
+        anchors, _ = self._anchors(True, inverses=False)
+        heads, tails = [""], [""]
+        for x, a in zip(self.vertices[1:], anchors[1:]):
+            src = self.edges[x.tree_edge].src
+            if len(a.edges) == len(anchors[src].edges) + 1:
+                e = a.edges[-1]
+                v = A.graph.o(e)
+                heads.append(heads[src] + tok(v, a.elems[-2]) + ", " + name(e) + ", ")
+                tails.append(", " + name(einv(e)) + ", " + tok(v, a.elems[-2], True) + tails[src])
+            else:   # the anchor's own seam pinched
+                head, tail = _path_texts(a, tok)
+                heads.append(head)
+                tails.append(tail)
+        for s, mid, d in self._generator_pieces():
+            a1, a2 = anchors[s], anchors[d]
+            G, G2 = vgroups[mid.base], vgroups[mid.end]
+            elems = list(mid.elems)
+            elems[0] = G.mul(a1.elems[-1], elems[0])
+            elems[-1] = G2.mul(elems[-1], G2.inv(a2.elems[-1]))
+            # the edges on both sides of each element of the middle
+            around = ([a1.edges[-1] if a1.edges else None] + mid.edges
+                      + [einv(a2.edges[-1]) if a2.edges else None])
+            if any(e is not None and f == einv(e)
+                   and A.omega(e).image().contains(elems[k])
+                   for k, (e, f) in enumerate(zip(around, around[1:]))):
+                yield repr(reduce_concat(reduce_concat(a1, mid), apath_inverse(a2)))
+                continue
+            middle, v = [], mid.base
+            for k, e in enumerate(mid.edges):
+                middle += (tok(v, elems[k]), name(e))
+                v = A.graph.t(e)
+            middle.append(tok(v, elems[-1]))
+            yield "APath[" + heads[s] + ", ".join(middle) + tails[d] + "]"
 
     def ray_certificate(self, min_periods=3):
         """Detect the periodic strictly-ascending ray pattern on an
@@ -471,6 +530,34 @@ class AProductFragment:
             lines.append(f"  {h['from'][1:]} -> {h['to'][1:]};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _tokens(vgroups):
+    """tok(v, x, inverted=False): the text of x, or of x^-1, in vgroups[v]
+    as APath.__repr__ renders it, each rendered once."""
+    memo = {}
+
+    def tok(v, x, inverted=False):
+        s = memo.get((v, x, inverted))
+        if s is None:
+            G = vgroups[v]
+            s = memo[(v, x, inverted)] = repr(G.serialize(G.inv(x) if inverted else x))
+        return s
+    return tok
+
+
+def _path_texts(p, tok):
+    """(text of p up to its last element, text of p^-1 from its first
+    element on), with tok(v, x, inverted) the text of x or x^-1 in A_v."""
+    t, name = p.gog.graph.t, p.gog.graph.edge_name
+    head, tail = [], []
+    v = p.base
+    for x, e in zip(p.elems, p.edges):
+        head += (tok(v, x), ", ", name(e), ", ")
+        tail += (tok(v, x, True), ", ", name(einv(e)), ", ")
+        v = t(e)
+    tail.reverse()
+    return "".join(head), "".join(tail)
 
 
 def build_product(m1, m2, budget=64, v0=None, w0=None):

@@ -323,6 +323,22 @@ def test_morphism_without_vertices_is_an_input_error(tmp_path, capsys, cmd):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("cmd", ["immersion-check", "pullback", "intersect"])
+def test_repeated_morphism_edge_name_is_an_input_error(tmp_path, capsys, cmd):
+    # a report names source edges, so two edges named f0 could not be told apart
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden", "inputs", "rose2_sub_H.morphism.json")) as fh:
+        bad = json.load(fh)
+    bad["edges"][1]["name"] = "f0"
+    argv = [cmd, os.path.join(SAMPLES, "rose2.json"), write(tmp_path, "bad.json", bad)]
+    if cmd != "immersion-check":
+        argv.append(os.path.join(SAMPLES, "rose2_sub_K.json"))
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cannot read immersion from " \
+        f"{argv[2]}: duplicate edge name 'f0'\n"
+
+
 def test_generators_over_the_folding_budget_are_an_input_error(tmp_path, capsys):
     # a loop beside a 2002-edge cycle folds the cycle one merge at a time,
     # past realize_subgroup's budget of 2000 steps

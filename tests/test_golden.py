@@ -224,6 +224,21 @@ def test_long_path_pins(cmd, tmp_path):
     assert got == LONG_PINS[cmd]
 
 
+# At budget 512 the zsquared pair's generators run 512 edges deep.  sha256 of
+# intersect's stdout, generated by the code that rendered every generator
+# path token by token; regenerate() leaves it alone.
+DEEP_INTERSECT_PIN = (512, "751cc9a1a33842a215cf7bb739c6feff3f85a9261f89a9999d4a6cf3e3857655")
+
+
+def test_deep_intersect_pin(tmp_path):
+    g, first, second, _ = LONG_PAIR
+    budget, pin = DEEP_INTERSECT_PIN
+    code, stdout, _ = run_case(["intersect", _path(g), _path(first), _path(second),
+                                "--budget", str(budget)], (), str(tmp_path))
+    assert code == 0
+    assert _sha256(stdout) == pin
+
+
 def regenerate():
     codes = {}
     for name, argv, suffixes in CASES:

@@ -8,12 +8,13 @@ from gogroups.backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
 from gogroups.backends.base import UnsupportedExpansion, evaluate_word
 from gogroups.cli import main
 from gogroups.gog import (APath, GraphOfGroups, apath_concat, apath_inverse,
-                          reduce_apath)
+                          reduce_apath, reduce_concat)
 from gogroups.graphs import Graph, einv
 from gogroups.library import (bs_gog, nofgip_gog, rose_gog, segment_z_gog,
                               word_apath)
 from gogroups.morphism import is_immersion, realize_subgroup
-from gogroups.pullback import AProductFragment, ProductEdge, build_product
+from gogroups.pullback import (AProductFragment, ProductEdge, _path_texts, _tokens,
+                               build_product)
 from gogroups.words import parse_word, winv, wmul, wreduce
 from test_double_cosets import counting
 from test_gog import apaths_equal
@@ -464,6 +465,46 @@ def test_anchors_are_the_reduced_tree_chains(family, seed):
 def test_anchors_are_the_reduced_tree_chains_on_the_golden_and_modular_pairs():
     for frag in golden_and_modular_products():
         check_anchors_reduce_their_chains(frag)
+
+
+def check_generator_texts(frag):
+    """The text route renders intersection_generators() line for line;
+    returns how many generators have a seam that pinches."""
+    gens, _ = frag.intersection_generators()
+    anchors, _ = frag._anchors(True)
+    pieces = list(frag._generator_pieces())
+    assert len(pieces) == len(gens)
+    assert list(frag.intersection_generator_texts()) == [repr(p) for p in gens]
+    return sum(len(p) != len(anchors[s]) + len(mid) + len(anchors[d])
+               for p, (s, mid, d) in zip(gens, pieces))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.integers(0, len(DEDUP_FAMILIES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_generator_texts_render_the_generators(family, seed):
+    m1, m2, budget = random_immersions(DEDUP_FAMILIES[family], seed)
+    pinched = check_generator_texts(build_product(m1, m2, budget=budget))
+    event("a generator seam pinches" if pinched else "no generator seam pinches")
+
+
+def test_generator_texts_on_the_golden_and_modular_pairs():
+    for frag in golden_and_modular_products():
+        check_generator_texts(frag)
+
+
+def test_path_texts_of_a_pinched_anchor():
+    # an anchor whose own seam pinched is rendered from its path: in
+    # BS(1, 2) the seam element 4 of (1, e, 3, e, 0) . (4, e^-1, 1) lies
+    # in omega_e's image 2Z
+    A = bs_gog(1, 2)
+    p = APath(A, 0, [(1,), (3,), (0,)], [0, 0])
+    r = reduce_concat(p, APath(A, 0, [(4,), (1,)], [1]))
+    assert len(r) == 1
+    tok = _tokens(A.vgroups)
+    head, tail = _path_texts(r, tok)
+    assert "APath[" + head + tok(r.end, r.elems[-1]) + "]" == repr(r)
+    assert "APath[" + tok(r.end, r.elems[-1], True) + tail + "]" == repr(apath_inverse(r))
+    assert _path_texts(p, tok) == ("1, e, 3, e, ", ", e^-1, -3, e^-1, -1")
 
 
 def zsq_product_at_256():
