@@ -14,7 +14,9 @@ H, K subgroup handles):
   G.decompose(x)               word [(gen_index, exponent), ...] over generators()
   G.subgroup(gens) / G.trivial_subgroup() / G.full_subgroup()
   G.express(target, gens)      constructive membership: word over `gens`
-                               (list of signed 1-based indices) or None
+                               as (index, exponent) pairs, or None (the
+                               finite backend's express and decompose hand
+                               out words it keeps: never mutate a word)
   G.double_cosets(H, K[, S])   handle on H\\G/K (keeping .H and .K), kept by its
                                caller (no backend keeps one): canon(g), a
                                witness of H g K (not canonical over free

@@ -31,6 +31,9 @@ class FiniteSubgroup:
         return self.group.order() // len(self.elts)
 
     def index_in(self, sup):
+        """[sup : self]; raises ValueError when self is not a subgroup of sup."""
+        if not self.elts <= sup.elts:
+            raise ValueError("not a subgroup of the given supergroup")
         return len(sup.elts) // len(self.elts)
 
     def intersect(self, other):
@@ -47,6 +50,8 @@ class FiniteSubgroup:
         return self.group.subgroup(sorted(self.elts | other.elts))
 
     def conjugate(self, g):
+        if len(self.elts) == 1:
+            return self
         G = self.group
         gi = G.inv(g)
         elts = frozenset([G.mul(G.mul(gi, x), g) for x in self.elts])
@@ -58,7 +63,7 @@ class FiniteSubgroup:
         return self.elts == other.elts
 
     def decompose(self, x):
-        word = self.group.express(x, list(self.gens))
+        word = self.group.express(x, self.gens)
         if word is None:
             raise ValueError("element not in subgroup")
         return word
@@ -69,15 +74,17 @@ class FiniteSubgroup:
 
 class FiniteDoubleCosets:
     """H\\S/K for subgroups H, K of S (all of G when S is None), by running
-    through H x K on each query; nothing is computed up front.  canon()
-    remembers its answer for each element it was asked about, so the memo
-    holds at most |G| entries and lives as long as the handle."""
+    through H x K on each query.  canon() remembers its answer for each
+    element it was asked about (at most |G| entries), and reps() is listed
+    once, on its first call, and kept as a frozenset; both memos live as
+    long as the handle."""
 
-    __slots__ = ("group", "H", "K", "S", "memo")
+    __slots__ = ("group", "H", "K", "S", "memo", "_reps")
 
     def __init__(self, group, H, K, S=None):
         self.group, self.H, self.K, self.S = group, H, K, S
         self.memo = {}
+        self._reps = None
 
     def canon(self, g):
         c = self.memo.get(g)
@@ -105,8 +112,10 @@ class FiniteDoubleCosets:
 
     def reps(self):
         """The canon() values of the double cosets inside S."""
-        elts = range(self.group.n) if self.S is None else self.S.elts
-        return {self.canon(g) for g in elts}
+        if self._reps is None:
+            elts = range(self.group.n) if self.S is None else self.S.elts
+            self._reps = frozenset([self.canon(g) for g in elts])
+        return self._reps
 
     def edge_fan(self, alpha, edge_dc, f_a, g_a):
         return FiniteEdgeFan(self, alpha, edge_dc, f_a, g_a)
@@ -148,8 +157,8 @@ class FiniteGroup:
                     self._inv[a] = b
         if any(v is None for v in self._inv):
             raise ValueError("table has non-invertible elements")
-        self._gens = self._greedy_generators()
-        self._words = None
+        self._gens = tuple(self._greedy_generators())
+        self._tables = {}
 
     @classmethod
     def trivial(cls):
@@ -227,9 +236,7 @@ class FiniteGroup:
         return list(self._gens)
 
     def decompose(self, x):
-        if self._words is None:
-            self._words = self._words_over(self._gens)
-        return self._words[x]
+        return (self._tables.get(self._gens) or self._words_over(self._gens))[x]
 
     def serialize(self, x):
         return x
@@ -253,19 +260,28 @@ class FiniteGroup:
         return self.subgroup(self._gens)
 
     def express(self, target, gens):
-        """BFS word over `gens` as (index, exponent) pairs, or None."""
+        """BFS word over `gens` as (index, exponent) pairs, or None, read
+        off the table of tuple(gens): built on the first call for that list
+        and kept for the group's lifetime, one table of at most |G| words
+        per list asked about, shared with decompose, so a caller must not
+        mutate a word."""
         return self._words_over(gens).get(target)
 
     def _words_over(self, gens):
         """Each element of <gens> with its first word in a breadth-first
         search from the identity, as (index, exponent) pairs: the letters
         of a word are tried in the order gens[0], gens[0]^-1, gens[1], ...,
-        so the word is a shortest one, and the least in that order."""
-        words = {self.e: []}
+        so the word is a shortest one, and the least in that order.  Built
+        once per tuple(gens) and kept in _tables."""
+        key = tuple(gens)
+        words = self._tables.get(key)
+        if words is not None:
+            return words
+        words = self._tables[key] = {self.e: []}
         queue = deque([self.e])
         while queue:
             x = queue.popleft()
-            for i, g in enumerate(gens):
+            for i, g in enumerate(key):
                 for s, y in ((1, self.table[x][g]), (-1, self.table[x][self._inv[g]])):
                     if y not in words:
                         words[y] = words[x] + [(i, s)]

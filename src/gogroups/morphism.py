@@ -55,10 +55,12 @@ def morphism_of_handles(A, graph, vmap, vsubs, emap, esubs, twists):
     edge maps of pair p send a generator s of its edge group to
     ta alpha(s) ta^-1 and tw omega(s) tw^-1.  Vertices and edges holding the
     same handle share one SubgroupBackend and one inclusion Mono, and edge
-    maps with equal domain, codomain and images share one Mono; the memos
-    are keyed by id and live for this call only, and are only looked up,
-    never iterated."""
-    backends, maps = {}, {}
+    maps with equal domain, codomain and images share one Mono.  An edge
+    group without generators has no images to twist: pairs holding the same
+    such handle between the same endpoint backends share one (alpha, omega)
+    pair of Monos, made once.  The memos are keyed by id and live for this
+    call only, and are only looked up, never iterated."""
+    backends, maps, trivial = {}, {}, {}
 
     def backend(G, sub):
         """(SubgroupBackend of sub in G, its inclusion into G)."""
@@ -81,9 +83,17 @@ def morphism_of_handles(A, graph, vmap, vsubs, emap, esubs, twists):
     vgroups = [S for S, _ in vparts]
     monos = []
     for p, (e, (E, _), (ta, tw)) in enumerate(zip(emap, eparts, twists)):
-        gens = E.generators()
-        monos.append((edge_map(E, vgroups[graph.org[p]], A.alpha(e).twisted_images(ta, gens)),
-                      edge_map(E, vgroups[graph.tgt[p]], A.omega(e).twisted_images(tw, gens))))
+        Vo, Vt = vgroups[graph.org[p]], vgroups[graph.tgt[p]]
+        gens = E.handle.gens
+        if gens:
+            pair = (edge_map(E, Vo, A.alpha(e).twisted_images(ta, gens)),
+                    edge_map(E, Vt, A.omega(e).twisted_images(tw, gens)))
+        else:
+            key = (id(E), id(Vo), id(Vt))
+            pair = trivial.get(key)
+            if pair is None:
+                pair = trivial[key] = (edge_map(E, Vo, []), edge_map(E, Vt, []))
+        monos.append(pair)
     B = GraphOfGroups(graph, vgroups, [E for E, _ in eparts], monos)
     return GoGMorphism(B, A, vmap, emap, [inc for _, inc in vparts],
                        [inc for _, inc in eparts], twists)
