@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 
-from ..intlattice import Lattice, LinSolver, lin_solve, preimage_lattice
+from ..intlattice import Lattice, LinSolver, preimage_lattice
 from ..words import primitive_root, winv
 from .base import FiniteEdgeFan, UnsupportedExpansion, evaluate_word
 
@@ -197,6 +197,7 @@ class AbelianGroup:
         self.torsion = torsion
         self.n = rank + len(torsion)
         self.L0, self.FULL = _standard_lattices(rank, tuple(torsion))
+        self._solvers = {}      # tuple(gens) -> LinSolver over gens + L0, for express
 
     @classmethod
     def Z(cls):
@@ -282,8 +283,12 @@ class AbelianGroup:
     def express(self, target, gens):
         if not gens:
             return [] if not any(target) else None
-        rows = [list(g) for g in gens] + [list(r) for r in self.L0.rows]
-        sol = lin_solve(rows, list(target))
+        key = tuple(gens)
+        solver = self._solvers.get(key)
+        if solver is None:
+            solver = self._solvers[key] = LinSolver(
+                [list(g) for g in gens] + [list(r) for r in self.L0.rows])
+        sol = solver.solve(target)
         if sol is None:
             return None
         return [(i, sol[i]) for i in range(len(gens)) if sol[i]]
@@ -303,8 +308,7 @@ class AbelianGroup:
         one primitive root r (up to inverting r), so there they sit in Z by
         their exponents m."""
         if codomain.kind != "free":
-            L0 = codomain.L0 if hasattr(codomain, "L0") else codomain.ambient.L0
-            return [list(img) for img in images], L0
+            return [list(img) for img in images], getattr(codomain, "ambient", codomain).L0
         root, exps = None, []
         for w in images:
             if not w:
@@ -317,15 +321,24 @@ class AbelianGroup:
             exps.append([m if r == root else -m])
         return exps, Lattice(1)
 
-    def mono_injective(self, images, codomain):
+    def mono_injective(self, images, codomain, image):
         """The relations among the images are exactly those of the
-        generators (L0): the map is then well-defined and injective."""
+        generators (L0): the map is then well-defined and injective.
+        Without torsion into an abelian codomain with relation lattice L0c,
+        the stacked rows [images; L0c] have a left kernel of dimension
+        n + rank(L0c) - rank, and projecting it onto its first n
+        coordinates (the relations among the images) is injective, since
+        L0c's rows are independent: the map is injective exactly when the
+        image lattice has rank n + rank(L0c)."""
+        if not self.torsion and codomain.kind == "abelian":
+            L0c = getattr(codomain, "ambient", codomain).L0
+            return image().lat.rank == self.n + L0c.rank
         coords = self._image_coords(images, codomain)
         if coords is None:
             return False
         return preimage_lattice(coords[0], self.n, coords[1]) == self.L0
 
-    def sub_mono_injective(self, handle, images, codomain):
+    def sub_mono_injective(self, handle, images, codomain, image):
         # Relations among the images (in coefficient space) must match the
         # relations among the domain generators exactly: the mono is then
         # well-defined and injective.

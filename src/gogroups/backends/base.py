@@ -39,6 +39,13 @@ H, K subgroup handles):
                                every backend lists the fan of a finite edge
                                group with FiniteEdgeFan
   G.serialize(x) / G.parse(obj)
+  G.mono_injective(images, codomain, image)
+                               whether the map sending generators() to images
+                               is injective; image() returns the Mono's kept
+                               handle codomain.subgroup(images), built only if
+                               the test reads it (SubgroupBackend forwards to
+                               its ambient's sub_mono_injective(handle, images,
+                               codomain, image))
 
 Subgroup handles expose: .group, .gens, contains, is_trivial, order, index
 ([G:H], None when infinite), index_in(sup), intersect, join, conjugate,
@@ -87,11 +94,18 @@ def evaluate_word(backend, items, word):
     return acc
 
 
+_UNKNOWN = object()      # index_of_image() not yet computed (None is infinite)
+
+
 class Mono:
     """A homomorphism given by images of the domain's generators().
 
     Injectivity is a property checked on demand; the class itself does not
-    promise it (validators do).
+    promise it (validators do).  The image handle, is_injective() and
+    index_of_image() are each computed at most once, and the backend's
+    injectivity test reads the kept image handle.  A composite of two
+    injective Monos is injective, and inverse() is injective with index 1:
+    those facts are set without a backend call.
     """
 
     def __init__(self, domain, codomain, images):
@@ -104,6 +118,8 @@ class Mono:
         self.codomain = codomain
         self.images = list(images)
         self._image_handle = None
+        self._injective = None
+        self._index = _UNKNOWN
 
     def apply(self, x):
         return evaluate_word(self.codomain, self.images, self.domain.decompose(x))
@@ -120,13 +136,18 @@ class Mono:
         return self._image_handle
 
     def is_injective(self):
-        return self.domain.mono_injective(self.images, self.codomain)
+        if self._injective is None:
+            self._injective = self.domain.mono_injective(self.images, self.codomain, self.image)
+        return self._injective
 
     def index_of_image(self):
-        """Index of the image in the codomain group."""
-        if isinstance(self.codomain, SubgroupBackend):
-            return self.image().index_in(self.codomain.handle)
-        return self.image().index()
+        """Index of the image in the codomain group (None when infinite)."""
+        if self._index is _UNKNOWN:
+            if isinstance(self.codomain, SubgroupBackend):
+                self._index = self.image().index_in(self.codomain.handle)
+            else:
+                self._index = self.image().index()
+        return self._index
 
     def is_iso(self):
         return self.is_injective() and self.index_of_image() == 1
@@ -148,12 +169,17 @@ class Mono:
     def inverse(self):
         if not self.is_iso():
             raise ValueError("not an isomorphism")
-        return Mono(self.codomain, self.domain,
-                    [self.preimage_elt(g) for g in self.codomain.generators()])
+        inv = Mono(self.codomain, self.domain,
+                   [self.preimage_elt(g) for g in self.codomain.generators()])
+        inv._injective, inv._index = True, 1
+        return inv
 
     def compose(self, inner):
         """self o inner."""
-        return Mono(inner.domain, self.codomain, [self.apply(x) for x in inner.images])
+        m = Mono(inner.domain, self.codomain, [self.apply(x) for x in inner.images])
+        if self._injective and inner._injective:
+            m._injective = True
+        return m
 
     def apply_subgroup(self, handle):
         return self.codomain.subgroup([self.apply(g) for g in handle.gens])
@@ -223,8 +249,8 @@ class SubgroupBackend:
         x = self.ambient.parse(obj)
         return x
 
-    def mono_injective(self, images, codomain):
-        return self.ambient.sub_mono_injective(self.handle, images, codomain)
+    def mono_injective(self, images, codomain, image):
+        return self.ambient.sub_mono_injective(self.handle, images, codomain, image)
 
     def describe(self):
         return f"subgroup of {self.ambient.describe()} on {len(self.handle.gens)} generators"

@@ -295,10 +295,8 @@ class FiniteGroup:
 
     # --- mono support ---
 
-    def mono_injective(self, images, codomain):
-        img = codomain.subgroup(images)
-        return img.order() == self.n
+    def mono_injective(self, images, codomain, image):
+        return image().order() == self.n
 
-    def sub_mono_injective(self, handle, images, codomain):
-        img = codomain.subgroup(images)
-        return img.order() == handle.order()
+    def sub_mono_injective(self, handle, images, codomain, image):
+        return image().order() == handle.order()

@@ -576,20 +576,19 @@ class FreeGroup:
 
     # --- mono support ---
 
-    def mono_injective(self, images, codomain):
-        return self._free_rank_injective(self.rank, images, codomain)
+    def mono_injective(self, images, codomain, image):
+        return self._free_rank_injective(self.rank, codomain, image)
 
-    def sub_mono_injective(self, handle, images, codomain):
-        return self._free_rank_injective(len(handle.gens), images, codomain)
+    def sub_mono_injective(self, handle, images, codomain, image):
+        return self._free_rank_injective(len(handle.gens), codomain, image)
 
     @staticmethod
-    def _free_rank_injective(k, images, codomain):
-        """Whether the map from a free group of rank k (its basis to images)
-        is injective.  In a free codomain the images must have rank k.
-        Elsewhere (abelian or finite) a rank >= 2 domain is never injective,
-        being non-abelian, and a rank-1 domain is injective iff its image
-        has infinite order."""
-        image = codomain.subgroup(images)
+    def _free_rank_injective(k, codomain, image):
+        """Whether the map from a free group of rank k (its basis to the
+        generators of image()) is injective.  In a free codomain the image
+        must have rank k.  Elsewhere (abelian or finite) a rank >= 2 domain
+        is never injective, being non-abelian, and a rank-1 domain is
+        injective iff its image has infinite order."""
         if codomain.kind == "free":
-            return image.rank() == k
-        return k == 0 or (k == 1 and image.order() is None)
+            return image().rank() == k
+        return k == 0 or (k == 1 and image().order() is None)

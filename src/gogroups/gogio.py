@@ -95,12 +95,19 @@ def _edge_list(data):
     return edges
 
 
-def _edge_name(ed, default):
-    """An edge's `name`, `default` when absent; a name is a string."""
-    name = ed.get("name", default)
-    if not isinstance(name, str):
-        raise ParseError(f"an edge name must be a string, got {name!r}")
-    return name
+def _named_edges(edges, prefix):
+    """(name, edge) for each edge, checked as it is reached: a name is a
+    string, prefix + position when absent, and no two edges share one,
+    since reports and certificates name edges."""
+    seen = set()
+    for i, ed in enumerate(edges):
+        name = ed.get("name", f"{prefix}{i}")
+        if not isinstance(name, str):
+            raise ParseError(f"an edge name must be a string, got {name!r}")
+        if name in seen:
+            raise ParseError(f"duplicate edge name {name!r}")
+        seen.add(name)
+        yield name, ed
 
 
 def _index(x, what):
@@ -136,10 +143,7 @@ def parse_gog(data):
         raise ParseError("duplicate vertex names")
     vgroups = [parse_group_spec(data["vertices"][n]) for n in vnames]
     org, tgt, enames, egroups, monos = [], [], [], [], []
-    for ed in _edge_list(data):
-        name = _edge_name(ed, f"e{len(enames)}")
-        if name in enames:
-            raise ParseError(f"duplicate edge name {name!r}")
+    for name, ed in _named_edges(_edge_list(data), "e"):
         what = f"edge {name!r}"
         o, t = _vertex_id(vid, ed["from"], what), _vertex_id(vid, ed["to"], what)
         Ge = parse_group_spec(ed["group"])
@@ -196,8 +200,7 @@ def parse_decorated(data):
     if len(vid) != len(vnames):
         raise ParseError("duplicate vertex names")
     pairs, ia, io_, enames = [], [], [], []
-    for ed in _edge_list(data):
-        name = _edge_name(ed, f"e{len(enames)}")
+    for name, ed in _named_edges(_edge_list(data), "e"):
         what = f"edge {name!r}"
         pairs.append((_vertex_id(vid, ed["from"], what), _vertex_id(vid, ed["to"], what)))
         a, o = ed["indices"]
@@ -240,10 +243,7 @@ def parse_morphism(data, target):
         vmap.append(u)
         vsubs.append(G.subgroup(gens))
     pairs, enames, emap, esubs, twists = [], [], [], [], []
-    for ed in _edge_list(data):
-        name = _edge_name(ed, f"f{len(enames)}")
-        if name in enames:
-            raise ParseError(f"duplicate edge name {name!r}")
+    for name, ed in _named_edges(_edge_list(data), "f"):
         e = _edge_by_name(target, ed["over"])
         what = f"edge {name!r}"
         o, t = _vertex_id(vid, ed["from"], what), _vertex_id(vid, ed["to"], what)

@@ -141,11 +141,6 @@ class LinSolver:
         return None if any(t) else x
 
 
-def lin_solve(rows, target):
-    """One integer solution x with sum_i x[i]*rows[i] == target, or None."""
-    return LinSolver(rows).solve(target)
-
-
 def kernel(rows, n=None):
     """Basis of the left kernel: integer x with x . rows == 0."""
     if not rows:

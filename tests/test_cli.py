@@ -62,6 +62,18 @@ def test_validate_rejects_bad_map(tmp_path, capsys):
     assert "not-injective" in err
 
 
+@pytest.mark.parametrize("cmd", ["validate", "core", "reduce"])
+def test_torsion_edge_map_into_z_x_z2_is_not_injective(capsys, cmd):
+    # Z -> Z x Z/2 by (0, 1) has image of order 2; by (2, 1), in
+    # golden/inputs/zz2_vertex.json, it is injective
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs",
+                        "zz2_vertex_not_injective.json")
+    assert main([cmd, path]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: cannot read graph of groups from {path}: "
+                                 "invalid graph of groups: ('alpha-not-injective', 'a')\n")
+
+
 @pytest.mark.parametrize("cmd", ["validate", "core", "reduce", "decide-fgip",
                                  "w-construct", "export-dot"])
 def test_edge_without_target_is_an_input_error(tmp_path, capsys, cmd):
@@ -285,6 +297,19 @@ def test_repeated_decorated_vertex_is_an_input_error(tmp_path, capsys):
     assert main(["decide-fgip", write(tmp_path, "bad.json", bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "duplicate vertex names" in err
+
+
+def test_repeated_decorated_edge_name_is_an_input_error(tmp_path, capsys):
+    # two (2, 2) edges named t were decided "no" with the certificate
+    # "adjacent-2-2-edges at v (t,t)", which cannot tell them apart
+    bad = {"decorated": True, "vertices": ["u", "v", "w"],
+           "edges": [{"name": "t", "from": "u", "to": "v", "indices": [2, 2]},
+                     {"name": "t", "from": "v", "to": "w", "indices": [2, 2]}]}
+    path = write(tmp_path, "bad.json", bad)
+    assert main(["decide-fgip", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == \
+        f"error: cannot read graph of groups from {path}: duplicate edge name 't'\n"
 
 
 @pytest.mark.parametrize("index", [0, -1, 2.5, "2", True, None])

@@ -35,10 +35,14 @@ INPUTS = os.path.join(GOLDEN, "inputs")
 # inputs/gbs_collapse is a graph of groups that reduce changes: a unit chain
 # from the root u, leaves with non-unit multipliers and a loop.
 # inputs/gbs_pendant has pendant edges and a pendant chain, onto at their
-# far ends, that core and core --at u prune around two circuits at u
+# far ends, that core and core --at u prune around two circuits at u.
+# inputs/zz2_vertex has a Z x Z/2 vertex u with Z edge maps by (1, 0) and
+# (2, 1): reduce collapses the Z vertex v into u along a unit end, and v's
+# other edge, by 3, reaches u by (6, 1)
 GOGS = ["bs_1_2", "bs_2_3", "double_f2_cubes", "double_f2_squares",
         "klein_amalgam", "rose2", "zsquared_hnn", "inputs/gbs_collapse",
-        "inputs/gbs_pendant"]
+        "inputs/gbs_pendant", "inputs/zz2_vertex"]
+REDUCE_OUT = ["inputs/gbs_collapse", "inputs/zz2_vertex"]
 # decide-fgip on decorated graphs; inputs/decorated_components reduces to
 # five components, interleaved in vertex order, with five different verdicts
 DECORATED = ["decorated_two_loops", "inputs/decorated_components"]
@@ -92,8 +96,9 @@ def cases():
         for cmd in ("validate", "reduce", "core", "decide-fgip", "export-dot"):
             out.append((f"{cmd}.{_label(g)}", [cmd, _path(g)], ()))
         out.append((f"core-at-u.{_label(g)}", ["core", _path(g), "--at", "u"], ()))
-    out.append(("reduce-out.gbs_collapse",
-                ["reduce", _path("inputs/gbs_collapse"), "--out", "{out}"], ("out.json",)))
+    for g in REDUCE_OUT:
+        out.append((f"reduce-out.{_label(g)}", ["reduce", _path(g), "--out", "{out}"],
+                    ("out.json",)))
     for g in FREE_GOGS:
         out.append((f"w-construct.{g}", ["w-construct", _path(g)], ()))
     for d in DECORATED:

@@ -4,8 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gogroups.intlattice import (Lattice, LinSolver, hnf, kernel, lin_solve,
-                                 preimage_lattice, xgcd)
+from gogroups.intlattice import Lattice, LinSolver, hnf, kernel, preimage_lattice, xgcd
 
 
 def brute_lattice_members(rows, n, box=6):
@@ -63,14 +62,15 @@ def test_lin_solve():
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         coeffs = [rng.randint(-3, 3) for _ in range(m)]
         target = [sum(c * rows[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
-        sol = lin_solve(rows, target)
+        sol = LinSolver(rows).solve(target)
         assert sol is not None
         assert [sum(s * rows[i][j] for i, s in enumerate(sol)) for j in range(n)] == target
 
 
 def test_lin_solve_unsolvable():
-    assert lin_solve([[2, 0]], [1, 0]) is None
-    assert lin_solve([[2, 0]], [0, 1]) is None
+    solver = LinSolver([[2, 0]])
+    assert solver.solve([1, 0]) is None
+    assert solver.solve([0, 1]) is None
 
 
 def _one_shot_lin_solve(rows, target):
@@ -121,7 +121,6 @@ def test_lin_solver_matches_one_shot_lin_solve(case):
     for t in targets:
         want = _one_shot_lin_solve([r[:] for r in rows], t)
         assert solver.solve(t) == want
-        assert lin_solve([r[:] for r in rows], t) == want
 
 
 @settings(deadline=None, max_examples=300)
@@ -130,8 +129,9 @@ def test_lattice_solve_matches_lin_solve_over_its_rows(case):
     rows, targets = case
     n = len(targets[0])
     L = Lattice(n, rows)
+    solver = LinSolver([list(r) for r in L.rows])
     for t in targets:
-        want = lin_solve([list(r) for r in L.rows], t)
+        want = solver.solve(t)
         assert L.solve(t) == want == _one_shot_lin_solve([list(r) for r in L.rows], t)
 
 
