@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
 
 from . import gogio
@@ -115,7 +115,7 @@ def _write_optional(path, payload):
     if not path:
         return
     if not isinstance(payload, str):
-        payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = gogio.dumps(payload) + "\n"
     try:
         with open(path, "w") as fh:
             fh.write(payload)
@@ -185,6 +185,8 @@ def cmd_immersion_check(args):
 
 
 def cmd_pullback(args):
+    if args.out and args.dot and os.path.realpath(args.out) == os.path.realpath(args.dot):
+        raise CliError(f"--out and --dot name the same file {args.out}")
     frag = _load_product(args)
     report = frag.to_json()
     lines = frag.dump(report).splitlines()

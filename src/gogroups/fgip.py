@@ -16,30 +16,45 @@ resulting graph of Z groups is decided componentwise by the same test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .backends import AbelianGroup, FreeGroup, Mono
 from .gog import GraphOfGroups
 from .graphs import Graph, collapse, einv, subgraph
 from .words import cyclic_conjugate, format_word, primitive_root, wconj, winv
 
 
-@dataclass
 class DecoratedGraph:
     """Underlying graph plus per-half indices of the edge group images."""
-    graph: Graph
-    idx_alpha: list      # per pair: index at the origin side
-    idx_omega: list      # per pair: index at the target side
+    __slots__ = ("graph", "idx_alpha", "idx_omega")
+
+    def __init__(self, graph, idx_alpha, idx_omega):
+        self.graph = graph
+        self.idx_alpha = idx_alpha   # per pair: index at the origin side
+        self.idx_omega = idx_omega   # per pair: index at the target side
 
     def halves(self, p):
         return (self.idx_alpha[p], self.idx_omega[p])
 
 
-@dataclass
 class FgipVerdict:
-    answer: str                 # "yes" | "no" | "unknown"
-    certificate: str
-    components: list = field(default_factory=list)
+    """A verdict with its certificate and, for a graph decided component by
+    component, each component's certificate; equal when all three are."""
+    __slots__ = ("answer", "certificate", "components")
+
+    def __init__(self, answer, certificate, components=None):
+        self.answer = answer             # "yes" | "no" | "unknown"
+        self.certificate = certificate
+        self.components = [] if components is None else components
+
+    def _key(self):
+        return (self.answer, self.certificate, self.components)
+
+    def __eq__(self, other):
+        if type(other) is not FgipVerdict:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return "FgipVerdict(answer=%r, certificate=%r, components=%r)" % self._key()
 
     def lines(self):
         out = [f"certificate: {self.certificate}"]

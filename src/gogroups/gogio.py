@@ -21,6 +21,7 @@ groups to its index data; indices are positive integers or "inf".
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .backends import AbelianGroup, FiniteGroup, FreeGroup, Mono
 from .fgip import DecoratedGraph
@@ -317,3 +318,49 @@ def parse_apath(data, A, base):
 def load(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def dumps(obj):
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for dicts
+    with string keys, lists, tuples, strings, ints, bools and None; any other
+    type raises TypeError.  With an indent json.dumps runs its pure-Python
+    encoder; this one pass glues each separator to the token after it, so it
+    keeps one string per token."""
+    out = []
+    _dump(obj, "", "\n", out)
+    return "".join(out)
+
+
+def _dump(x, pre, nl, out):
+    """Append the tokens of x to out, pre glued to its first, nl the newline
+    and indent of the line x starts on."""
+    if isinstance(x, str):
+        out.append(pre + _quote(x))
+    elif x is None or x is True or x is False:
+        out.append(pre + ("null" if x is None else "true" if x else "false"))
+    elif isinstance(x, int):
+        out.append(pre + int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append(pre + "{}")
+            return
+        inner = nl + "  "
+        sep = pre + "{" + inner
+        for k in sorted(x):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            _dump(x[k], sep + _quote(k) + ": ", inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append(pre + "[]")
+            return
+        inner = nl + "  "
+        sep = pre + "[" + inner
+        for v in x:
+            _dump(v, sep, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

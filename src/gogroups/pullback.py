@@ -12,11 +12,14 @@ one is created by an edge out of an earlier vertex, so every vertex is in
 it, and completeness is the exactness of its intersection generators.
 
 Every vertex but the base one records the tree edge that created it, out
-of an earlier vertex, and every edge records the double-coset factors of its
-transport.  A report that needs anchor paths into the two factors
-(component_labels, intersection_generators) builds them from these records
-in one pass in vertex order: each vertex's anchor is its tree parent's,
-pushed across the tree edge with the recorded factors absorbed, and the
+of an earlier vertex, and every edge records its transports into its two
+end vertices' groups.  Their double-coset factors are computed on first
+request and kept on the edge (edge_factors): only the anchors and the ray
+certificate's window read them, so a report that needs neither, such as
+to_json, never pays for them.  A report that needs anchor paths into the
+two factors (component_labels, intersection_generators) builds them from
+these records in one pass in vertex order: each vertex's anchor is its tree
+parent's, pushed across the tree edge with its factors absorbed, and the
 first side's inverses are built alongside from the same crossing.  The
 defining invariant (anchor1 . witness . anchor2^-1 = component label) makes
 intersection generators fall out of the spanning tree: each is
@@ -73,14 +76,17 @@ class ProductVertex:
 
 
 class ProductEdge:
-    """A product edge and its transport record: rep moves the source witness
-    to o_raw = bc0 . witness(src) . cc0 in A_o(e) and to
-    t_raw = bc1 . witness(dst) . cc1 in A_t(e).  (f, g, src, witness) and
-    (f^-1, g^-1, dst, witness) are its dedup keys, one per end."""
+    """A product edge and its transport record: o_raw = f_alpha alpha(rep)
+    g_alpha^-1 in A_o(e) lies in the double coset of witness(src), and t_raw,
+    the same with omega in A_t(e), in that of witness(dst).  factors is None
+    until edge_factors asks for it, then (bc0, cc0, bc1, cc1) with
+    o_raw = bc0 . witness(src) . cc0 and t_raw = bc1 . witness(dst) . cc1.
+    (f, g, src, witness) and (f^-1, g^-1, dst, witness) are its dedup keys,
+    one per end."""
     __slots__ = ("f", "g", "rep", "witness", "src", "dst", "tree",
-                 "bc0", "cc0", "bc1", "cc1")
+                 "o_raw", "t_raw", "factors")
 
-    def __init__(self, f, g, rep, witness, src, dst, tree, bc0, cc0, bc1, cc1):
+    def __init__(self, f, g, rep, witness, src, dst, tree, o_raw, t_raw):
         self.f = f
         self.g = g
         self.rep = rep          # edge fan representative in the edge group
@@ -88,8 +94,8 @@ class ProductEdge:
         self.src = src
         self.dst = dst
         self.tree = tree
-        self.bc0, self.cc0 = bc0, cc0
-        self.bc1, self.cc1 = bc1, cc1
+        self.o_raw, self.t_raw = o_raw, t_raw
+        self.factors = None
 
 
 class AProductFragment:
@@ -159,6 +165,17 @@ class AProductFragment:
             E = self.edge_groups[eidx] = self._edge_dc(h.f, h.g).meet(h.rep)
         return E
 
+    def edge_factors(self, h):
+        """(bc0, cc0, bc1, cc1) of edge h, factored by its end vertices'
+        handles (made when the ends were interned) on first request and kept
+        on the edge."""
+        fs = h.factors
+        if fs is None:
+            x, y, dcs = self.vertices[h.src], self.vertices[h.dst], self.vertex_dcs
+            fs = h.factors = (dcs[x.v, x.w].factor(x.witness, h.o_raw)
+                              + dcs[y.v, y.w].factor(y.witness, h.t_raw))
+        return fs
+
     def component_labels(self):
         """Witness A-path of every vertex's component double coset B g C, in
         vertex order: anchor1 . witness . anchor2^-1."""
@@ -203,8 +220,9 @@ class AProductFragment:
         e = self.m1.edge_image(h.f)
         u, u2 = A.graph.o(e), A.graph.t(e)
         Au, Au2 = A.vgroups[u], A.vgroups[u2]
-        m, f, pre, post = ((self.m1, h.f, Au.inv(h.bc0), h.bc1) if first else
-                           (self.m2, h.g, h.cc0, Au2.inv(h.cc1)))
+        bc0, cc0, bc1, cc1 = self.edge_factors(h)
+        m, f, pre, post = ((self.m1, h.f, Au.inv(bc0), bc1) if first else
+                           (self.m2, h.g, cc0, Au2.inv(cc1)))
         return APath(A, u, [Au.mul(pre, m.twist_alpha(f)),
                             Au2.mul(Au2.inv(m.twist_omega(f)), post)], [e])
 
@@ -288,21 +306,15 @@ class AProductFragment:
         ewitness = self._edge_dc(f, g).canon(rep)
         if (f, g, idx, ewitness) in self.edge_keys:
             return
-        x = self.vertices[idx]
         if raw is None:
             raw = self._transport(f, g, e, rep, 0)
-        bc0, cc0 = self._vertex_dc(x.v, x.w).factor(x.witness, raw)
         t_raw = self._transport(f, g, e, rep, 1)
-        v2 = self.m1.source.graph.t(f)
-        w2 = self.m2.source.graph.t(g)
-        dst, created = self._intern(v2, w2, t_raw)
-        bc1, cc1 = self._vertex_dc(v2, w2).factor(self.vertices[dst].witness, t_raw)
+        dst, created = self._intern(self.m1.source.graph.t(f), self.m2.source.graph.t(g), t_raw)
         self.edge_keys.add((f, g, idx, ewitness))
         self.edge_keys.add((einv(f), einv(g), dst, ewitness))
         if created:
             self.vertices[dst].tree_edge = len(self.edges)
-        self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created,
-                                      bc0, cc0, bc1, cc1))
+        self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created, raw, t_raw))
 
     # --- reports ---
 
@@ -445,15 +457,16 @@ class AProductFragment:
         """([D_src : alpha-transport of D_h], [D_dst : omega-transport]).
 
         The transport conjugates the image of D_h by the twist and the
-        recorded factor: c alpha(D_h) c^-1 with c = cc0 . g_alpha, and
+        edge's factor: c alpha(D_h) c^-1 with c = cc0 . g_alpha, and
         likewise at the target with cc1 . g_omega."""
         A = self.A
         h = self.edges[eidx]
         e = self.m1.edge_image(h.f)
         Eh = self.edge_group(eidx)
         Au, Au2 = A.vgroups[A.graph.o(e)], A.vgroups[A.graph.t(e)]
-        c0 = Au.mul(h.cc0, self.m2.twist_alpha(h.g))
-        c1 = Au2.mul(h.cc1, self.m2.twist_omega(h.g))
+        _, cc0, _, cc1 = self.edge_factors(h)
+        c0 = Au.mul(cc0, self.m2.twist_alpha(h.g))
+        c1 = Au2.mul(cc1, self.m2.twist_omega(h.g))
         tr_a = A.alpha(e).apply_subgroup(Eh).conjugate(Au.inv(c0))
         a_idx = tr_a.index_in(self.vertex_group(h.src))
         tr_w = A.omega(e).apply_subgroup(Eh).conjugate(Au2.inv(c1))

@@ -1,8 +1,11 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gogroups import cli, gogio
 from gogroups.cli import main
@@ -752,6 +755,53 @@ def test_unwritable_output_path_is_an_input_error(argv, target, tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_pullback_out_and_dot_at_one_path_is_an_input_error(spelling, tmp_path, capsys):
+    # the DOT was written and then overwritten by the JSON, at exit 0
+    path = str(tmp_path / "x")
+    other = path if spelling == "same" else os.path.join(str(tmp_path), ".", "x")
+    assert main(["pullback", *ZSQ, "--budget", "2", "--out", path, "--dot", other]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --out and --dot name the same file {path}\n"
+    assert not os.path.exists(path)
+
+
+_json_text = st.one_of(st.text(), st.text(
+    alphabet='"\\/\x00\x08\x1f\x7f\n\t\u00e9\u20ac\U0001f600\ud800'))
+_json_data = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**300, 2**300), _json_text),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_json_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_data)
+def test_dumps_is_json_dumps_with_indent_and_sorted_keys(x):
+    assert gogio.dumps(x) == json.dumps(x, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("x", [1.5, {"a": [0.0]}, set(), [1, {2}], {1: 2}],
+                         ids=["float", "nested-float", "set", "nested-set", "int-key"])
+def test_dumps_refuses_other_types(x):
+    with pytest.raises(TypeError):
+        gogio.dumps(x)
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # fgip's two dataclasses pulled in dataclasses and inspect, about a
+    # tenth of the uncached import every CLI call pays
+    src = os.path.join(os.path.dirname(SAMPLES), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, gogroups.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("cmd", ["pullback", "intersect"])

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from gogroups import cli, intlattice
 from gogroups.backends import (AbelianGroup, FiniteGroup, FreeGroup, StallingsAutomaton,
                                SubgroupBackend)
-from gogroups.backends import rational
+from gogroups.backends import abelian, rational
 from gogroups.morphism import is_covering
 from gogroups.pullback import build_product
 from gogroups.words import wmul, winv, wreduce
@@ -324,6 +324,28 @@ def test_one_lattice_sum_per_vertex_pair_and_edge_pair():
         frag = build_product(m1, m2, 256, b1, b2)
     assert len(frag.vertices) > 256
     assert len(calls) <= 2
+
+
+def test_edge_factors_are_made_on_first_request():
+    # the product's edges keep their transports: building it, its JSON and
+    # its ray certificate factor only the base witness and the certificate's
+    # three-edge window at both ends (factoring every edge while building
+    # made 513 calls at budget 256); the intersection generators then
+    # factor every edge once, at both ends
+    A, base = cli._load_gog(sample("zsquared_hnn"))
+    m1, b1 = cli._load_immersion(sample("zsquared_hnn_sub_C"), A, base)
+    m2, b2 = cli._load_immersion(sample("zsquared_hnn_sub_B"), A, base)
+    with counting(abelian.AbelianDoubleCosets, "factor") as calls:
+        frag = build_product(m1, m2, 256, b1, b2)
+        frag.to_json()
+        assert frag.ray_certificate() is not None
+        handles = list(frag.vertex_dcs.values())
+
+        def vertex_calls():
+            return sum(any(c[0] is h for h in handles) for c in calls)
+        assert vertex_calls() <= 7
+        frag.intersection_generators()
+        assert vertex_calls() == 2 * len(frag.edges) + 1 == 513
 
 
 def test_coset_automata_built_once_per_owner():

@@ -252,11 +252,14 @@ class FullKeyFragment(AProductFragment):
 
     def _solve_edges(self, x, f, g, e):
         dc = self._vertex_dc(x.v, x.w)
-        return [(rep, dc.factor(x.witness, self._transport(f, g, e, rep, 0)))
-                for rep, _ in super()._solve_edges(x, f, g, e)]
+        sols = []
+        for rep, _ in super()._solve_edges(x, f, g, e):
+            o_raw = self._transport(f, g, e, rep, 0)
+            sols.append((rep, (o_raw, *dc.factor(x.witness, o_raw))))
+        return sols
 
     def _add_edge(self, idx, f, g, e, rep, factors):
-        bc0, cc0 = factors
+        o_raw, bc0, cc0 = factors
         ewitness = self._edge_dc(f, g).canon(rep)
         t_raw = self._transport(f, g, e, rep, 1)
         v2 = self.m1.source.graph.t(f)
@@ -269,8 +272,9 @@ class FullKeyFragment(AProductFragment):
         if created:
             self.vertices[dst].tree_edge = len(self.edges)
         bc1, cc1 = self._vertex_dc(v2, w2).factor(self.vertices[dst].witness, t_raw)
-        self.edges.append(ProductEdge(f, g, rep, ewitness, idx, dst, created,
-                                      bc0, cc0, bc1, cc1))
+        h = ProductEdge(f, g, rep, ewitness, idx, dst, created, o_raw, t_raw)
+        h.factors = (bc0, cc0, bc1, cc1)
+        self.edges.append(h)
 
     def _edge_key(self, f, g, src, dst, witness):
         a = (f, g, src, dst)
@@ -280,7 +284,7 @@ class FullKeyFragment(AProductFragment):
 
 def product_records(frag):
     return ([(x.v, x.w, x.witness, x.tree_edge) for x in frag.vertices],
-            [(h.src, h.dst, h.f, h.g, h.rep, h.witness, h.bc0, h.cc0, h.bc1, h.cc1, h.tree)
+            [(h.src, h.dst, h.f, h.g, h.rep, h.witness, *frag.edge_factors(h), h.tree)
              for h in frag.edges],
             frag.complete, frag.unexpandable, list(frag.frontier))
 
@@ -640,8 +644,9 @@ def test_incidence_witness_independence():
 
 
 def test_transport_record_rebuilds_both_ends():
-    # every edge of every golden product: the factors recorded during the
-    # build rebuild f_alpha alpha(rep) g_alpha^-1 and f_omega omega(rep) g_omega^-1
+    # every edge of every golden product: the transports recorded during the
+    # build are f_alpha alpha(rep) g_alpha^-1 and f_omega omega(rep) g_omega^-1,
+    # and the factors edge_factors makes of them rebuild both
     from types import SimpleNamespace
     from gogroups.cli import _load_product
     from test_golden import PAIRS, _path
@@ -659,8 +664,10 @@ def test_transport_record_rebuilds_both_ends():
                             Au2.inv(m2.twist_omega(h.g)))
             w_src = frag.vertices[h.src].witness
             w_dst = frag.vertices[h.dst].witness
-            assert Au.eq(Au.mul(Au.mul(h.bc0, w_src), h.cc0), o_raw)
-            assert Au2.eq(Au2.mul(Au2.mul(h.bc1, w_dst), h.cc1), t_raw)
+            assert Au.eq(h.o_raw, o_raw) and Au2.eq(h.t_raw, t_raw)
+            bc0, cc0, bc1, cc1 = frag.edge_factors(h)
+            assert Au.eq(Au.mul(Au.mul(bc0, w_src), cc0), o_raw)
+            assert Au2.eq(Au2.mul(Au2.mul(bc1, w_dst), cc1), t_raw)
 
 
 def stallings_roundtrip(rng, words_h, words_k, budget=4000):

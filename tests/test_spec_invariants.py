@@ -48,9 +48,9 @@ def test_base_component_labels_are_trivial():
     # factors of order 3 in all four slots of the transport record
     from test_pullback import golden_and_modular_products
     frags = golden_and_modular_products()
-    tree = [h for frag in frags[-2:] for h in frag.edges if h.tree]
-    for slot in ("bc0", "cc0", "bc1", "cc1"):   # 0 is the identity of Z/2 and Z/3
-        assert any(getattr(h, slot) != 0 for h in tree)
+    tree = [frag.edge_factors(h) for frag in frags[-2:] for h in frag.edges if h.tree]
+    for slot in range(4):   # bc0, cc0, bc1, cc1; 0 is the identity of Z/2 and Z/3
+        assert any(fs[slot] != 0 for fs in tree)
     for frag in frags:
         base = frag.A.trivial_path(frag.m1.vmap[frag.vertices[0].v])
         labels = frag.component_labels()
